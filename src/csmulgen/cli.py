@@ -18,8 +18,8 @@ from .mulgen import (
     MAX_WIDTH_ENV, CapacityError, GeneratorConfig, generate_with_annotations,
     max_width_ceiling,
 )
-from .netlist import validate
-from .sim import verify_exhaustive, verify_random, EXHAUSTIVE_GUARD_BITS
+from .netlist import NetlistError, validate
+from .sim import EXHAUSTIVE_GUARD_BITS, SimError, verify_exhaustive, verify_random
 from .vhdl import EmissionError, EmitterOptions, default_entity_name, emit_vhdl
 
 EXIT_OK = 0
@@ -60,7 +60,11 @@ def build_parser():
 
 
 def run(args) -> int:
-    ceiling = max_width_ceiling()
+    try:
+        ceiling = max_width_ceiling()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.width_a < 1 or args.width_b < 1:
         print("error: operand widths must be >= 1", file=sys.stderr)
         return EXIT_USAGE
@@ -90,6 +94,18 @@ def run(args) -> int:
                   file=sys.stderr)
         return EXIT_VALIDATION
 
+    try:
+        return _verify_and_write(args, cfg, nl, ann, gen_ms)
+    except NetlistError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except SimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
+
+
+def _verify_and_write(args, cfg, nl, ann, gen_ms) -> int:
+    """Everything after validation: simulate, emit, self-check, write."""
     mode = args.verify
     if mode == "auto":
         mode = ("exhaustive"

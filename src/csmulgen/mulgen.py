@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
-    Netlist, NetlistError, levelize, register_depth,
+    Netlist, NetlistError, analyze,
 )
 
 DEFAULT_MAX_WIDTH = 1024
@@ -87,13 +87,14 @@ class LatencyInfo:
 
 
 def max_width_ceiling():
+    """Width ceiling from the environment; an unset or empty variable
+    means the default.  Raises ValueError unless it is a positive integer."""
     raw = os.environ.get(MAX_WIDTH_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_MAX_WIDTH
+    if not raw:
+        return DEFAULT_MAX_WIDTH
+    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
+        raise ValueError(f"{MAX_WIDTH_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def build_partial_products(cfg: GeneratorConfig, nl: Netlist) -> DotMatrix:
@@ -337,12 +338,11 @@ def generate_multiplier(cfg: GeneratorConfig) -> Netlist:
 def compute_latency(nl: Netlist) -> LatencyInfo:
     """Pipelined: common register depth of the output bits.
     Combinational: worst levelized depth over the output bits."""
+    an = analyze(nl)
     if nl.pipelined:
-        depths = {register_depth(nl, bit) for bit in nl.output_p}
+        depths = {an.register_depth(bit) for bit in nl.output_p}
         if len(depths) != 1:
             raise NetlistError(f"output bits disagree on register depth: {sorted(depths)}")
         return LatencyInfo(pipelined=True, cycles=depths.pop())
-    depth = levelize(nl)
-    by_id = {sig.id: d for sig, d in depth.items()}
-    worst = max(by_id.get(bit.id, 0) for bit in nl.output_p)
+    worst = max(an.depth[bit.id] for bit in nl.output_p)
     return LatencyInfo(pipelined=False, gate_units=worst)

@@ -217,8 +217,12 @@ def validate(nl: Netlist) -> ValidationReport:
         if not read and drivers.get(sig.id):
             warn("unread-signal", f"internal signal s{sig.id} drives nothing")
 
-    if _has_combinational_cycle(nl):
+    try:
+        an = analyze(nl)
+    except CycleError:
         err("combinational-cycle", "combinational primitives form a cycle")
+    else:
+        _check_register_balance(nl, an, driven, err)
 
     dff_count = sum(1 for p in nl.primitives if p.kind == DFF)
     if nl.pipelined != (dff_count > 0) or nl.pipelined != (nl.clock is not None):
@@ -233,134 +237,184 @@ def validate(nl: Netlist) -> ValidationReport:
     return rep
 
 
+def _check_register_balance(nl, an, driven, err):
+    """Every driven output bit must see one register count on all its
+    paths, and all of them the same one."""
+    depths = set()
+    for j, bit in enumerate(nl.output_p):
+        if not driven(bit):
+            continue
+        lo, hi = an.reg_min[bit.id], an.reg_max[bit.id]
+        if lo != hi:
+            err("unbalanced-registers",
+                f"output bit {j} (s{bit.id}) mixes paths with {lo} and {hi} registers")
+        else:
+            depths.add(lo)
+    if len(depths) > 1:
+        err("unbalanced-registers",
+            f"output bits disagree on register depth: {sorted(depths)}")
+
+
+class CycleError(NetlistError):
+    """The combinational primitives form a cycle."""
+
+
+@dataclass(frozen=True, slots=True)
+class Analysis:
+    """What one pass over a netlist's graph tells every consumer.
+
+    order: combinational primitives in evaluation order (DFFs excluded).
+    dffs: the DFF primitives, in netlist order.
+    depth: signal id -> combinational depth in gate units.  Input bits,
+    constants and DFF outputs sit at 0; AND gates and half adders add
+    one unit, full adders two.
+    reg_min, reg_max: signal id -> fewest and most registers on any
+    source-to-signal path.  They differ where paths are unbalanced.
+    """
+
+    order: list
+    dffs: list
+    depth: list
+    reg_min: list
+    reg_max: list
+
+    def register_depth(self, bit: SignalRef) -> int:
+        """Register count shared by every path to `bit`; raises
+        UnbalancedPathError when the paths disagree."""
+        lo, hi = self.reg_min[bit.id], self.reg_max[bit.id]
+        if lo != hi:
+            raise UnbalancedPathError(
+                f"output bit s{bit.id} mixes paths with {lo} and {hi} registers")
+        return lo
+
+
+def analyze(nl: Netlist) -> Analysis:
+    """Evaluation order, gate depth and register depth in one linear pass.
+
+    The generators append every primitive after the producers of its
+    inputs, so that order is checked and used as it is; any other
+    netlist is sorted once.  Raises CycleError on a combinational cycle.
+    """
+    if _in_dependency_order(nl):
+        seq, cut = nl.primitives, ()
+    else:
+        seq, cut = _sorted_primitives(nl)
+    dffs = [p for p in nl.primitives if p.kind == DFF]
+    n = len(nl.signals)
+    depth = [0] * n
+    reg_min = [0] * n
+    reg_max = [0] * n if dffs else reg_min  # all zero without registers
+    # A register loop gives paths of unbounded register count; its cut
+    # DFFs are marked above anything a loop-free path can reach.
+    loop_mark = len(dffs) + 1
+    weight = DEPTH_WEIGHT.get
+    for prim in seq:
+        ins, outs = prim.inputs, prim.outputs
+        w = weight(prim.kind, 0)
+        d = 0
+        if w:
+            for s in ins:
+                if depth[s.id] > d:
+                    d = depth[s.id]
+            d += w
+        for out in outs:
+            depth[out.id] = d
+        if not dffs:
+            continue
+        lo, hi = (reg_min[ins[0].id], reg_max[ins[0].id]) if ins else (0, 0)
+        for s in ins:
+            if reg_min[s.id] < lo:
+                lo = reg_min[s.id]
+            if reg_max[s.id] > hi:
+                hi = reg_max[s.id]
+        if prim.kind == DFF:
+            lo += 1
+            hi = loop_mark if id(prim) in cut else hi + 1
+        for out in outs:
+            reg_min[out.id] = lo
+            reg_max[out.id] = hi
+    order = [p for p in seq if p.kind != DFF]
+    return Analysis(order=order, dffs=dffs, depth=depth, reg_min=reg_min, reg_max=reg_max)
+
+
+def _in_dependency_order(nl: Netlist) -> bool:
+    """True when every primitive input is a port bit or an earlier output."""
+    known = bytearray(len(nl.signals))
+    for sig in nl.input_a + nl.input_b:
+        known[sig.id] = 1
+    if nl.clock is not None:
+        known[nl.clock.id] = 1
+    for prim in nl.primitives:
+        for inp in prim.inputs:
+            if not known[inp.id]:
+                return False
+        for out in prim.outputs:
+            known[out.id] = 1
+    return True
+
+
+def _sorted_primitives(nl: Netlist):
+    """Kahn sort of all primitives, each after the producers of its inputs.
+
+    A loop through registers is cut at its DFFs, whose outputs are
+    stored values, so the combinational order stays valid; the cut DFFs
+    are returned by id alongside the order.  Raises CycleError when a
+    loop without a DFF remains.
+    """
+    prims = nl.primitives
+    producer = {}
+    for i, prim in enumerate(prims):
+        for out in prim.outputs:
+            producer[out.id] = i
+    indeg = [0] * len(prims)
+    consumers = [[] for _ in prims]
+    for i, prim in enumerate(prims):
+        for inp in prim.inputs:
+            src = producer.get(inp.id)
+            if src is not None:
+                indeg[i] += 1
+                consumers[src].append(i)
+
+    ready = [i for i, d in enumerate(indeg) if d == 0]
+    placed = [False] * len(prims)
+    order, cut = [], set()
+    while len(order) < len(prims):
+        if not ready:
+            ready = [i for i, p in enumerate(prims) if not placed[i] and p.kind == DFF]
+            if not ready:
+                raise CycleError("combinational cycle detected")
+            cut.update(id(prims[i]) for i in ready)
+        i = ready.pop()
+        if placed[i]:
+            continue
+        placed[i] = True
+        order.append(prims[i])
+        for nxt in consumers[i]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                ready.append(nxt)
+    return order, cut
+
+
 def topological_order(nl: Netlist):
     """Combinational primitives in evaluation order; DFFs excluded.
 
     Raises NetlistError if the combinational graph has a cycle.
     """
-    comb = [p for p in nl.primitives if p.kind != DFF]
-    produced_by = {}
-    for prim in comb:
-        for out in prim.outputs:
-            produced_by[out.id] = prim
-
-    indeg = {}
-    consumers = {}
-    for prim in comb:
-        deps = 0
-        for inp in prim.inputs:
-            src = produced_by.get(inp.id)
-            if src is not None:
-                deps += 1
-                consumers.setdefault(id(src), []).append(prim)
-        indeg[id(prim)] = deps
-
-    ready = [p for p in comb if indeg[id(p)] == 0]
-    order = []
-    while ready:
-        prim = ready.pop()
-        order.append(prim)
-        for nxt in consumers.get(id(prim), []):
-            indeg[id(nxt)] -= 1
-            if indeg[id(nxt)] == 0:
-                ready.append(nxt)
-    if len(order) != len(comb):
-        raise NetlistError("combinational cycle detected")
-    return order
+    return analyze(nl).order
 
 
 def levelize(nl: Netlist):
-    """Combinational depth of every signal, in gate units.
-
-    Input bits, constants and DFF outputs sit at depth 0.  AND gates and
-    half adders add one unit, full adders two.  DFF inputs terminate a
-    combinational region.
-    """
-    depth = {}
-    for sig in nl.input_a + nl.input_b:
-        depth[sig.id] = 0
-    if nl.clock is not None:
-        depth[nl.clock.id] = 0
-    for prim in nl.primitives:
-        if prim.kind in (DFF, CONST0):
-            for out in prim.outputs:
-                depth[out.id] = 0
-
-    for prim in topological_order(nl):
-        if prim.kind == CONST0:
-            continue
-        d = DEPTH_WEIGHT[prim.kind] + max(depth[inp.id] for inp in prim.inputs)
-        for out in prim.outputs:
-            depth[out.id] = d
-
-    return {sig: depth[sig.id] for sig in nl.signals if sig.id in depth}
+    """Combinational depth of every signal, in gate units (see Analysis)."""
+    depth = analyze(nl).depth
+    return {sig: depth[sig.id] for sig in nl.signals}
 
 
 def max_stage_depth(nl: Netlist):
     """Largest combinational depth reaching any DFF input or output bit."""
-    depth = levelize(nl)
-    by_id = {sig.id: d for sig, d in depth.items()}
-    worst = 0
-    for prim in nl.primitives:
-        if prim.kind == DFF:
-            worst = max(worst, by_id[prim.inputs[0].id])
-    for bit in nl.output_p:
-        worst = max(worst, by_id.get(bit.id, 0))
-    return worst
-
-
-def _has_combinational_cycle(nl: Netlist) -> bool:
-    try:
-        topological_order(nl)
-    except NetlistError:
-        return True
-    return False
-
-
-def _register_depth_sets(nl: Netlist):
-    """Map signal id -> set of register counts over all source-to-signal paths."""
-    produced_by = {}
-    for prim in nl.primitives:
-        for out in prim.outputs:
-            produced_by[out.id] = prim
-
-    indeg = {}
-    consumers = {}
-    for prim in nl.primitives:
-        deps = 0
-        for inp in prim.inputs:
-            src = produced_by.get(inp.id)
-            if src is not None:
-                deps += 1
-                consumers.setdefault(id(src), []).append(prim)
-        indeg[id(prim)] = deps
-
-    depths = {}
-    for sig in nl.input_a + nl.input_b:
-        depths[sig.id] = frozenset([0])
-    if nl.clock is not None:
-        depths[nl.clock.id] = frozenset([0])
-
-    ready = [p for p in nl.primitives if indeg[id(p)] == 0]
-    seen = 0
-    while ready:
-        prim = ready.pop()
-        seen += 1
-        if prim.kind == CONST0:
-            vals = frozenset([0])
-        else:
-            vals = frozenset().union(*(depths[inp.id] for inp in prim.inputs))
-            if prim.kind == DFF:
-                vals = frozenset(d + 1 for d in vals)
-        for out in prim.outputs:
-            depths[out.id] = vals
-        for nxt in consumers.get(id(prim), []):
-            indeg[id(nxt)] -= 1
-            if indeg[id(nxt)] == 0:
-                ready.append(nxt)
-    if seen != len(nl.primitives):
-        raise NetlistError("cycle through registers; cannot compute register depth")
-    return depths
+    an = analyze(nl)
+    ends = [p.inputs[0] for p in an.dffs] + nl.output_p
+    return max((an.depth[sig.id] for sig in ends), default=0)
 
 
 def register_depth(nl: Netlist, bit: SignalRef) -> int:
@@ -371,9 +425,4 @@ def register_depth(nl: Netlist, bit: SignalRef) -> int:
     """
     if not nl.pipelined:
         return 0
-    depths = _register_depth_sets(nl)
-    vals = sorted(depths.get(bit.id, frozenset([0])))
-    if len(vals) > 1:
-        raise UnbalancedPathError(
-            f"output bit s{bit.id} mixes paths with {vals[0]} and {vals[-1]} registers")
-    return vals[0]
+    return analyze(nl).register_depth(bit)

@@ -8,13 +8,13 @@ integers make exhaustive sweeps cheap without any extra machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 import random
 
 from .netlist import (
-    AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
-    Netlist, register_depth, topological_order,
+    AND2, CONST0, FULL_ADDER, HALF_ADDER,
+    Analysis, Netlist, analyze,
 )
 
 EXHAUSTIVE_GUARD_BITS = 24
@@ -50,8 +50,14 @@ class OperandValue:
 
 @dataclass(slots=True)
 class SimState:
-    values: dict = field(default_factory=dict)  # signal id -> lane vector
-    dff_state: dict = field(default_factory=dict)  # primitive index -> lane vector
+    """Settled signal values after some number of clock edges.
+
+    analysis is the netlist's analysis the state was built with;
+    step_cycle reuses it instead of analysing the netlist every cycle.
+    """
+
+    values: list  # signal id -> lane vector
+    analysis: Analysis
     cycle: int = 0
 
     def output_value(self, nl: Netlist, lane=0):
@@ -59,29 +65,49 @@ class SimState:
                    for j, b in enumerate(nl.output_p))
 
 
-def _apply_inputs(values, nl, a_bits, b_bits):
-    for sig, v in zip(nl.input_a, a_bits):
+def _apply_inputs(values, nl, a_masks, b_masks):
+    for sig, v in zip(nl.input_a, a_masks):
         values[sig.id] = v
-    for sig, v in zip(nl.input_b, b_bits):
+    for sig, v in zip(nl.input_b, b_masks):
         values[sig.id] = v
 
 
-def _settle(nl, order, values):
+def _settle(order, values):
     for prim in order:
         k = prim.kind
-        if k == AND2:
-            a, b = (values[s.id] for s in prim.inputs)
-            values[prim.outputs[0].id] = a & b
-        elif k == FULL_ADDER:
-            a, b, c = (values[s.id] for s in prim.inputs)
-            values[prim.outputs[0].id] = a ^ b ^ c
-            values[prim.outputs[1].id] = (a & b) | (a & c) | (b & c)
+        ins = prim.inputs
+        if k == FULL_ADDER:
+            a, b, c = values[ins[0].id], values[ins[1].id], values[ins[2].id]
+            s_out, c_out = prim.outputs
+            t = a ^ b
+            values[s_out.id] = t ^ c
+            values[c_out.id] = (a & b) | (c & t)
+        elif k == AND2:
+            values[prim.outputs[0].id] = values[ins[0].id] & values[ins[1].id]
         elif k == HALF_ADDER:
-            a, b = (values[s.id] for s in prim.inputs)
-            values[prim.outputs[0].id] = a ^ b
-            values[prim.outputs[1].id] = a & b
+            a, b = values[ins[0].id], values[ins[1].id]
+            s_out, c_out = prim.outputs
+            values[s_out.id] = a ^ b
+            values[c_out.id] = a & b
         elif k == CONST0:
             values[prim.outputs[0].id] = 0
+
+
+def _settled(nl, an, a_masks, b_masks):
+    """Values with every register at zero and the inputs settled through."""
+    values = [0] * len(nl.signals)
+    _apply_inputs(values, nl, a_masks, b_masks)
+    _settle(an.order, values)
+    return values
+
+
+def _clock_edge(nl, an, values, a_masks, b_masks):
+    """All registers latch at once, then the new inputs settle through."""
+    latched = [values[p.inputs[0].id] for p in an.dffs]
+    for prim, v in zip(an.dffs, latched):
+        values[prim.outputs[0].id] = v
+    _apply_inputs(values, nl, a_masks, b_masks)
+    _settle(an.order, values)
 
 
 def _operand_lane_bits(nl, a, b):
@@ -97,26 +123,13 @@ def eval_combinational(nl: Netlist, a, b) -> SimState:
     """Settle a non-pipelined netlist on one input pair."""
     if nl.pipelined:
         raise SimError("eval_combinational requires a non-pipelined netlist")
-    a_bits, b_bits = _operand_lane_bits(nl, a, b)
-    state = SimState()
-    _apply_inputs(state.values, nl, a_bits, b_bits)
-    _settle(nl, topological_order(nl), state.values)
-    return state
+    return initial_state(nl, a, b)
 
 
 def initial_state(nl: Netlist, a, b) -> SimState:
-    """Cycle-0 state of a pipelined netlist: registers all zero, then settle."""
-    a_bits, b_bits = _operand_lane_bits(nl, a, b)
-    state = SimState()
-    dffs = [(idx, p) for idx, p in enumerate(nl.primitives) if p.kind == DFF]
-    for idx, prim in dffs:
-        state.dff_state[idx] = 0
-        state.values[prim.outputs[0].id] = 0
-    _apply_inputs(state.values, nl, a_bits, b_bits)
-    if nl.clock is not None:
-        state.values[nl.clock.id] = 0
-    _settle(nl, topological_order(nl), state.values)
-    return state
+    """Cycle-0 state: registers all zero, then settle."""
+    an = analyze(nl)
+    return SimState(values=_settled(nl, an, *_operand_lane_bits(nl, a, b)), analysis=an)
 
 
 def step_cycle(nl: Netlist, state: SimState, a, b) -> SimState:
@@ -124,27 +137,16 @@ def step_cycle(nl: Netlist, state: SimState, a, b) -> SimState:
     combinational regions settle with the (possibly new) inputs."""
     if not nl.pipelined:
         raise SimError("step_cycle requires a pipelined netlist")
-    a_bits, b_bits = _operand_lane_bits(nl, a, b)
-    nxt = SimState(values=dict(state.values), cycle=state.cycle + 1)
-    for idx, prim in enumerate(nl.primitives):
-        if prim.kind == DFF:
-            nxt.dff_state[idx] = state.values[prim.inputs[0].id]
-            nxt.values[prim.outputs[0].id] = nxt.dff_state[idx]
-    _apply_inputs(nxt.values, nl, a_bits, b_bits)
-    _settle(nl, topological_order(nl), nxt.values)
+    nxt = SimState(values=list(state.values), analysis=state.analysis,
+                   cycle=state.cycle + 1)
+    _clock_edge(nl, nxt.analysis, nxt.values, *_operand_lane_bits(nl, a, b))
     return nxt
 
 
 def run_to_output(nl: Netlist, a, b) -> int:
-    """Simulated product: settle once if combinational, else hold the
-    inputs for the pipeline latency."""
-    if not nl.pipelined:
-        return eval_combinational(nl, a, b).output_value(nl)
-    latency = register_depth(nl, nl.output_p[0])
-    state = initial_state(nl, a, b)
-    for _ in range(latency):
-        state = step_cycle(nl, state, a, b)
-    return state.output_value(nl)
+    """Simulated product: the one-lane case of the lane-parallel core."""
+    values = _lane_eval(nl, *_operand_lane_bits(nl, a, b))
+    return sum(values[bit.id] << j for j, bit in enumerate(nl.output_p))
 
 
 @dataclass(slots=True)
@@ -171,46 +173,57 @@ class VerificationReport:
 
 
 def _lane_eval(nl, a_masks, b_masks):
-    """Evaluate all lanes at once; returns the values map.
+    """Evaluate all lanes at once; returns the values list.
 
     a_masks[i] holds input bit i of operand a across lanes.  Pipelined
     netlists run with per-lane constant inputs for the full latency.
     """
-    values = {}
-    for sig, m in zip(nl.input_a, a_masks):
-        values[sig.id] = m
-    for sig, m in zip(nl.input_b, b_masks):
-        values[sig.id] = m
-    order = topological_order(nl)
-    if not nl.pipelined:
-        _settle(nl, order, values)
-        return values
-    dffs = [(idx, p) for idx, p in enumerate(nl.primitives) if p.kind == DFF]
-    if nl.clock is not None:
-        values[nl.clock.id] = 0
-    state = {idx: 0 for idx, _ in dffs}
-    for idx, prim in dffs:
-        values[prim.outputs[0].id] = 0
-    _settle(nl, order, values)
-    latency = register_depth(nl, nl.output_p[0])
-    for _ in range(latency):
-        for idx, prim in dffs:
-            state[idx] = values[prim.inputs[0].id]
-        for idx, prim in dffs:
-            values[prim.outputs[0].id] = state[idx]
-        _settle(nl, order, values)
+    an = analyze(nl)
+    values = _settled(nl, an, a_masks, b_masks)
+    if nl.pipelined:
+        for _ in range(an.register_depth(nl.output_p[0])):
+            _clock_edge(nl, an, values, a_masks, b_masks)
     return values
 
 
+def _lane_masks(words, width):
+    """Bit-sliced view of per-lane words: mask i holds bit i of every
+    word, word t at bit t."""
+    text = "".join(format(w, f"0{width}b") for w in reversed(words))
+    return [int(text[width - 1 - i::width], 2) for i in range(width)]
+
+
 def _check_lanes(nl, values, pairs, mode, tested_before=0):
-    out_masks = [values[b.id] for b in nl.output_p]
-    for lane, (a, b) in enumerate(pairs):
-        got = sum(((m >> lane) & 1) << j for j, m in enumerate(out_masks))
-        if got != a * b:
-            return VerificationReport(
-                passed=False, tested=tested_before + lane, mode=mode,
-                counterexample={"a": a, "b": b, "expected": a * b, "got": got})
-    return None
+    """Compare every lane's output with a*b, whole masks at a time.
+
+    Returns a failing report for the first wrong lane, or None.
+    """
+    got = [values[b.id] for b in nl.output_p]
+    width = max(len(got), nl.width_a + nl.width_b)
+    got += [0] * (width - len(got))
+    want = _lane_masks([a * b for a, b in pairs], width)
+    wrong = 0
+    for g, w in zip(got, want):
+        wrong |= g ^ w
+    if not wrong:
+        return None
+    lane = (wrong & -wrong).bit_length() - 1
+    a, b = pairs[lane]
+    return VerificationReport(
+        passed=False, tested=tested_before + lane, mode=mode,
+        counterexample={"a": a, "b": b, "expected": a * b,
+                        "got": sum(((m >> lane) & 1) << j for j, m in enumerate(got))})
+
+
+def verify_pairs(nl: Netlist, pairs, mode: str) -> VerificationReport:
+    """Simulate each (a, b) pair as one lane and check it against a*b."""
+    if not pairs:
+        return VerificationReport(passed=True, tested=0, mode=mode)
+    a_masks = _lane_masks([a for a, _ in pairs], nl.width_a)
+    b_masks = _lane_masks([b for _, b in pairs], nl.width_b)
+    values = _lane_eval(nl, a_masks, b_masks)
+    return (_check_lanes(nl, values, pairs, mode)
+            or VerificationReport(passed=True, tested=len(pairs), mode=mode))
 
 
 def verify_exhaustive(nl: Netlist) -> VerificationReport:
@@ -252,14 +265,4 @@ def verify_random(nl: Netlist, count: int, seed: int) -> VerificationReport:
     rng = random.Random(seed)
     n, k = nl.width_a, nl.width_b
     pairs = [(rng.getrandbits(n), rng.getrandbits(k)) for _ in range(count)]
-    if not pairs:
-        return VerificationReport(passed=True, tested=0, mode="random")
-    a_masks = [sum(((a >> i) & 1) << t for t, (a, _) in enumerate(pairs))
-               for i in range(n)]
-    b_masks = [sum(((b >> i) & 1) << t for t, (_, b) in enumerate(pairs))
-               for i in range(k)]
-    values = _lane_eval(nl, a_masks, b_masks)
-    bad = _check_lanes(nl, values, pairs, "random")
-    if bad is not None:
-        return bad
-    return VerificationReport(passed=True, tested=len(pairs), mode="random")
+    return verify_pairs(nl, pairs, "random")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .mulgen import compute_latency, GeneratorConfig
 from .netlist import Netlist
-from .sim import OperandValue, run_to_output
+from .sim import OperandValue, verify_pairs
 from .vhdl import EmitterOptions, check_identifier, default_entity_name
 
 DEFAULT_CLOCK_PERIOD = 10  # time units per clock cycle, pipelined only
@@ -84,18 +84,29 @@ def _shift_add_product(a: int, b: int) -> int:
     return acc
 
 
+def _check_widths(nl: Netlist, plan: TestbenchPlan):
+    for vec in plan.vectors:
+        if vec.a.width != nl.width_a or vec.b.width != nl.width_b:
+            raise PlanError(f"vector widths {vec.a.width}x{vec.b.width} do not "
+                            f"match netlist {nl.width_a}x{nl.width_b}")
+
+
 def self_check_plan(nl: Netlist, plan: TestbenchPlan) -> bool:
     """Re-verify every expected value both arithmetically and against
-    the gate-level simulator.  Raises PlanError on any mismatch."""
+    the gate-level simulator, all vectors as lanes of one simulation.
+    Raises PlanError on any mismatch, naming the first failing vector."""
+    _check_widths(nl, plan)
     for idx, vec in enumerate(plan.vectors):
         independent = _shift_add_product(vec.a.value, vec.b.value)
         if independent != vec.expected:
             raise PlanError(f"vector {idx}: expected {vec.expected}, "
                             f"independent product says {independent}")
-        got = run_to_output(nl, vec.a, vec.b)
-        if got != vec.expected:
-            raise PlanError(f"vector {idx}: circuit computes {got}, "
-                            f"expected {vec.expected} for {vec.a.value}x{vec.b.value}")
+    pairs = [(vec.a.value, vec.b.value) for vec in plan.vectors]
+    report = verify_pairs(nl, pairs, "testbench")
+    if not report.passed:
+        c = report.counterexample
+        raise PlanError(f"vector {report.tested}: circuit computes {c['got']}, "
+                        f"expected {c['expected']} for {c['a']}x{c['b']}")
     return True
 
 
@@ -103,10 +114,7 @@ def emit_testbench(nl: Netlist, plan: TestbenchPlan,
                    options: EmitterOptions | None = None) -> str:
     """Render the self-checking testbench as one VHDL design unit."""
     options = options or EmitterOptions()
-    for vec in plan.vectors:
-        if vec.a.width != nl.width_a or vec.b.width != nl.width_b:
-            raise PlanError(f"vector widths {vec.a.width}x{vec.b.width} do not "
-                            f"match netlist {nl.width_a}x{nl.width_b}")
+    _check_widths(nl, plan)
 
     entity = options.entity_name or default_entity_name(nl)
     check_identifier(entity)

@@ -57,6 +57,16 @@ def test_capacity_ceiling_respected(tmp_path, monkeypatch, capsys):
     assert "ceiling" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["abc", "2.5", "0", "-5"])
+def test_bad_capacity_env_is_a_usage_error(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.setenv("CSMULGEN_MAX_WIDTH", raw)
+    assert run_cli("--width-a", "4", "--width-b", "4",
+                   "--out-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "CSMULGEN_MAX_WIDTH" in err and "positive integer" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_off_skips_simulation(tmp_path, capsys):
     assert run_cli("--width-a", "4", "--width-b", "4", "--verify", "off",
                    "--out-dir", str(tmp_path)) == 0
@@ -118,3 +128,52 @@ def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys):
     code = run_cli("--width-a", "4", "--width-b", "4",
                    "--out-dir", str(tmp_path))
     assert code == 3
+
+
+def test_unbalanced_pipeline_fails_validation(tmp_path, monkeypatch, capsys, drop_dff):
+    import csmulgen.cli as cli_mod
+    from csmulgen.netlist import DFF
+    real = cli_mod.generate_with_annotations
+
+    def sabotaged(cfg):
+        nl, ann = real(cfg)
+        drop_dff(nl, next(p for p in nl.primitives if p.kind == DFF))
+        return nl, ann
+
+    monkeypatch.setattr(cli_mod, "generate_with_annotations", sabotaged)
+    assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
+                   "--out-dir", str(tmp_path)) == 2
+    assert "unbalanced-registers" in capsys.readouterr().err
+
+
+def test_netlist_error_after_validation_exits_2(tmp_path, monkeypatch, capsys,
+                                                drop_dff):
+    import csmulgen.cli as cli_mod
+    from csmulgen.netlist import DFF, ValidationReport
+    real = cli_mod.generate_with_annotations
+
+    def sabotaged(cfg):
+        nl, ann = real(cfg)
+        drop_dff(nl, next(p for p in nl.primitives if p.kind == DFF))
+        return nl, ann
+
+    monkeypatch.setattr(cli_mod, "generate_with_annotations", sabotaged)
+    import csmulgen.vhdl as vhdl_mod
+    for module in (cli_mod, vhdl_mod):  # let the defect past both checks
+        monkeypatch.setattr(module, "validate", lambda nl: ValidationReport())
+    assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
+                   "--verify", "off", "--out-dir", str(tmp_path)) == 2
+    assert "register" in capsys.readouterr().err
+
+
+def test_sim_error_after_validation_exits_3(tmp_path, monkeypatch, capsys):
+    import csmulgen.cli as cli_mod
+    from csmulgen.sim import SimError
+
+    def broken(nl, count, seed):
+        raise SimError("simulator refused")
+
+    monkeypatch.setattr(cli_mod, "verify_random", broken)
+    assert run_cli("--width-a", "4", "--width-b", "4", "--verify", "random",
+                   "--out-dir", str(tmp_path)) == 3
+    assert "simulator refused" in capsys.readouterr().err

@@ -105,9 +105,15 @@ def test_capacity_ceiling(monkeypatch):
     generate_multiplier(GeneratorConfig(8, 8, False))  # at the limit is fine
 
 
-def test_capacity_env_garbage_falls_back_to_default(monkeypatch):
+def test_capacity_env_garbage_is_rejected(monkeypatch):
     monkeypatch.setenv("CSMULGEN_MAX_WIDTH", "not-a-number")
-    generate_multiplier(GeneratorConfig(4, 4, False))  # default ceiling applies
+    with pytest.raises(ValueError, match="CSMULGEN_MAX_WIDTH"):
+        generate_multiplier(GeneratorConfig(4, 4, False))
+
+
+def test_capacity_env_empty_means_default(monkeypatch):
+    monkeypatch.setenv("CSMULGEN_MAX_WIDTH", "")
+    generate_multiplier(GeneratorConfig(4, 4, False))
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,7 +3,7 @@ import pytest
 from csmulgen.netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
     Netlist, NetlistError, UnbalancedPathError,
-    levelize, max_stage_depth, register_depth, topological_order, validate,
+    analyze, levelize, max_stage_depth, register_depth, topological_order, validate,
 )
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
 
@@ -147,3 +147,65 @@ def test_register_depth_unbalanced_path_error():
     nl.output_p = [s, c]
     with pytest.raises(UnbalancedPathError):
         register_depth(nl, nl.output_p[0])
+
+
+def unbalanced_findings(nl):
+    return [f for f in validate(nl).errors if f.code == "unbalanced-registers"]
+
+
+def test_every_dropped_dff_fails_validation(drop_dff):
+    base = generate_multiplier(GeneratorConfig(4, 4, True))
+    positions = [i for i, p in enumerate(base.primitives) if p.kind == DFF]
+    assert positions
+    for pos in positions:
+        nl = generate_multiplier(GeneratorConfig(4, 4, True))
+        drop_dff(nl, nl.primitives[pos])
+        assert unbalanced_findings(nl), f"dropping DFF {pos} went unnoticed"
+
+
+def test_every_duplicated_dff_fails_validation():
+    base = generate_multiplier(GeneratorConfig(4, 4, True))
+    positions = [i for i, p in enumerate(base.primitives) if p.kind == DFF]
+    for pos in positions:
+        nl = generate_multiplier(GeneratorConfig(4, 4, True))
+        dff = nl.primitives[pos]
+        (q,) = nl.add_primitive(DFF, dff.outputs)  # a second register in series
+        q_old = dff.outputs[0]
+        for prim in nl.primitives[:-1]:
+            prim.inputs = [q if s.id == q_old.id else s for s in prim.inputs]
+        nl.output_p = [q if s.id == q_old.id else s for s in nl.output_p]
+        assert unbalanced_findings(nl), f"doubling DFF {pos} went unnoticed"
+
+
+def test_register_loop_is_unbalanced_not_a_combinational_cycle():
+    nl = Netlist.create(1, 1)
+    nl.pipelined = True
+    nl.add_clock()
+    (s0,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
+    (q,) = nl.add_primitive(DFF, [s0])
+    s, c = nl.add_primitive(HALF_ADDER, [q, q])
+    nl.primitives[1].inputs[0] = s  # q now feeds back on itself through s
+    nl.output_p = [s, c]
+    codes = [f.code for f in validate(nl).errors]
+    assert "combinational-cycle" not in codes
+    assert "unbalanced-registers" in codes
+    assert topological_order(nl) == [nl.primitives[0], nl.primitives[2]]
+
+
+def test_analysis_of_shuffled_pipelined_netlist_matches():
+    import random
+    nl = generate_multiplier(GeneratorConfig(5, 7, True))
+    base = analyze(nl)
+    prims = list(nl.primitives)
+    random.Random(1).shuffle(prims)
+    shuffled = Netlist(
+        width_a=nl.width_a, width_b=nl.width_b,
+        input_a=nl.input_a, input_b=nl.input_b, output_p=nl.output_p,
+        clock=nl.clock, primitives=prims,
+        pipelined=nl.pipelined, signals=nl.signals, terminated=nl.terminated)
+    again = analyze(shuffled)
+    assert again.order != base.order  # the fallback sort really ran
+    assert (again.depth, again.reg_min, again.reg_max) == \
+        (base.depth, base.reg_min, base.reg_max)
+    assert len(set(base.reg_min[b.id] for b in nl.output_p)) == 1
+    assert validate(shuffled).is_empty()

@@ -2,6 +2,8 @@ import pytest
 
 from csmulgen.mulgen import GeneratorConfig, compute_latency, generate_multiplier
 from csmulgen import tbgen
+from csmulgen.netlist import FULL_ADDER
+from csmulgen.sim import run_to_output
 from csmulgen.tbgen import (
     PlanError, emit_testbench, generate_vectors, make_plan, self_check_plan,
 )
@@ -88,3 +90,46 @@ def test_testbench_emission_deterministic():
     a = emit_testbench(nl, make_plan(nl, 12, seed=9))
     b = emit_testbench(nl, make_plan(nl, 12, seed=9))
     assert a == b
+
+
+def swap_fa_outputs(nl, nth):
+    victim = [p for p in nl.primitives if p.kind == FULL_ADDER][nth]
+    victim.outputs[0], victim.outputs[1] = victim.outputs[1], victim.outputs[0]
+
+
+def first_failure_per_vector(nl, plan):
+    """The per-vector reference: index of the first vector the simulator gets wrong."""
+    return next((idx for idx, vec in enumerate(plan.vectors)
+                 if run_to_output(nl, vec.a, vec.b) != vec.expected), None)
+
+
+@pytest.mark.parametrize("n,k,pipe", [(8, 8, True), (5, 11, True), (13, 13, False)])
+def test_lane_parallel_self_check_agrees_with_per_vector_runs(n, k, pipe):
+    nl = generate_multiplier(GeneratorConfig(n, k, pipe))
+    plan = make_plan(nl, 40, seed=5)
+    assert first_failure_per_vector(nl, plan) is None
+    assert self_check_plan(nl, plan)
+    for nth in (0, 3, -1):
+        bad = generate_multiplier(GeneratorConfig(n, k, pipe))
+        swap_fa_outputs(bad, nth)
+        idx = first_failure_per_vector(bad, plan)
+        assert idx is not None
+        vec = plan.vectors[idx]
+        got = run_to_output(bad, vec.a, vec.b)
+        with pytest.raises(PlanError, match=rf"^vector {idx}: circuit computes {got},"):
+            self_check_plan(bad, plan)
+
+
+def test_pipelined_fault_names_first_failing_vector():
+    nl = generate_multiplier(GeneratorConfig(6, 6, True))
+    plan = make_plan(nl, 64, seed=3)
+    swap_fa_outputs(nl, 0)
+    idx = first_failure_per_vector(nl, plan)
+    assert idx is not None
+    with pytest.raises(PlanError, match=rf"^vector {idx}: "):
+        self_check_plan(nl, plan)
+
+
+def test_self_check_plan_without_vectors():
+    nl = generate_multiplier(GeneratorConfig(4, 4, True))
+    assert self_check_plan(nl, make_plan(nl, 0, seed=1))
