@@ -209,3 +209,59 @@ def test_analysis_of_shuffled_pipelined_netlist_matches():
         (base.depth, base.reg_min, base.reg_max)
     assert len(set(base.reg_min[b.id] for b in nl.output_p)) == 1
     assert validate(shuffled).is_empty()
+
+
+def _netlist_with_every_defect():
+    nl = Netlist.create(2, 2)
+    a0, a1 = nl.input_a
+    b0, b1 = nl.input_b
+    (s_and,) = nl.add_primitive(AND2, [a0, b0])
+    nl.primitives[-1].inputs.append(a1)                    # arity mismatch
+    nl.add_primitive(AND2, [a1, b1])                       # unread
+    (s_loop,) = nl.add_primitive(AND2, [a0, b1])
+    nl.primitives[-1].inputs[1] = s_loop                   # self-loop, cycle
+    nl.add_primitive(AND2, [a1, b0])
+    nl.primitives[-1].outputs[0] = b1                      # drives a port bit
+    (s_twice,) = nl.add_primitive(AND2, [a0, b0])
+    nl.add_primitive(AND2, [a1, b1])
+    nl.primitives[-1].outputs[0] = s_twice                 # second driver
+    floating = nl.new_signal()
+    (s_term,) = nl.add_primitive(AND2, [floating, b0])     # undriven input
+    nl.terminated.add(s_term.id)                           # but read below
+    nl.add_primitive(DFF, [s_twice])                       # no clock, not pipelined
+    nl.output_p = [s_and, s_term, nl.new_signal()]         # 3 bits, one floats
+    return nl
+
+
+def test_every_defect_gives_exact_findings_in_order():
+    findings = [(f.severity, f.code, f.message)
+                for f in validate(_netlist_with_every_defect()).findings]
+    assert findings == [
+        ("error", "arity-mismatch", "primitive 0 (and2) has 3 inputs and 1 outputs"),
+        ("error", "self-loop", "primitive 2 (and2) output s6 is also one of its inputs"),
+        ("error", "multiple-drivers", "port bit s3 is driven by a primitive"),
+        ("error", "multiple-drivers", "signal s8 has 2 drivers"),
+        ("error", "undriven-input", "primitive 6 (and2) input 0 (s10) has no driver"),
+        ("error", "undriven-output", "output bit 2 (s13) has no driver"),
+        ("warning", "unread-signal", "internal signal s5 drives nothing"),
+        ("error", "terminated-but-read",
+         "signal s11 is declared terminated but has readers"),
+        ("warning", "unread-signal", "internal signal s12 drives nothing"),
+        ("error", "combinational-cycle", "combinational primitives form a cycle"),
+        ("error", "clock-consistency", "pipelined=False but dffs=1, clock=absent"),
+        ("error", "output-width", "output has 3 bits, expected 4"),
+    ]
+
+
+@pytest.mark.parametrize("which, expected", [
+    (0, [("error", "unbalanced-registers",
+          f"output bit {j} (s{s}) mixes paths with 5 and 6 registers")
+         for j, s in [(1, 107), (2, 111), (3, 114), (4, 116), (5, 117),
+                      (6, 95), (7, 96)]]),
+    (-1, [("error", "unbalanced-registers",
+           "output bits disagree on register depth: [5, 6]")]),
+])
+def test_dropped_dff_gives_exact_findings(drop_dff, which, expected):
+    nl = generate_multiplier(GeneratorConfig(4, 4, True))
+    drop_dff(nl, [p for p in nl.primitives if p.kind == DFF][which])
+    assert [(f.severity, f.code, f.message) for f in validate(nl).findings] == expected
