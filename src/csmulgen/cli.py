@@ -15,12 +15,13 @@ from pathlib import Path
 from . import metrics as metrics_mod
 from . import tbgen
 from .mulgen import (
-    MAX_WIDTH_ENV, CapacityError, GeneratorConfig, generate_with_annotations,
-    max_width_ceiling,
+    CapacityError, GeneratorConfig, generate_with_annotations, max_width_ceiling,
 )
 from .netlist import NetlistError, validate
 from .sim import EXHAUSTIVE_GUARD_BITS, SimError, verify_exhaustive, verify_random
-from .vhdl import EmissionError, EmitterOptions, default_entity_name, emit_vhdl
+from .vhdl import (
+    EmissionError, EmitterOptions, check_identifier, default_entity_name, emit_vhdl,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,16 +62,14 @@ def build_parser():
 
 def run(args) -> int:
     try:
-        ceiling = max_width_ceiling()
-    except ValueError as exc:
+        max_width_ceiling()  # a malformed variable fails before any work
+        if args.entity_name:
+            check_identifier(args.entity_name)
+    except (ValueError, EmissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.width_a < 1 or args.width_b < 1:
         print("error: operand widths must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.width_a > ceiling or args.width_b > ceiling:
-        print(f"error: widths exceed the capacity ceiling ({ceiling}); "
-              f"set {MAX_WIDTH_ENV} to raise it", file=sys.stderr)
         return EXIT_USAGE
     if args.tests < 0:
         print("error: --tests must be >= 0", file=sys.stderr)

@@ -81,24 +81,3 @@ def render_json(report: MetricsReport) -> str:
     }
     return json.dumps(doc, indent=2) + "\n"
 
-
-def parse_json(text: str) -> MetricsReport:
-    doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported metrics schema: {doc.get('schema_version')}")
-    lat = doc["latency"]
-    return MetricsReport(
-        width_a=doc["width_a"],
-        width_b=doc["width_b"],
-        pipelined=doc["pipelined"],
-        signals=doc["signals"],
-        and_gates=doc["and_gates"],
-        full_adders=doc["full_adders"],
-        half_adders=doc["half_adders"],
-        adders=doc["adders"],
-        dffs=doc["dffs"],
-        reduction_stages=doc["reduction_stages"],
-        latency=LatencyInfo(pipelined=lat["pipelined"], cycles=lat["cycles"],
-                            gate_units=lat["gate_units"]),
-        generation_time_ms=doc["generation_time_ms"],
-    )

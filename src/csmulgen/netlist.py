@@ -59,10 +59,6 @@ class Primitive:
     inputs: list
     outputs: list
 
-    def check_arity(self):
-        n_in, n_out = ARITY[self.kind]
-        return len(self.inputs) == n_in and len(self.outputs) == n_out
-
 
 @dataclass(slots=True)
 class Netlist:
@@ -112,24 +108,6 @@ class Netlist:
         self.primitives.append(Primitive(kind=kind, inputs=list(inputs), outputs=outputs))
         return outputs
 
-    # -- structural queries -------------------------------------------------
-
-    def drivers(self):
-        """Map signal id -> list of producing primitives (ports excluded)."""
-        by_sig = {}
-        for prim in self.primitives:
-            for out in prim.outputs:
-                by_sig.setdefault(out.id, []).append(prim)
-        return by_sig
-
-    def readers(self):
-        """Map signal id -> list of consuming primitives."""
-        by_sig = {}
-        for prim in self.primitives:
-            for inp in prim.inputs:
-                by_sig.setdefault(inp.id, []).append(prim)
-        return by_sig
-
 
 @dataclass(frozen=True, slots=True)
 class Finding:
@@ -161,37 +139,50 @@ def validate(nl: Netlist) -> ValidationReport:
     """Run every structural check; all problems become report entries.
 
     Finding order is deterministic: checks run in a fixed sequence and
-    each check walks primitives/signals in id order.
+    each check walks primitives/signals in id order.  One walk over the
+    primitives counts drivers and marks reads in lists indexed by signal
+    id; the later checks read only those lists.
     """
     rep = ValidationReport()
     err = lambda code, msg: rep.findings.append(Finding("error", code, msg))
     warn = lambda code, msg: rep.findings.append(Finding("warning", code, msg))
 
+    n = len(nl.signals)
+    drivers = [0] * n
+    read = bytearray(n)
+    dff_count = 0
     for idx, prim in enumerate(nl.primitives):
-        if not prim.check_arity():
+        ins, outs = prim.inputs, prim.outputs
+        if (len(ins), len(outs)) != ARITY[prim.kind]:
             err("arity-mismatch",
-                f"primitive {idx} ({prim.kind}) has {len(prim.inputs)} inputs "
-                f"and {len(prim.outputs)} outputs")
-        for out in prim.outputs:
-            if any(out.id == inp.id for inp in prim.inputs):
+                f"primitive {idx} ({prim.kind}) has {len(ins)} inputs "
+                f"and {len(outs)} outputs")
+        in_ids = [inp.id for inp in ins]
+        for i in in_ids:
+            read[i] = 1
+        for out in outs:
+            drivers[out.id] += 1
+            if out.id in in_ids:
                 err("self-loop", f"primitive {idx} ({prim.kind}) output s{out.id} "
                                  "is also one of its inputs")
+        if prim.kind == DFF:
+            dff_count += 1
+    for bit in nl.output_p:
+        read[bit.id] = 1
 
-    drivers = nl.drivers()
-    port_ids = {s.id for s in nl.input_a} | {s.id for s in nl.input_b}
-    if nl.clock is not None:
-        port_ids.add(nl.clock.id)
+    port = bytearray(n)
+    for sig in nl.input_a + nl.input_b + ([nl.clock] if nl.clock is not None else []):
+        port[sig.id] = 1
 
     for sig in nl.signals:
-        driving = drivers.get(sig.id, [])
-        if sig.id in port_ids:
-            if driving:
+        if port[sig.id]:
+            if drivers[sig.id]:
                 err("multiple-drivers", f"port bit s{sig.id} is driven by a primitive")
-        elif len(driving) > 1:
-            err("multiple-drivers", f"signal s{sig.id} has {len(driving)} drivers")
+        elif drivers[sig.id] > 1:
+            err("multiple-drivers", f"signal s{sig.id} has {drivers[sig.id]} drivers")
 
     def driven(sig):
-        return sig.id in port_ids or bool(drivers.get(sig.id))
+        return port[sig.id] or drivers[sig.id]
 
     for idx, prim in enumerate(nl.primitives):
         for pos, inp in enumerate(prim.inputs):
@@ -203,18 +194,15 @@ def validate(nl: Netlist) -> ValidationReport:
         if not driven(bit):
             err("undriven-output", f"output bit {j} (s{bit.id}) has no driver")
 
-    readers = nl.readers()
-    output_ids = {s.id for s in nl.output_p}
     for sig in nl.signals:
         if sig.kind != KIND_INTERNAL:
             continue
-        read = sig.id in output_ids or sig.id in readers
         if sig.id in nl.terminated:
-            if read:
+            if read[sig.id]:
                 err("terminated-but-read",
                     f"signal s{sig.id} is declared terminated but has readers")
             continue
-        if not read and drivers.get(sig.id):
+        if not read[sig.id] and drivers[sig.id]:
             warn("unread-signal", f"internal signal s{sig.id} drives nothing")
 
     try:
@@ -224,7 +212,6 @@ def validate(nl: Netlist) -> ValidationReport:
     else:
         _check_register_balance(nl, an, driven, err)
 
-    dff_count = sum(1 for p in nl.primitives if p.kind == DFF)
     if nl.pipelined != (dff_count > 0) or nl.pipelined != (nl.clock is not None):
         err("clock-consistency",
             f"pipelined={nl.pipelined} but dffs={dff_count}, "

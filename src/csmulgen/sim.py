@@ -43,10 +43,6 @@ class OperandValue:
         """MSB-first rendering, zero-extended to the full width."""
         return format(self.value, f"0{self.width}b")
 
-    @classmethod
-    def from_bits(cls, bits):
-        return cls(sum(b << i for i, b in enumerate(bits)), len(bits))
-
 
 @dataclass(slots=True)
 class SimState:

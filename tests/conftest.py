@@ -1,6 +1,12 @@
-"""Pipeline fault injection shared by the netlist and CLI tests."""
+"""Fixtures shared by the tests: pipeline fault injection, and the
+environment for running the package in a subprocess from a checkout."""
+
+import os
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _drop_dff(nl, dff):
@@ -15,3 +21,11 @@ def _drop_dff(nl, dff):
 @pytest.fixture
 def drop_dff():
     return _drop_dff
+
+
+@pytest.fixture
+def src_env():
+    """os.environ with the checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env

@@ -85,8 +85,9 @@ def test_entity_name_override(tmp_path):
 def test_reserved_entity_name_fails_cleanly(tmp_path, capsys):
     code = run_cli("--width-a", "2", "--width-b", "2",
                    "--entity-name", "signal", "--out-dir", str(tmp_path))
-    assert code == 3
+    assert code == 1
     assert "error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):
@@ -103,11 +104,11 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert am == bm
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "csmulgen",
          "--width-a", "2", "--width-b", "3", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0
     assert (tmp_path / "mul_2x3.vhd").exists()
 

@@ -1,6 +1,7 @@
+import dataclasses
 import json
 
-from csmulgen.metrics import compute_metrics, parse_json, render_json
+from csmulgen.metrics import compute_metrics, render_json
 from csmulgen.mulgen import GeneratorConfig, generate_with_annotations
 from csmulgen.netlist import AND2, DFF, FULL_ADDER, HALF_ADDER
 
@@ -66,9 +67,11 @@ def test_render_json_shape_and_key_order():
     assert render_json(m) == render_json(m)
 
 
-def test_json_round_trip():
-    _, m = metrics_for(5, 9, False)
-    assert parse_json(render_json(m)) == m
+def test_render_json_holds_every_field():
+    _, m = metrics_for(5, 9, False, generation_time_ms=3.25)
+    data = json.loads(render_json(m))
+    assert data.pop("schema_version") == 1
+    assert data == dataclasses.asdict(m)
 
 
 def test_generation_time_optional():

@@ -11,7 +11,7 @@ from csmulgen.sim import (
 def test_operand_value_round_trip():
     v = OperandValue(53, 8)
     assert v.bitstring() == "00110101"
-    assert OperandValue.from_bits(v.bits).value == 53
+    assert v.bits == [1, 0, 1, 0, 1, 1, 0, 0]
 
 
 def test_operand_value_rejects_out_of_range():
