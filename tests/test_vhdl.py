@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 
 import pytest
@@ -56,6 +57,24 @@ def test_golden_2x2():
 def test_golden_8x8_pipelined():
     text = emit_vhdl(generate_multiplier(GeneratorConfig(8, 8, True)))
     assert text == (GOLDENS / "mul_8x8_p.vhd").read_text()
+
+
+# sha256 of the emitted design, pinned beside the two goldens: degenerate
+# one-bit operands, both operand orders and the pipelined layout at sizes
+# with several reduction passes.
+@pytest.mark.parametrize("widths, pipelined, digest", [
+    ((1, 1), True, "630f897b81be7eaecd7c1769aaec45e131ac781e668c9df3eaff3ae555a9835d"),
+    ((1, 7), True, "393ccb2f6af3153839dcaab263a75f476d42b7e47468cb6c5736bc9cebe77dde"),
+    ((7, 1), True, "623fd052fd53764b88caf62f36f335b14bbf587d8af1f2502102d62c36cf2f9a"),
+    ((3, 7), True, "570b3ce224d7fbdd3a69044e17701e977a83e1e19f513bee25350145176bfc50"),
+    ((13, 13), True, "091237c5164f182e4f6e580263ed07653906b626796ae51dbc145427e3113fbf"),
+    ((12, 20), True, "352b0137ee651451e89a362a5ae2a31aa072f8c5f40a457593cea9244964b26f"),
+    ((3, 7), False, "d2db70784f713aea262dd4b466244355b52798a05d76a4da8d74868d3de45f30"),
+    ((13, 13), False, "d2f3786519bc00e876a4d61663b5574e15eef2bf2159879aa9d87e02c9081152"),
+])
+def test_pinned_design_digest(widths, pipelined, digest):
+    text = emit_vhdl(generate_multiplier(GeneratorConfig(*widths, pipelined)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_combinational_entity_has_no_clock_port():
