@@ -74,6 +74,10 @@ def run(args) -> int:
     if args.tests < 0:
         print("error: --tests must be >= 0", file=sys.stderr)
         return EXIT_USAGE
+    if args.verify == "exhaustive" and args.width_a + args.width_b > EXHAUSTIVE_GUARD_BITS:
+        print(f"error: exhaustive verification is capped at "
+              f"{EXHAUSTIVE_GUARD_BITS} total input bits", file=sys.stderr)
+        return EXIT_USAGE
 
     cfg = GeneratorConfig(args.width_a, args.width_b, args.pipeline)
     print(f"generating {cfg.width_a}x{cfg.width_b} "
@@ -109,10 +113,6 @@ def _verify_and_write(args, cfg, nl, ann, gen_ms) -> int:
     if mode == "auto":
         mode = ("exhaustive"
                 if cfg.width_a + cfg.width_b <= AUTO_EXHAUSTIVE_BITS else "random")
-    if mode == "exhaustive" and cfg.width_a + cfg.width_b > EXHAUSTIVE_GUARD_BITS:
-        print(f"error: exhaustive verification is capped at "
-              f"{EXHAUSTIVE_GUARD_BITS} total input bits", file=sys.stderr)
-        return EXIT_USAGE
     if mode != "off":
         print(f"verifying ({mode}) ...")
         vrep = (verify_exhaustive(nl) if mode == "exhaustive"

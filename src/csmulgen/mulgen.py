@@ -2,16 +2,18 @@
 
 Three phases: an AND-gate partial-product network, an iterative
 carry-save reduction that compresses every output column down to at
-most two pending bits, and a ripple-carry final adder.  Pipelining
-re-times the same structure with one register boundary per reduction
-iteration and one per final-adder column, plus skew/deskew register
-chains so every output bit sees the identical latency.
+most two pending bits, and a ripple-carry final adder.  A pipelined
+build places registers as it adds the primitives: one register boundary
+per reduction iteration and one per final-adder column, with skew
+chains on inputs read across boundaries and deskew chains so every
+output bit sees the identical latency.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .netlist import (
@@ -64,16 +66,9 @@ class DotMatrix:
 
 @dataclass(slots=True)
 class BuildAnnotations:
-    """Stage bookkeeping produced alongside the combinational netlist.
-
-    window maps primitive index to its pipeline evaluation window:
-    0 for the partial-product ANDs, i+1 for adders placed in reduction
-    iteration i, then one window per final-adder column.  Constant
-    drivers carry no window.
-    """
+    """Stage bookkeeping produced alongside the netlist."""
 
     stage_count: int = 0
-    window: dict = field(default_factory=dict)
     dots_entering_final: int = 0
     reduction_full_adders: int = 0
     reduction_half_adders: int = 0
@@ -97,19 +92,63 @@ def max_width_ceiling():
     return int(raw)
 
 
-def build_partial_products(cfg: GeneratorConfig, nl: Netlist) -> DotMatrix:
+class _Builder:
+    """Appends primitives to a netlist, each in a pipeline window.
+
+    Window 0 holds the partial-product ANDs and constants, window i+1 the
+    adders of reduction iteration i, then each final-adder column the
+    next window.  In a pipelined netlist a primitive in window w reads a
+    signal produced in window v through w - v DFFs; every reader of the
+    signal shares one chain.  A combinational netlist ignores windows.
+    """
+
+    def __init__(self, nl: Netlist):
+        self.nl = nl
+        self.slot = None  # signal id -> window it is produced in
+        if nl.pipelined:
+            self.slot = {sig.id: 0 for sig in nl.input_a + nl.input_b}
+        self.chains = {}  # signal id -> [its value delayed 1, 2, ... cycles]
+
+    def add(self, kind, inputs, window):
+        if self.slot is None:
+            return self.nl.add_primitive(kind, inputs)
+        outs = self.nl.add_primitive(
+            kind, [self.delayed(sig, window - self.slot[sig.id]) for sig in inputs])
+        for sig in outs:
+            self.slot[sig.id] = window
+        return outs
+
+    def delayed(self, sig, d):
+        if d < 0:
+            raise NetlistError("negative pipeline delay; window assignment bug")
+        if d == 0:
+            return sig
+        chain = self.chains.setdefault(sig.id, [])
+        while len(chain) < d:
+            (q,) = self.nl.add_primitive(DFF, [chain[-1] if chain else sig])
+            chain.append(q)
+        return chain[d - 1]
+
+    def deskew(self, bits):
+        """Delay every bit to one common register depth, at least 1."""
+        latency = max(1, max(self.slot[sig.id] for sig in bits))
+        return [self.delayed(sig, latency - self.slot[sig.id]) for sig in bits]
+
+
+def build_partial_products(cfg: GeneratorConfig, builder: _Builder) -> DotMatrix:
     """AND every pair of input bits; the product of bits a and b lands
     in column a+b."""
     n, k = cfg.width_a, cfg.width_b
+    nl = builder.nl
     columns = [[] for _ in range(n + k)]
     for a in range(n):
         for b in range(k):
-            (out,) = nl.add_primitive(AND2, [nl.input_a[a], nl.input_b[b]])
+            (out,) = builder.add(AND2, [nl.input_a[a], nl.input_b[b]], 0)
             columns[a + b].append(Dot(out, 0))
     return DotMatrix(columns=columns)
 
 
-def reduce_step(matrix: DotMatrix, iteration: int, nl: Netlist) -> DotMatrix:
+def reduce_step(matrix: DotMatrix, iteration: int, builder: _Builder) -> DotMatrix:
     """One carry-save compression pass.
 
     Scans columns from the least significant upward, looking only at
@@ -126,7 +165,8 @@ def reduce_step(matrix: DotMatrix, iteration: int, nl: Netlist) -> DotMatrix:
       iteration, so the following pass will push a carry into this
       column and a full adder two passes out absorbs all three.
 
-    All surviving dots cross into the next iteration.
+    All surviving dots cross into the next iteration.  Adders placed
+    here go in window i+1.
     """
     i = iteration
     ncols = len(matrix.columns)
@@ -150,7 +190,7 @@ def reduce_step(matrix: DotMatrix, iteration: int, nl: Netlist) -> DotMatrix:
         while len(eligible) > 2:
             ops = eligible[:3]
             eligible = eligible[3:]
-            s, c = nl.add_primitive(FULL_ADDER, [d.signal for d in ops])
+            s, c = builder.add(FULL_ADDER, [d.signal for d in ops], i + 1)
             new_cols[j].append(Dot(s, i + 1))
             emit_carry(j + 1, c)
 
@@ -163,7 +203,7 @@ def reduce_step(matrix: DotMatrix, iteration: int, nl: Netlist) -> DotMatrix:
             # the pair is always deferred there.
             at_top = j + 1 == ncols
             if not rule_a and not rule_b and not at_top:
-                s, c = nl.add_primitive(HALF_ADDER, [d.signal for d in eligible])
+                s, c = builder.add(HALF_ADDER, [d.signal for d in eligible], i + 1)
                 eligible = []
                 new_cols[j].append(Dot(s, i + 1))
                 emit_carry(j + 1, c)
@@ -173,7 +213,7 @@ def reduce_step(matrix: DotMatrix, iteration: int, nl: Netlist) -> DotMatrix:
     return DotMatrix(columns=new_cols)
 
 
-def run_reduction(matrix: DotMatrix, nl: Netlist):
+def run_reduction(matrix: DotMatrix, builder: _Builder):
     """Apply reduction passes until every column holds at most two dots.
 
     Returns the final matrix and the number of passes executed.  Each
@@ -183,18 +223,19 @@ def run_reduction(matrix: DotMatrix, nl: Netlist):
     """
     i = 0
     while not matrix.reduced():
-        matrix = reduce_step(matrix, i, nl)
+        matrix = reduce_step(matrix, i, builder)
         i += 1
     return matrix, i
 
 
-def build_final_adder(matrix: DotMatrix, nl: Netlist):
+def build_final_adder(matrix: DotMatrix, builder: _Builder, window: int):
     """Ripple-carry resolution of the remaining (at most two) rows.
 
     Column by column: nothing pending and no carry means a constant
     zero output; a lone bit without a carry wires straight through;
     two bits, or one bit plus a carry, take a half adder; two bits plus
-    a carry take a full adder.
+    a carry take a full adder.  Each adder goes in the next window,
+    from `window` on.
     """
     out_bits = []
     carry = None
@@ -204,118 +245,29 @@ def build_final_adder(matrix: DotMatrix, nl: Netlist):
             raise NetlistError(f"column {j} holds {len(dots)} dots; final adder takes <= 2")
         operands = dots + ([carry] if carry is not None else [])
         if len(operands) == 0:
-            (zero,) = nl.add_primitive(CONST0, [])
+            (zero,) = builder.add(CONST0, [], 0)
             out_bits.append(zero)
             carry = None
         elif len(operands) == 1:
             out_bits.append(operands[0])
             carry = None
         elif len(operands) == 2:
-            s, c = nl.add_primitive(HALF_ADDER, operands)
+            s, c = builder.add(HALF_ADDER, operands, window)
             out_bits.append(s)
             carry = c
+            window += 1
         else:
-            s, c = nl.add_primitive(FULL_ADDER, operands)
+            s, c = builder.add(FULL_ADDER, operands, window)
             out_bits.append(s)
             carry = c
+            window += 1
     if carry is not None:
         # The weighted sum of all dots is the full product, which fits in
         # n+k bits, so a carry out of the most significant column can
         # never assert; declare it terminated instead of leaving it
         # dangling.
-        nl.terminated.add(carry.id)
+        builder.nl.terminated.add(carry.id)
     return out_bits
-
-
-def insert_pipeline_registers(nl: Netlist, ann: BuildAnnotations) -> Netlist:
-    """Re-time a combinational netlist into a pipelined one.
-
-    Every primitive evaluates inside the window recorded in the
-    annotations; a signal produced in window w and consumed in window
-    w' crosses w' - w register boundaries and gets that many DFFs.
-    Output bits are deskewed to one common register depth, at least 1.
-    """
-    out = Netlist.create(nl.width_a, nl.width_b)
-    out.pipelined = True
-    out.add_clock()
-
-    sig_map = {}
-    slot = {}
-    for old, new in zip(nl.input_a, out.input_a):
-        sig_map[old.id] = new
-        slot[old.id] = 0
-    for old, new in zip(nl.input_b, out.input_b):
-        sig_map[old.id] = new
-        slot[old.id] = 0
-
-    delay_cache = {}
-
-    def delayed(sig, d):
-        if d < 0:
-            raise NetlistError("negative pipeline delay; window assignment bug")
-        if d == 0:
-            return sig
-        key = (sig.id, d)
-        hit = delay_cache.get(key)
-        if hit is not None:
-            return hit
-        (q,) = out.add_primitive(DFF, [delayed(sig, d - 1)])
-        delay_cache[key] = q
-        return q
-
-    for idx, prim in enumerate(nl.primitives):
-        if prim.kind == CONST0:
-            (zero,) = out.add_primitive(CONST0, [])
-            sig_map[prim.outputs[0].id] = zero
-            slot[prim.outputs[0].id] = 0
-            continue
-        w = ann.window[idx]
-        ins = [delayed(sig_map[s.id], w - slot[s.id]) for s in prim.inputs]
-        outs = out.add_primitive(prim.kind, ins)
-        for old, new in zip(prim.outputs, outs):
-            sig_map[old.id] = new
-            slot[old.id] = w
-
-    latency = max(1, max(slot[bit.id] for bit in nl.output_p))
-    out.output_p = [delayed(sig_map[bit.id], latency - slot[bit.id])
-                    for bit in nl.output_p]
-    out.terminated = {sig_map[sid].id for sid in nl.terminated}
-    return out
-
-
-def _build_combinational(cfg: GeneratorConfig):
-    nl = Netlist.create(cfg.width_a, cfg.width_b)
-    ann = BuildAnnotations()
-
-    matrix = build_partial_products(cfg, nl)
-    for idx in range(len(nl.primitives)):
-        ann.window[idx] = 0
-
-    i = 0
-    while not matrix.reduced():
-        start = len(nl.primitives)
-        matrix = reduce_step(matrix, i, nl)
-        for idx in range(start, len(nl.primitives)):
-            ann.window[idx] = i + 1
-            prim = nl.primitives[idx]
-            if prim.kind == FULL_ADDER:
-                ann.reduction_full_adders += 1
-            else:
-                ann.reduction_half_adders += 1
-        i += 1
-    ann.stage_count = i
-    ann.dots_entering_final = matrix.total_dots()
-
-    rca_start = len(nl.primitives)
-    nl.output_p = build_final_adder(matrix, nl)
-    adder_ordinal = 0
-    for idx in range(rca_start, len(nl.primitives)):
-        if nl.primitives[idx].kind == CONST0:
-            continue
-        ann.window[idx] = ann.stage_count + 1 + adder_ordinal
-        adder_ordinal += 1
-
-    return nl, ann
 
 
 def generate_with_annotations(cfg: GeneratorConfig):
@@ -325,9 +277,22 @@ def generate_with_annotations(cfg: GeneratorConfig):
         raise CapacityError(
             f"width {cfg.width_a}x{cfg.width_b} exceeds ceiling {ceiling} "
             f"(override with {MAX_WIDTH_ENV})")
-    nl, ann = _build_combinational(cfg)
+    nl = Netlist.create(cfg.width_a, cfg.width_b)
     if cfg.pipelined:
-        nl = insert_pipeline_registers(nl, ann)
+        nl.pipelined = True
+        nl.add_clock()
+    builder = _Builder(nl)
+    ann = BuildAnnotations()
+
+    matrix, ann.stage_count = run_reduction(build_partial_products(cfg, builder), builder)
+    kinds = Counter(p.kind for p in nl.primitives)
+    ann.reduction_full_adders = kinds[FULL_ADDER]
+    ann.reduction_half_adders = kinds[HALF_ADDER]
+    ann.dots_entering_final = matrix.total_dots()
+
+    nl.output_p = build_final_adder(matrix, builder, ann.stage_count + 1)
+    if cfg.pipelined:
+        nl.output_p = builder.deskew(nl.output_p)
     return nl, ann
 
 

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from csmulgen.mulgen import (
-    GeneratorConfig, build_partial_products, compute_latency,
+    GeneratorConfig, _Builder, build_partial_products, compute_latency,
     generate_multiplier, generate_with_annotations, run_reduction,
 )
 from csmulgen.netlist import (
@@ -69,7 +69,7 @@ def test_criterion_3_structural_invariants(report):
             ok = ok and sum(1 for p in nl.primitives if p.kind == AND2) == n * k
             fa_red = ann.reduction_full_adders
             ok = ok and fa_red == n * k - ann.dots_entering_final
-            probe = Netlist.create(n, k)
+            probe = _Builder(Netlist.create(n, k))
             matrix = build_partial_products(GeneratorConfig(n, k, False), probe)
             matrix, _ = run_reduction(matrix, probe)
             ok = ok and all(h <= 2 for h in matrix.heights())

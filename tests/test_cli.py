@@ -48,6 +48,10 @@ def test_usage_error_on_unknown_flag(capsys):
 def test_usage_error_on_exhaustive_too_wide(tmp_path, capsys):
     assert run_cli("--width-a", "16", "--width-b", "16",
                    "--verify", "exhaustive", "--out-dir", str(tmp_path)) == 1
+    out = capsys.readouterr()
+    assert "capped at" in out.err
+    assert "generating" not in out.out
+    assert not list(tmp_path.iterdir())
 
 
 def test_capacity_ceiling_respected(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,12 @@
+import inspect
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from csmulgen.mulgen import (
-    CapacityError, GeneratorConfig, build_partial_products, compute_latency,
-    generate_multiplier, generate_with_annotations, run_reduction,
+    CapacityError, GeneratorConfig, _Builder, build_partial_products,
+    compute_latency, generate_multiplier, generate_with_annotations, run_reduction,
 )
 from csmulgen.netlist import (
     AND2, DFF, FULL_ADDER, HALF_ADDER, Netlist, validate,
@@ -24,7 +27,7 @@ def test_config_rejects_nonpositive_widths():
 
 def test_partial_products_shape():
     nl = Netlist.create(4, 3)
-    matrix = build_partial_products(GeneratorConfig(4, 3, False), nl)
+    matrix = build_partial_products(GeneratorConfig(4, 3, False), _Builder(nl))
     assert len(matrix.columns) == 7
     assert matrix.heights() == [1, 2, 3, 3, 2, 1, 0]
     assert count(nl, AND2) == 12
@@ -33,8 +36,9 @@ def test_partial_products_shape():
 
 def test_reduction_terminates_with_columns_at_most_two():
     nl = Netlist.create(8, 8)
-    matrix = build_partial_products(GeneratorConfig(8, 8, False), nl)
-    matrix, stages = run_reduction(matrix, nl)
+    builder = _Builder(nl)
+    matrix = build_partial_products(GeneratorConfig(8, 8, False), builder)
+    matrix, stages = run_reduction(matrix, builder)
     assert matrix.reduced()
     assert stages >= 1
     assert all(d.iteration <= stages for col in matrix.columns for d in col)
@@ -92,6 +96,18 @@ def test_gate_counts_match_between_modes(n, k):
     assert ([p.kind for p in pipe.primitives if p.kind != DFF]
             == [p.kind for p in comb.primitives])
     assert ann_c.stage_count == ann_p.stage_count
+
+
+def test_long_register_chains_need_no_deep_recursion():
+    # 2x150p has a latency of about 150 cycles, so its deskew chains are
+    # about 150 DFFs long; building one must not recurse once per DFF.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        nl = generate_multiplier(GeneratorConfig(2, 150, True))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert compute_latency(nl).cycles > 100
 
 
 def test_annotations_consistent_with_netlist():
