@@ -98,7 +98,7 @@ def run(args) -> int:
         return EXIT_VALIDATION
 
     try:
-        return _verify_and_write(args, cfg, nl, ann, gen_ms)
+        return _verify_and_write(args, cfg, nl, ann, gen_ms, report)
     except NetlistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -107,16 +107,22 @@ def run(args) -> int:
         return EXIT_VERIFICATION
 
 
-def _verify_and_write(args, cfg, nl, ann, gen_ms) -> int:
-    """Everything after validation: simulate, emit, self-check, write."""
+def _verify_and_write(args, cfg, nl, ann, gen_ms, report) -> int:
+    """Everything after validation: simulate, emit, self-check, write.
+
+    Every stage shares the analysis `validate` computed, and `emit_vhdl`
+    takes the report instead of validating again: the netlist does not
+    change after generation.
+    """
+    an = report.analysis
     mode = args.verify
     if mode == "auto":
         mode = ("exhaustive"
                 if cfg.width_a + cfg.width_b <= AUTO_EXHAUSTIVE_BITS else "random")
     if mode != "off":
         print(f"verifying ({mode}) ...")
-        vrep = (verify_exhaustive(nl) if mode == "exhaustive"
-                else verify_random(nl, DEFAULT_TESTS, args.seed))
+        vrep = (verify_exhaustive(nl, analysis=an) if mode == "exhaustive"
+                else verify_random(nl, DEFAULT_TESTS, args.seed, analysis=an))
         print(vrep.to_text())
         if not vrep.passed:
             return EXIT_VERIFICATION
@@ -124,15 +130,16 @@ def _verify_and_write(args, cfg, nl, ann, gen_ms) -> int:
     entity = args.entity_name or default_entity_name(nl)
     options = EmitterOptions(entity_name=entity)
     try:
-        design_text = emit_vhdl(nl, options)
-        plan = tbgen.make_plan(nl, args.tests, args.seed)
-        tbgen.self_check_plan(nl, plan)
+        design_text = emit_vhdl(nl, options, report=report)
+        plan = tbgen.make_plan(nl, args.tests, args.seed, analysis=an)
+        tbgen.self_check_plan(nl, plan, analysis=an)
         tb_text = tbgen.emit_testbench(nl, plan, options)
     except (EmissionError, tbgen.PlanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 
-    mrep = metrics_mod.compute_metrics(nl, ann, generation_time_ms=round(gen_ms, 3))
+    mrep = metrics_mod.compute_metrics(nl, ann, generation_time_ms=round(gen_ms, 3),
+                                       analysis=an)
     out_dir = args.out_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,7 +11,9 @@ import json
 from dataclasses import dataclass
 
 from .mulgen import BuildAnnotations, LatencyInfo, compute_latency
-from .netlist import AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, KIND_CLOCK, Netlist
+from .netlist import (
+    AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, KIND_CLOCK, Analysis, Netlist,
+)
 
 SCHEMA_VERSION = 1
 
@@ -33,11 +35,12 @@ class MetricsReport:
 
 
 def compute_metrics(nl: Netlist, ann: BuildAnnotations,
-                    generation_time_ms: float | None = None) -> MetricsReport:
+                    generation_time_ms: float | None = None, *,
+                    analysis: Analysis | None = None) -> MetricsReport:
     """Exact counts from a linear scan of the primitive list.
 
     The signals figure counts every port bit and internal wire; the
-    clock is excluded.
+    clock is excluded.  `analysis` is passed on to `compute_latency`.
     """
     counts = {AND2: 0, HALF_ADDER: 0, FULL_ADDER: 0, DFF: 0, CONST0: 0}
     for prim in nl.primitives:
@@ -54,7 +57,7 @@ def compute_metrics(nl: Netlist, ann: BuildAnnotations,
         adders=counts[FULL_ADDER] + counts[HALF_ADDER],
         dffs=counts[DFF],
         reduction_stages=ann.stage_count,
-        latency=compute_latency(nl),
+        latency=compute_latency(nl, analysis=analysis),
         generation_time_ms=generation_time_ms,
     )
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
-    Netlist, NetlistError, analyze,
+    Analysis, Netlist, NetlistError, analysis_for,
 )
 
 DEFAULT_MAX_WIDTH = 1024
@@ -300,10 +300,11 @@ def generate_multiplier(cfg: GeneratorConfig) -> Netlist:
     return generate_with_annotations(cfg)[0]
 
 
-def compute_latency(nl: Netlist) -> LatencyInfo:
+def compute_latency(nl: Netlist, *, analysis: Analysis | None = None) -> LatencyInfo:
     """Pipelined: common register depth of the output bits.
-    Combinational: worst levelized depth over the output bits."""
-    an = analyze(nl)
+    Combinational: worst levelized depth over the output bits.
+    `analysis`, when given, is used instead of analysing `nl` again."""
+    an = analysis_for(nl, analysis)
     if nl.pipelined:
         depths = {an.register_depth(bit) for bit in nl.output_p}
         if len(depths) != 1:

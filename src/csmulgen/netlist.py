@@ -118,7 +118,15 @@ class Finding:
 
 @dataclass(slots=True)
 class ValidationReport:
+    """Findings of `validate`, plus the analysis it computed on the way.
+
+    analysis is None when the combinational primitives form a cycle.
+    Callers pass it on to later stages so that they need not analyse
+    the same netlist again.
+    """
+
     findings: list = field(default_factory=list)
+    analysis: Analysis | None = field(default=None, repr=False, compare=False)
 
     @property
     def errors(self):
@@ -210,6 +218,7 @@ def validate(nl: Netlist) -> ValidationReport:
     except CycleError:
         err("combinational-cycle", "combinational primitives form a cycle")
     else:
+        rep.analysis = an
         _check_register_balance(nl, an, driven, err)
 
     if nl.pipelined != (dff_count > 0) or nl.pipelined != (nl.clock is not None):
@@ -257,6 +266,7 @@ class Analysis:
     one unit, full adders two.
     reg_min, reg_max: signal id -> fewest and most registers on any
     source-to-signal path.  They differ where paths are unbalanced.
+    netlist: the netlist analysed; `analysis_for` checks it.
     """
 
     order: list
@@ -264,6 +274,7 @@ class Analysis:
     depth: list
     reg_min: list
     reg_max: list
+    netlist: Netlist = field(repr=False, compare=False)
 
     def register_depth(self, bit: SignalRef) -> int:
         """Register count shared by every path to `bit`; raises
@@ -321,7 +332,22 @@ def analyze(nl: Netlist) -> Analysis:
             reg_min[out.id] = lo
             reg_max[out.id] = hi
     order = [p for p in seq if p.kind != DFF]
-    return Analysis(order=order, dffs=dffs, depth=depth, reg_min=reg_min, reg_max=reg_max)
+    return Analysis(order=order, dffs=dffs, depth=depth, reg_min=reg_min, reg_max=reg_max,
+                    netlist=nl)
+
+
+def analysis_for(nl: Netlist, analysis: Analysis | None = None) -> Analysis:
+    """The analysis every stage works from: `analysis` when one is passed
+    in (as from `ValidationReport.analysis`), else a fresh `analyze(nl)`.
+
+    Raises NetlistError when `analysis` was computed from another
+    netlist, so no stage evaluates the wrong graph.
+    """
+    if analysis is None:
+        return analyze(nl)
+    if analysis.netlist is not nl:
+        raise NetlistError("the analysis passed in was computed from a different netlist")
+    return analysis
 
 
 def _in_dependency_order(nl: Netlist) -> bool:

@@ -14,7 +14,7 @@ import random
 
 from .netlist import (
     AND2, CONST0, FULL_ADDER, HALF_ADDER,
-    Analysis, Netlist, analyze,
+    Analysis, Netlist, analysis_for,
 )
 
 EXHAUSTIVE_GUARD_BITS = 24
@@ -124,7 +124,7 @@ def eval_combinational(nl: Netlist, a, b) -> SimState:
 
 def initial_state(nl: Netlist, a, b) -> SimState:
     """Cycle-0 state: registers all zero, then settle."""
-    an = analyze(nl)
+    an = analysis_for(nl)
     return SimState(values=_settled(nl, an, *_operand_lane_bits(nl, a, b)), analysis=an)
 
 
@@ -168,13 +168,13 @@ class VerificationReport:
         }, sort_keys=True)
 
 
-def _lane_eval(nl, a_masks, b_masks):
+def _lane_eval(nl, a_masks, b_masks, analysis=None):
     """Evaluate all lanes at once; returns the values list.
 
     a_masks[i] holds input bit i of operand a across lanes.  Pipelined
     netlists run with per-lane constant inputs for the full latency.
     """
-    an = analyze(nl)
+    an = analysis_for(nl, analysis)
     values = _settled(nl, an, a_masks, b_masks)
     if nl.pipelined:
         for _ in range(an.register_depth(nl.output_p[0])):
@@ -211,30 +211,37 @@ def _check_lanes(nl, values, pairs, mode, tested_before=0):
                         "got": sum(((m >> lane) & 1) << j for j, m in enumerate(got))})
 
 
-def verify_pairs(nl: Netlist, pairs, mode: str) -> VerificationReport:
-    """Simulate each (a, b) pair as one lane and check it against a*b."""
+def verify_pairs(nl: Netlist, pairs, mode: str, *,
+                 analysis: Analysis | None = None) -> VerificationReport:
+    """Simulate each (a, b) pair as one lane and check it against a*b.
+
+    The verify functions take an optional `analysis` of `nl` (as from
+    `ValidationReport.analysis`) and analyse `nl` themselves without one.
+    """
     if not pairs:
         return VerificationReport(passed=True, tested=0, mode=mode)
     a_masks = _lane_masks([a for a, _ in pairs], nl.width_a)
     b_masks = _lane_masks([b for _, b in pairs], nl.width_b)
-    values = _lane_eval(nl, a_masks, b_masks)
+    values = _lane_eval(nl, a_masks, b_masks, analysis)
     return (_check_lanes(nl, values, pairs, mode)
             or VerificationReport(passed=True, tested=len(pairs), mode=mode))
 
 
-def verify_exhaustive(nl: Netlist) -> VerificationReport:
+def verify_exhaustive(nl: Netlist, *,
+                      analysis: Analysis | None = None) -> VerificationReport:
     """Check every input pair against the arbitrary-precision product."""
     n, k = nl.width_a, nl.width_b
     if n + k > EXHAUSTIVE_GUARD_BITS:
         raise SimError(f"exhaustive verification capped at {EXHAUSTIVE_GUARD_BITS} "
                        f"total input bits, got {n + k}")
+    an = analysis_for(nl, analysis)
     total = 1 << (n + k)
     chunk = min(total, 1 << 16)
     tested = 0
     for base in range(0, total, chunk):
         a_masks = [_pattern(i, chunk, base) for i in range(n)]
         b_masks = [_pattern(n + i, chunk, base) for i in range(k)]
-        values = _lane_eval(nl, a_masks, b_masks)
+        values = _lane_eval(nl, a_masks, b_masks, an)
         pairs = [((base + t) & ((1 << n) - 1), (base + t) >> n) for t in range(chunk)]
         bad = _check_lanes(nl, values, pairs, "exhaustive", tested)
         if bad is not None:
@@ -256,9 +263,10 @@ def _pattern(v, lanes, base):
     return p
 
 
-def verify_random(nl: Netlist, count: int, seed: int) -> VerificationReport:
+def verify_random(nl: Netlist, count: int, seed: int, *,
+                  analysis: Analysis | None = None) -> VerificationReport:
     """Check seeded uniform random pairs, exact product equality each."""
     rng = random.Random(seed)
     n, k = nl.width_a, nl.width_b
     pairs = [(rng.getrandbits(n), rng.getrandbits(k)) for _ in range(count)]
-    return verify_pairs(nl, pairs, "random")
+    return verify_pairs(nl, pairs, "random", analysis=analysis)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .mulgen import compute_latency, GeneratorConfig
-from .netlist import Netlist
+from .netlist import Analysis, Netlist
 from .sim import OperandValue, verify_pairs
 from .vhdl import EmitterOptions, check_identifier, default_entity_name
 
@@ -61,11 +61,13 @@ def generate_vectors(cfg: GeneratorConfig, count: int, seed: int):
     return out
 
 
-def make_plan(nl: Netlist, count: int, seed: int) -> TestbenchPlan:
-    """Vectors plus settle timing derived from the circuit's latency."""
+def make_plan(nl: Netlist, count: int, seed: int, *,
+              analysis: Analysis | None = None) -> TestbenchPlan:
+    """Vectors plus settle timing derived from the circuit's latency.
+    `analysis` is passed on to `compute_latency`."""
     cfg = GeneratorConfig(nl.width_a, nl.width_b, nl.pipelined)
     vectors = generate_vectors(cfg, count, seed)
-    latency = compute_latency(nl)
+    latency = compute_latency(nl, analysis=analysis)
     if nl.pipelined:
         return TestbenchPlan(vectors=vectors, wait_time=latency.cycles + 1,
                              clock_period=DEFAULT_CLOCK_PERIOD, seed=seed)
@@ -91,10 +93,12 @@ def _check_widths(nl: Netlist, plan: TestbenchPlan):
                             f"match netlist {nl.width_a}x{nl.width_b}")
 
 
-def self_check_plan(nl: Netlist, plan: TestbenchPlan) -> bool:
+def self_check_plan(nl: Netlist, plan: TestbenchPlan, *,
+                    analysis: Analysis | None = None) -> bool:
     """Re-verify every expected value both arithmetically and against
     the gate-level simulator, all vectors as lanes of one simulation.
-    Raises PlanError on any mismatch, naming the first failing vector."""
+    Raises PlanError on any mismatch, naming the first failing vector.
+    `analysis` is passed on to the simulator."""
     _check_widths(nl, plan)
     for idx, vec in enumerate(plan.vectors):
         independent = _shift_add_product(vec.a.value, vec.b.value)
@@ -102,7 +106,7 @@ def self_check_plan(nl: Netlist, plan: TestbenchPlan) -> bool:
             raise PlanError(f"vector {idx}: expected {vec.expected}, "
                             f"independent product says {independent}")
     pairs = [(vec.a.value, vec.b.value) for vec in plan.vectors]
-    report = verify_pairs(nl, pairs, "testbench")
+    report = verify_pairs(nl, pairs, "testbench", analysis=analysis)
     if not report.passed:
         c = report.counterexample
         raise PlanError(f"vector {report.tested}: circuit computes {c['got']}, "

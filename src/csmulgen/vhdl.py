@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
-    Netlist, validate,
+    Netlist, ValidationReport, validate,
 )
 
 # VHDL-93 reserved words; emitted identifiers must avoid these.
@@ -54,36 +54,46 @@ def check_identifier(name: str):
         raise EmissionError(f"{name!r} is not a legal VHDL basic identifier")
 
 
-def name_signals(nl: Netlist):
-    """Deterministic signal naming: ports are x/y/p vector slices, the
-    clock is clk, internal signals are s<ordinal> in primitive insertion
-    order.  Constant-driver outputs stay unnamed and are emitted as '0'
-    literals at their use sites."""
-    names = {}
+def _signal_text(nl: Netlist):
+    """Each signal's VHDL text, indexed by signal id, and the number of
+    internal names.  Ports are x/y/p vector slices, the clock is clk,
+    internal signals are s<ordinal> in primitive insertion order.
+    Constant-driver outputs are the literal '0' at their use sites."""
+    text = [""] * len(nl.signals)
     for i, sig in enumerate(nl.input_a):
-        names[sig.id] = f"x({i})"
+        text[sig.id] = f"x({i})"
     for i, sig in enumerate(nl.input_b):
-        names[sig.id] = f"y({i})"
+        text[sig.id] = f"y({i})"
     if nl.clock is not None:
-        names[nl.clock.id] = "clk"
+        text[nl.clock.id] = "clk"
     ordinal = 0
     for prim in nl.primitives:
         if prim.kind == CONST0:
+            text[prim.outputs[0].id] = "'0'"
             continue
         for out in prim.outputs:
-            names[out.id] = f"s{ordinal}"
+            text[out.id] = f"s{ordinal}"
             ordinal += 1
-    return names
+    return text, ordinal
 
 
-def _const_ids(nl):
-    return {p.outputs[0].id for p in nl.primitives if p.kind == CONST0}
+def name_signals(nl: Netlist):
+    """Signal id -> name for every named signal (see `_signal_text`);
+    constant-driver outputs stay unnamed."""
+    text, _ = _signal_text(nl)
+    return {i: t for i, t in enumerate(text) if t and t != "'0'"}
 
 
-def emit_vhdl(nl: Netlist, options: EmitterOptions | None = None) -> str:
-    """Render the netlist as one synthesizable VHDL design unit."""
+def emit_vhdl(nl: Netlist, options: EmitterOptions | None = None, *,
+              report: ValidationReport | None = None) -> str:
+    """Render the netlist as one synthesizable VHDL design unit.
+
+    `report` is `validate(nl)` when the caller already has it; without
+    one the netlist is validated here.  A report with errors is refused.
+    """
     options = options or EmitterOptions()
-    report = validate(nl)
+    if report is None:
+        report = validate(nl)
     if not report.is_valid():
         msgs = "; ".join(f.message for f in report.errors)
         raise EmissionError(f"refusing to emit an invalid netlist: {msgs}")
@@ -91,11 +101,7 @@ def emit_vhdl(nl: Netlist, options: EmitterOptions | None = None) -> str:
     entity = options.entity_name or default_entity_name(nl)
     check_identifier(entity)
     ind = " " * options.indent
-    names = name_signals(nl)
-    consts = _const_ids(nl)
-
-    def ref(sig):
-        return "'0'" if sig.id in consts else names[sig.id]
+    t, named = _signal_text(nl)
 
     lines = []
     lines.append("library ieee;")
@@ -117,39 +123,30 @@ def emit_vhdl(nl: Netlist, options: EmitterOptions | None = None) -> str:
     lines.append(f"end entity {entity};")
     lines.append("")
     lines.append(f"architecture structural of {entity} is")
-    for prim in nl.primitives:
-        if prim.kind == CONST0:
-            continue
-        for out in prim.outputs:
-            lines.append(f"{ind}signal {names[out.id]} : std_logic;")
+    lines.extend(f"{ind}signal s{i} : std_logic;" for i in range(named))
     lines.append("begin")
 
+    ind2, ind3 = ind * 2, ind * 3
     for prim in nl.primitives:
-        if prim.kind == AND2:
-            a, b = (ref(s) for s in prim.inputs)
-            lines.append(f"{ind}{names[prim.outputs[0].id]} <= {a} and {b};")
-        elif prim.kind == HALF_ADDER:
-            a, b = (ref(s) for s in prim.inputs)
-            s_out, c_out = prim.outputs
-            lines.append(f"{ind}{names[s_out.id]} <= {a} xor {b};")
-            lines.append(f"{ind}{names[c_out.id]} <= {a} and {b};")
-        elif prim.kind == FULL_ADDER:
-            a, b, c = (ref(s) for s in prim.inputs)
-            s_out, c_out = prim.outputs
-            lines.append(f"{ind}{names[s_out.id]} <= {a} xor {b} xor {c};")
-            lines.append(f"{ind}{names[c_out.id]} <= ({a} and {b}) or "
+        kind, ins, outs = prim.kind, prim.inputs, prim.outputs
+        if kind == AND2:
+            lines.append(f"{ind}{t[outs[0].id]} <= {t[ins[0].id]} and {t[ins[1].id]};")
+        elif kind == HALF_ADDER:
+            a, b = t[ins[0].id], t[ins[1].id]
+            lines.append(f"{ind}{t[outs[0].id]} <= {a} xor {b};\n"
+                         f"{ind}{t[outs[1].id]} <= {a} and {b};")
+        elif kind == FULL_ADDER:
+            a, b, c = t[ins[0].id], t[ins[1].id], t[ins[2].id]
+            lines.append(f"{ind}{t[outs[0].id]} <= {a} xor {b} xor {c};\n"
+                         f"{ind}{t[outs[1].id]} <= ({a} and {b}) or "
                          f"({a} and {c}) or ({b} and {c});")
-        elif prim.kind == DFF:
-            d = ref(prim.inputs[0])
-            q = names[prim.outputs[0].id]
-            lines.append(f"{ind}process (clk)")
-            lines.append(f"{ind}begin")
-            lines.append(f"{ind}{ind}if rising_edge(clk) then")
-            lines.append(f"{ind}{ind}{ind}{q} <= {d};")
-            lines.append(f"{ind}{ind}end if;")
-            lines.append(f"{ind}end process;")
+        elif kind == DFF:
+            lines.append(f"{ind}process (clk)\n{ind}begin\n"
+                         f"{ind2}if rising_edge(clk) then\n"
+                         f"{ind3}{t[outs[0].id]} <= {t[ins[0].id]};\n"
+                         f"{ind2}end if;\n{ind}end process;")
 
     for j, bit in enumerate(nl.output_p):
-        lines.append(f"{ind}p({j}) <= {ref(bit)};")
+        lines.append(f"{ind}p({j}) <= {t[bit.id]};")
     lines.append(f"end architecture structural;")
     return "\n".join(lines) + "\n"

@@ -175,7 +175,7 @@ def test_sim_error_after_validation_exits_3(tmp_path, monkeypatch, capsys):
     import csmulgen.cli as cli_mod
     from csmulgen.sim import SimError
 
-    def broken(nl, count, seed):
+    def broken(nl, count, seed, *, analysis=None):
         raise SimError("simulator refused")
 
     monkeypatch.setattr(cli_mod, "verify_random", broken)
