@@ -25,6 +25,9 @@ from csmulgen.tbgen import PlanError, make_plan, self_check_plan
 from csmulgen.vhdl import EmissionError, emit_vhdl
 
 CASES = [(1, 1, False), (3, 7, False), (8, 8, True), (13, 13, False), (5, 11, True)]
+# Each case as generated, and (where it has a full adder) with one broken.
+FAULT_CASES = [case + (faulty,) for case in CASES for faulty in (False, True)
+               if not (faulty and case[:2] == (1, 1))]
 
 
 def _swap_first_fa_outputs(nl):
@@ -39,13 +42,10 @@ def _plan_outcome(nl, plan, **kw):
         return str(exc)
 
 
-@pytest.mark.parametrize("faulty", [False, True])
-@pytest.mark.parametrize("n,k,pipe", CASES)
+@pytest.mark.parametrize("n,k,pipe,faulty", FAULT_CASES)
 def test_shared_analysis_gives_the_same_results(n, k, pipe, faulty):
     nl, ann = generate_with_annotations(GeneratorConfig(n, k, pipe))
     if faulty:
-        if not any(p.kind == FULL_ADDER for p in nl.primitives):
-            pytest.skip("no full adder to break")
         _swap_first_fa_outputs(nl)
     report = validate(nl)
     an = report.analysis
@@ -79,24 +79,24 @@ def test_emit_refuses_a_report_with_errors():
 
 
 STAGES = {
-    "verify_random": lambda nl, an: verify_random(nl, 5, 1, analysis=an),
-    "verify_exhaustive": lambda nl, an: verify_exhaustive(nl, analysis=an),
-    "compute_latency": lambda nl, an: compute_latency(nl, analysis=an),
-    "make_plan": lambda nl, an: make_plan(nl, 5, 1, analysis=an),
-    "self_check_plan": lambda nl, an: self_check_plan(nl, make_plan(nl, 5, 1), analysis=an),
-    "compute_metrics": lambda nl, an: compute_metrics(
-        nl, generate_with_annotations(GeneratorConfig(4, 4, True))[1], analysis=an),
+    "verify_random": lambda nl, ann, an: verify_random(nl, 5, 1, analysis=an),
+    "verify_exhaustive": lambda nl, ann, an: verify_exhaustive(nl, analysis=an),
+    "compute_latency": lambda nl, ann, an: compute_latency(nl, analysis=an),
+    "make_plan": lambda nl, ann, an: make_plan(nl, 5, 1, analysis=an),
+    "self_check_plan": lambda nl, ann, an: self_check_plan(
+        nl, make_plan(nl, 5, 1), analysis=an),
+    "compute_metrics": lambda nl, ann, an: compute_metrics(nl, ann, analysis=an),
 }
 
 
 @pytest.mark.parametrize("stage", sorted(STAGES))
 def test_analysis_of_another_netlist_is_rejected(stage):
     cfg = GeneratorConfig(4, 4, True)
-    nl, _ = generate_with_annotations(cfg)
+    nl, ann = generate_with_annotations(cfg)
     twin, _ = generate_with_annotations(cfg)  # same structure, different object
     with pytest.raises(NetlistError, match="different netlist"):
-        STAGES[stage](nl, analyze(twin))
-    STAGES[stage](nl, analyze(nl))
+        STAGES[stage](nl, ann, analyze(twin))
+    STAGES[stage](nl, ann, analyze(nl))
 
 
 @pytest.mark.parametrize("argv", [
