@@ -60,8 +60,9 @@ def test_golden_8x8_pipelined():
 
 
 # sha256 of the emitted design, pinned beside the two goldens: degenerate
-# one-bit operands, both operand orders and the pipelined layout at sizes
-# with several reduction passes.
+# one-bit operands, both operand orders, the pipelined layout at sizes
+# with several reduction passes, and wide designs up to 256x256 (whose
+# digest equals the one in perfbench/reference.json).
 @pytest.mark.parametrize("widths, pipelined, digest", [
     ((1, 1), True, "630f897b81be7eaecd7c1769aaec45e131ac781e668c9df3eaff3ae555a9835d"),
     ((1, 7), True, "393ccb2f6af3153839dcaab263a75f476d42b7e47468cb6c5736bc9cebe77dde"),
@@ -71,6 +72,9 @@ def test_golden_8x8_pipelined():
     ((12, 20), True, "352b0137ee651451e89a362a5ae2a31aa072f8c5f40a457593cea9244964b26f"),
     ((3, 7), False, "d2db70784f713aea262dd4b466244355b52798a05d76a4da8d74868d3de45f30"),
     ((13, 13), False, "d2f3786519bc00e876a4d61663b5574e15eef2bf2159879aa9d87e02c9081152"),
+    ((32, 32), True, "fc444c57e10ba07f4c25562793f92970cab984af8f3a50b431492531dfcbd3a2"),
+    ((64, 64), False, "de045d48e5f26d877b4e02feff777fe4e3c63f5950ab8c28902a47353e11a22e"),
+    ((256, 256), False, "3569dc615d214e2d27302acc00284d627c7d09452fcc1c980de10bce8145b814"),
 ])
 def test_pinned_design_digest(widths, pipelined, digest):
     text = emit_vhdl(generate_multiplier(GeneratorConfig(*widths, pipelined)))
