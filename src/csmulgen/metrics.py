@@ -45,7 +45,7 @@ def compute_metrics(nl: Netlist, ann: BuildAnnotations,
     counts = {AND2: 0, HALF_ADDER: 0, FULL_ADDER: 0, DFF: 0, CONST0: 0}
     for prim in nl.primitives:
         counts[prim.kind] += 1
-    signals = sum(1 for s in nl.signals if s.kind != KIND_CLOCK)
+    signals = len(nl.signals) - nl.signals.count(KIND_CLOCK)
     return MetricsReport(
         width_a=nl.width_a,
         width_b=nl.width_b,

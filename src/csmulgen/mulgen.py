@@ -41,10 +41,10 @@ class GeneratorConfig:
 
 
 class Dot(NamedTuple):
-    """One pending column bit: the signal and the iteration at which it
-    becomes available for reduction."""
+    """One pending column bit: the signal id and the iteration at which
+    it becomes available for reduction."""
 
-    signal: object
+    signal: int
     iteration: int
 
 
@@ -106,16 +106,16 @@ class _Builder:
         self.nl = nl
         self.slot = None  # signal id -> window it is produced in
         if nl.pipelined:
-            self.slot = {sig.id: 0 for sig in nl.input_a + nl.input_b}
+            self.slot = {sig: 0 for sig in nl.input_a + nl.input_b}
         self.chains = {}  # signal id -> [its value delayed 1, 2, ... cycles]
 
     def add(self, kind, inputs, window):
         if self.slot is None:
             return self.nl.add_primitive(kind, inputs)
         outs = self.nl.add_primitive(
-            kind, [self.delayed(sig, window - self.slot[sig.id]) for sig in inputs])
+            kind, [self.delayed(sig, window - self.slot[sig]) for sig in inputs])
         for sig in outs:
-            self.slot[sig.id] = window
+            self.slot[sig] = window
         return outs
 
     def delayed(self, sig, d):
@@ -123,7 +123,7 @@ class _Builder:
             raise NetlistError("negative pipeline delay; window assignment bug")
         if d == 0:
             return sig
-        chain = self.chains.setdefault(sig.id, [])
+        chain = self.chains.setdefault(sig, [])
         while len(chain) < d:
             (q,) = self.nl.add_primitive(DFF, [chain[-1] if chain else sig])
             chain.append(q)
@@ -131,8 +131,8 @@ class _Builder:
 
     def deskew(self, bits):
         """Delay every bit to one common register depth, at least 1."""
-        latency = max(1, max(self.slot[sig.id] for sig in bits))
-        return [self.delayed(sig, latency - self.slot[sig.id]) for sig in bits]
+        latency = max(1, max(self.slot[sig] for sig in bits))
+        return [self.delayed(sig, latency - self.slot[sig]) for sig in bits]
 
 
 def build_partial_products(cfg: GeneratorConfig, builder: _Builder) -> DotMatrix:
@@ -266,7 +266,7 @@ def build_final_adder(matrix: DotMatrix, builder: _Builder, window: int):
         # n+k bits, so a carry out of the most significant column can
         # never assert; declare it terminated instead of leaving it
         # dangling.
-        builder.nl.terminated.add(carry.id)
+        builder.nl.terminated.add(carry)
     return out_bits
 
 
@@ -310,5 +310,5 @@ def compute_latency(nl: Netlist, *, analysis: Analysis | None = None) -> Latency
         if len(depths) != 1:
             raise NetlistError(f"output bits disagree on register depth: {sorted(depths)}")
         return LatencyInfo(pipelined=True, cycles=depths.pop())
-    worst = max(an.depth[bit.id] for bit in nl.output_p)
+    worst = max(an.depth[bit] for bit in nl.output_p)
     return LatencyInfo(pipelined=False, gate_units=worst)

@@ -1,8 +1,10 @@
 """Gate-level netlist intermediate representation.
 
 Flat single-bit signals and five primitive kinds (two-input AND, half
-adder, full adder, D flip-flop, constant-zero driver).  Every other
-module either builds one of these netlists or consumes one.
+adder, full adder, D flip-flop, constant-zero driver).  A signal is its
+int id: an index into `Netlist.signals`, which holds each signal's
+kind.  Every other module either builds one of these netlists or
+consumes one.
 """
 
 from __future__ import annotations
@@ -43,17 +45,9 @@ class UnbalancedPathError(NetlistError):
     """Paths to one output bit pass through differing register counts."""
 
 
-@dataclass(frozen=True, slots=True)
-class SignalRef:
-    """Identity of a single-bit wire."""
-
-    id: int
-    kind: str
-
-
 @dataclass(slots=True)
 class Primitive:
-    """One gate instance."""
+    """One gate instance; inputs and outputs are lists of signal ids."""
 
     kind: str
     inputs: list
@@ -64,6 +58,9 @@ class Primitive:
 class Netlist:
     """A circuit: ports, signals, primitives, optional clock.
 
+    signals[i] is the kind of signal i (KIND_INPUT, KIND_INTERNAL or
+    KIND_CLOCK); ports, the clock and primitive pins hold signal ids.
+
     Netlists are treated as immutable once a generator returns them;
     the mutating helpers below are for construction only.
     """
@@ -73,7 +70,7 @@ class Netlist:
     input_a: list = field(default_factory=list)
     input_b: list = field(default_factory=list)
     output_p: list = field(default_factory=list)
-    clock: SignalRef | None = None
+    clock: int | None = None
     primitives: list = field(default_factory=list)
     pipelined: bool = False
     signals: list = field(default_factory=list)
@@ -90,9 +87,8 @@ class Netlist:
         return nl
 
     def new_signal(self, kind=KIND_INTERNAL):
-        sig = SignalRef(id=len(self.signals), kind=kind)
-        self.signals.append(sig)
-        return sig
+        self.signals.append(kind)
+        return len(self.signals) - 1
 
     def add_clock(self):
         if self.clock is None:
@@ -100,11 +96,14 @@ class Netlist:
         return self.clock
 
     def add_primitive(self, kind, inputs):
-        """Append a primitive, allocating its output signals; returns them."""
+        """Append a primitive, allocating its output signals as the next
+        consecutive ids; returns them."""
         n_in, n_out = ARITY[kind]
         if len(inputs) != n_in:
             raise NetlistError(f"{kind} expects {n_in} inputs, got {len(inputs)}")
-        outputs = [self.new_signal() for _ in range(n_out)]
+        first = len(self.signals)
+        outputs = list(range(first, first + n_out))
+        self.signals += [KIND_INTERNAL] * n_out
         self.primitives.append(Primitive(kind=kind, inputs=list(inputs), outputs=outputs))
         return outputs
 
@@ -165,53 +164,52 @@ def validate(nl: Netlist) -> ValidationReport:
             err("arity-mismatch",
                 f"primitive {idx} ({prim.kind}) has {len(ins)} inputs "
                 f"and {len(outs)} outputs")
-        in_ids = [inp.id for inp in ins]
-        for i in in_ids:
+        for i in ins:
             read[i] = 1
         for out in outs:
-            drivers[out.id] += 1
-            if out.id in in_ids:
-                err("self-loop", f"primitive {idx} ({prim.kind}) output s{out.id} "
+            drivers[out] += 1
+            if out in ins:
+                err("self-loop", f"primitive {idx} ({prim.kind}) output s{out} "
                                  "is also one of its inputs")
         if prim.kind == DFF:
             dff_count += 1
     for bit in nl.output_p:
-        read[bit.id] = 1
+        read[bit] = 1
 
     port = bytearray(n)
     for sig in nl.input_a + nl.input_b + ([nl.clock] if nl.clock is not None else []):
-        port[sig.id] = 1
+        port[sig] = 1
 
-    for sig in nl.signals:
-        if port[sig.id]:
-            if drivers[sig.id]:
-                err("multiple-drivers", f"port bit s{sig.id} is driven by a primitive")
-        elif drivers[sig.id] > 1:
-            err("multiple-drivers", f"signal s{sig.id} has {drivers[sig.id]} drivers")
+    for sig in range(n):
+        if port[sig]:
+            if drivers[sig]:
+                err("multiple-drivers", f"port bit s{sig} is driven by a primitive")
+        elif drivers[sig] > 1:
+            err("multiple-drivers", f"signal s{sig} has {drivers[sig]} drivers")
 
     def driven(sig):
-        return port[sig.id] or drivers[sig.id]
+        return port[sig] or drivers[sig]
 
     for idx, prim in enumerate(nl.primitives):
         for pos, inp in enumerate(prim.inputs):
             if not driven(inp):
                 err("undriven-input",
-                    f"primitive {idx} ({prim.kind}) input {pos} (s{inp.id}) has no driver")
+                    f"primitive {idx} ({prim.kind}) input {pos} (s{inp}) has no driver")
 
     for j, bit in enumerate(nl.output_p):
         if not driven(bit):
-            err("undriven-output", f"output bit {j} (s{bit.id}) has no driver")
+            err("undriven-output", f"output bit {j} (s{bit}) has no driver")
 
-    for sig in nl.signals:
-        if sig.kind != KIND_INTERNAL:
+    for sig, kind in enumerate(nl.signals):
+        if kind != KIND_INTERNAL:
             continue
-        if sig.id in nl.terminated:
-            if read[sig.id]:
+        if sig in nl.terminated:
+            if read[sig]:
                 err("terminated-but-read",
-                    f"signal s{sig.id} is declared terminated but has readers")
+                    f"signal s{sig} is declared terminated but has readers")
             continue
-        if not read[sig.id] and drivers[sig.id]:
-            warn("unread-signal", f"internal signal s{sig.id} drives nothing")
+        if not read[sig] and drivers[sig]:
+            warn("unread-signal", f"internal signal s{sig} drives nothing")
 
     try:
         an = analyze(nl)
@@ -240,10 +238,10 @@ def _check_register_balance(nl, an, driven, err):
     for j, bit in enumerate(nl.output_p):
         if not driven(bit):
             continue
-        lo, hi = an.reg_min[bit.id], an.reg_max[bit.id]
+        lo, hi = an.reg_min[bit], an.reg_max[bit]
         if lo != hi:
             err("unbalanced-registers",
-                f"output bit {j} (s{bit.id}) mixes paths with {lo} and {hi} registers")
+                f"output bit {j} (s{bit}) mixes paths with {lo} and {hi} registers")
         else:
             depths.add(lo)
     if len(depths) > 1:
@@ -276,13 +274,13 @@ class Analysis:
     reg_max: list
     netlist: Netlist = field(repr=False, compare=False)
 
-    def register_depth(self, bit: SignalRef) -> int:
-        """Register count shared by every path to `bit`; raises
+    def register_depth(self, bit: int) -> int:
+        """Register count shared by every path to signal `bit`; raises
         UnbalancedPathError when the paths disagree."""
-        lo, hi = self.reg_min[bit.id], self.reg_max[bit.id]
+        lo, hi = self.reg_min[bit], self.reg_max[bit]
         if lo != hi:
             raise UnbalancedPathError(
-                f"output bit s{bit.id} mixes paths with {lo} and {hi} registers")
+                f"output bit s{bit} mixes paths with {lo} and {hi} registers")
         return lo
 
 
@@ -312,25 +310,25 @@ def analyze(nl: Netlist) -> Analysis:
         d = 0
         if w:
             for s in ins:
-                if depth[s.id] > d:
-                    d = depth[s.id]
+                if depth[s] > d:
+                    d = depth[s]
             d += w
         for out in outs:
-            depth[out.id] = d
+            depth[out] = d
         if not dffs:
             continue
-        lo, hi = (reg_min[ins[0].id], reg_max[ins[0].id]) if ins else (0, 0)
+        lo, hi = (reg_min[ins[0]], reg_max[ins[0]]) if ins else (0, 0)
         for s in ins:
-            if reg_min[s.id] < lo:
-                lo = reg_min[s.id]
-            if reg_max[s.id] > hi:
-                hi = reg_max[s.id]
+            if reg_min[s] < lo:
+                lo = reg_min[s]
+            if reg_max[s] > hi:
+                hi = reg_max[s]
         if prim.kind == DFF:
             lo += 1
             hi = loop_mark if id(prim) in cut else hi + 1
         for out in outs:
-            reg_min[out.id] = lo
-            reg_max[out.id] = hi
+            reg_min[out] = lo
+            reg_max[out] = hi
     order = [p for p in seq if p.kind != DFF]
     return Analysis(order=order, dffs=dffs, depth=depth, reg_min=reg_min, reg_max=reg_max,
                     netlist=nl)
@@ -354,15 +352,15 @@ def _in_dependency_order(nl: Netlist) -> bool:
     """True when every primitive input is a port bit or an earlier output."""
     known = bytearray(len(nl.signals))
     for sig in nl.input_a + nl.input_b:
-        known[sig.id] = 1
+        known[sig] = 1
     if nl.clock is not None:
-        known[nl.clock.id] = 1
+        known[nl.clock] = 1
     for prim in nl.primitives:
         for inp in prim.inputs:
-            if not known[inp.id]:
+            if not known[inp]:
                 return False
         for out in prim.outputs:
-            known[out.id] = 1
+            known[out] = 1
     return True
 
 
@@ -378,12 +376,12 @@ def _sorted_primitives(nl: Netlist):
     producer = {}
     for i, prim in enumerate(prims):
         for out in prim.outputs:
-            producer[out.id] = i
+            producer[out] = i
     indeg = [0] * len(prims)
     consumers = [[] for _ in prims]
     for i, prim in enumerate(prims):
         for inp in prim.inputs:
-            src = producer.get(inp.id)
+            src = producer.get(inp)
             if src is not None:
                 indeg[i] += 1
                 consumers[src].append(i)
@@ -418,20 +416,20 @@ def topological_order(nl: Netlist):
 
 
 def levelize(nl: Netlist):
-    """Combinational depth of every signal, in gate units (see Analysis)."""
-    depth = analyze(nl).depth
-    return {sig: depth[sig.id] for sig in nl.signals}
+    """Signal id -> combinational depth in gate units (see Analysis)."""
+    return dict(enumerate(analyze(nl).depth))
 
 
 def max_stage_depth(nl: Netlist):
     """Largest combinational depth reaching any DFF input or output bit."""
     an = analyze(nl)
     ends = [p.inputs[0] for p in an.dffs] + nl.output_p
-    return max((an.depth[sig.id] for sig in ends), default=0)
+    return max((an.depth[sig] for sig in ends), default=0)
 
 
-def register_depth(nl: Netlist, bit: SignalRef) -> int:
-    """Number of DFF stages on every source-to-bit path for one output bit.
+def register_depth(nl: Netlist, bit: int) -> int:
+    """Number of DFF stages on every source-to-bit path for one output
+    bit, given by its signal id.
 
     Non-pipelined netlists report 0.  Raises UnbalancedPathError when two
     paths to the bit disagree.

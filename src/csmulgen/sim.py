@@ -57,15 +57,15 @@ class SimState:
     cycle: int = 0
 
     def output_value(self, nl: Netlist, lane=0):
-        return sum(((self.values[b.id] >> lane) & 1) << j
+        return sum(((self.values[b] >> lane) & 1) << j
                    for j, b in enumerate(nl.output_p))
 
 
 def _apply_inputs(values, nl, a_masks, b_masks):
     for sig, v in zip(nl.input_a, a_masks):
-        values[sig.id] = v
+        values[sig] = v
     for sig, v in zip(nl.input_b, b_masks):
-        values[sig.id] = v
+        values[sig] = v
 
 
 def _settle(order, values):
@@ -73,20 +73,20 @@ def _settle(order, values):
         k = prim.kind
         ins = prim.inputs
         if k == FULL_ADDER:
-            a, b, c = values[ins[0].id], values[ins[1].id], values[ins[2].id]
+            a, b, c = values[ins[0]], values[ins[1]], values[ins[2]]
             s_out, c_out = prim.outputs
             t = a ^ b
-            values[s_out.id] = t ^ c
-            values[c_out.id] = (a & b) | (c & t)
+            values[s_out] = t ^ c
+            values[c_out] = (a & b) | (c & t)
         elif k == AND2:
-            values[prim.outputs[0].id] = values[ins[0].id] & values[ins[1].id]
+            values[prim.outputs[0]] = values[ins[0]] & values[ins[1]]
         elif k == HALF_ADDER:
-            a, b = values[ins[0].id], values[ins[1].id]
+            a, b = values[ins[0]], values[ins[1]]
             s_out, c_out = prim.outputs
-            values[s_out.id] = a ^ b
-            values[c_out.id] = a & b
+            values[s_out] = a ^ b
+            values[c_out] = a & b
         elif k == CONST0:
-            values[prim.outputs[0].id] = 0
+            values[prim.outputs[0]] = 0
 
 
 def _settled(nl, an, a_masks, b_masks):
@@ -99,9 +99,9 @@ def _settled(nl, an, a_masks, b_masks):
 
 def _clock_edge(nl, an, values, a_masks, b_masks):
     """All registers latch at once, then the new inputs settle through."""
-    latched = [values[p.inputs[0].id] for p in an.dffs]
+    latched = [values[p.inputs[0]] for p in an.dffs]
     for prim, v in zip(an.dffs, latched):
-        values[prim.outputs[0].id] = v
+        values[prim.outputs[0]] = v
     _apply_inputs(values, nl, a_masks, b_masks)
     _settle(an.order, values)
 
@@ -142,7 +142,7 @@ def step_cycle(nl: Netlist, state: SimState, a, b) -> SimState:
 def run_to_output(nl: Netlist, a, b) -> int:
     """Simulated product: the one-lane case of the lane-parallel core."""
     values = _lane_eval(nl, *_operand_lane_bits(nl, a, b))
-    return sum(values[bit.id] << j for j, bit in enumerate(nl.output_p))
+    return sum(values[bit] << j for j, bit in enumerate(nl.output_p))
 
 
 @dataclass(slots=True)
@@ -194,7 +194,7 @@ def _check_lanes(nl, values, pairs, mode, tested_before=0):
 
     Returns a failing report for the first wrong lane, or None.
     """
-    got = [values[b.id] for b in nl.output_p]
+    got = [values[b] for b in nl.output_p]
     width = max(len(got), nl.width_a + nl.width_b)
     got += [0] * (width - len(got))
     want = _lane_masks([a * b for a, b in pairs], width)

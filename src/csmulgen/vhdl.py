@@ -61,18 +61,18 @@ def _signal_text(nl: Netlist):
     Constant-driver outputs are the literal '0' at their use sites."""
     text = [""] * len(nl.signals)
     for i, sig in enumerate(nl.input_a):
-        text[sig.id] = f"x({i})"
+        text[sig] = f"x({i})"
     for i, sig in enumerate(nl.input_b):
-        text[sig.id] = f"y({i})"
+        text[sig] = f"y({i})"
     if nl.clock is not None:
-        text[nl.clock.id] = "clk"
+        text[nl.clock] = "clk"
     ordinal = 0
     for prim in nl.primitives:
         if prim.kind == CONST0:
-            text[prim.outputs[0].id] = "'0'"
+            text[prim.outputs[0]] = "'0'"
             continue
         for out in prim.outputs:
-            text[out.id] = f"s{ordinal}"
+            text[out] = f"s{ordinal}"
             ordinal += 1
     return text, ordinal
 
@@ -130,23 +130,23 @@ def emit_vhdl(nl: Netlist, options: EmitterOptions | None = None, *,
     for prim in nl.primitives:
         kind, ins, outs = prim.kind, prim.inputs, prim.outputs
         if kind == AND2:
-            lines.append(f"{ind}{t[outs[0].id]} <= {t[ins[0].id]} and {t[ins[1].id]};")
+            lines.append(f"{ind}{t[outs[0]]} <= {t[ins[0]]} and {t[ins[1]]};")
         elif kind == HALF_ADDER:
-            a, b = t[ins[0].id], t[ins[1].id]
-            lines.append(f"{ind}{t[outs[0].id]} <= {a} xor {b};\n"
-                         f"{ind}{t[outs[1].id]} <= {a} and {b};")
+            a, b = t[ins[0]], t[ins[1]]
+            lines.append(f"{ind}{t[outs[0]]} <= {a} xor {b};\n"
+                         f"{ind}{t[outs[1]]} <= {a} and {b};")
         elif kind == FULL_ADDER:
-            a, b, c = t[ins[0].id], t[ins[1].id], t[ins[2].id]
-            lines.append(f"{ind}{t[outs[0].id]} <= {a} xor {b} xor {c};\n"
-                         f"{ind}{t[outs[1].id]} <= ({a} and {b}) or "
+            a, b, c = t[ins[0]], t[ins[1]], t[ins[2]]
+            lines.append(f"{ind}{t[outs[0]]} <= {a} xor {b} xor {c};\n"
+                         f"{ind}{t[outs[1]]} <= ({a} and {b}) or "
                          f"({a} and {c}) or ({b} and {c});")
         elif kind == DFF:
             lines.append(f"{ind}process (clk)\n{ind}begin\n"
                          f"{ind2}if rising_edge(clk) then\n"
-                         f"{ind3}{t[outs[0].id]} <= {t[ins[0].id]};\n"
+                         f"{ind3}{t[outs[0]]} <= {t[ins[0]]};\n"
                          f"{ind2}end if;\n{ind}end process;")
 
     for j, bit in enumerate(nl.output_p):
-        lines.append(f"{ind}p({j}) <= {t[bit.id]};")
+        lines.append(f"{ind}p({j}) <= {t[bit]};")
     lines.append(f"end architecture structural;")
     return "\n".join(lines) + "\n"

@@ -14,8 +14,8 @@ def _drop_dff(nl, dff):
     d, q = dff.inputs[0], dff.outputs[0]
     nl.primitives.remove(dff)
     for prim in nl.primitives:
-        prim.inputs = [d if s.id == q.id else s for s in prim.inputs]
-    nl.output_p = [d if s.id == q.id else s for s in nl.output_p]
+        prim.inputs = [d if s == q else s for s in prim.inputs]
+    nl.output_p = [d if s == q else s for s in nl.output_p]
 
 
 @pytest.fixture

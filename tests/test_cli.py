@@ -182,3 +182,75 @@ def test_sim_error_after_validation_exits_3(tmp_path, monkeypatch, capsys):
     assert run_cli("--width-a", "4", "--width-b", "4", "--verify", "random",
                    "--out-dir", str(tmp_path)) == 3
     assert "simulator refused" in capsys.readouterr().err
+
+
+def test_miswired_skew_chain_fails_verification(tmp_path, monkeypatch, capsys):
+    """Swap the readers of two depth-1 DFF taps that carry partial
+    products of different column weight.  Every path keeps its register
+    count, so validate finds nothing; only simulation can catch it."""
+    import csmulgen.cli as cli_mod
+    from csmulgen.mulgen import GeneratorConfig, generate_with_annotations
+    from csmulgen.netlist import AND2, DFF, validate
+
+    nl, ann = generate_with_annotations(GeneratorConfig(4, 4, True))
+    ands = {p.outputs[0]: p for p in nl.primitives if p.kind == AND2}
+    weight = {}  # DFF output -> column weight of the partial product it delays
+    for p in nl.primitives:
+        if p.kind == DFF and p.inputs[0] in ands:
+            x, y = ands[p.inputs[0]].inputs
+            weight[p.outputs[0]] = nl.input_a.index(x) + nl.input_b.index(y)
+    q1 = next(iter(weight))
+    q2 = next(q for q in weight if weight[q] != weight[q1])
+    swap = {q1: q2, q2: q1}
+    for p in nl.primitives:
+        p.inputs = [swap.get(s, s) for s in p.inputs]
+    nl.output_p = [swap.get(s, s) for s in nl.output_p]
+    assert validate(nl).is_empty()
+
+    monkeypatch.setattr(cli_mod, "generate_with_annotations", lambda cfg: (nl, ann))
+    assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
+                   "--out-dir", str(tmp_path)) == 3
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    assert "PASS" not in out
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, stub, code", [
+    (["--width-a", "4", "--width-b", "4"], None, 0),
+    (["--width-a", "0", "--width-b", "4"], None, 1),
+    (["--width-a", "4", "--width-b", "4", "--pipeline"], "drop_dff", 2),
+    (["--width-a", "4", "--width-b", "4", "--verify", "random"], "sim_error", 3),
+])
+def test_collector_paused_during_job_and_restored(tmp_path, monkeypatch, drop_dff,
+                                                  enabled, argv, stub, code):
+    import gc
+    import csmulgen.cli as cli_mod
+    from csmulgen.netlist import DFF
+    from csmulgen.sim import SimError
+
+    if stub == "drop_dff":
+        real = cli_mod.generate_with_annotations
+
+        def sabotaged(cfg):
+            nl, ann = real(cfg)
+            drop_dff(nl, next(p for p in nl.primitives if p.kind == DFF))
+            return nl, ann
+        monkeypatch.setattr(cli_mod, "generate_with_annotations", sabotaged)
+    elif stub == "sim_error":
+        def broken(nl, count, seed, *, analysis=None):
+            raise SimError("simulator refused")
+        monkeypatch.setattr(cli_mod, "verify_random", broken)
+    during = []
+    real_run = cli_mod.run
+    monkeypatch.setattr(cli_mod, "run",
+                        lambda args: during.append(gc.isenabled()) or real_run(args))
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run_cli(*argv, "--out-dir", str(tmp_path)) == code
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False]

@@ -58,7 +58,7 @@ def test_terminated_signal_suppresses_warning():
     (s1,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
     (zero,) = nl.add_primitive(CONST0, [])
     nl.output_p = [s0, zero]
-    nl.terminated.add(s1.id)
+    nl.terminated.add(s1)
     assert validate(nl).is_empty()
 
 
@@ -87,17 +87,15 @@ def test_validation_order_is_deterministic():
 
 def test_levelize_1x1():
     nl = generate_multiplier(GeneratorConfig(1, 1, False))
-    depth = levelize(nl)
-    by_id = {sig.id: d for sig, d in depth.items()}
-    assert by_id[nl.output_p[0].id] == 1  # single AND gate
-    assert by_id[nl.output_p[1].id] == 0  # constant
+    by_id = levelize(nl)
+    assert by_id[nl.output_p[0]] == 1  # single AND gate
+    assert by_id[nl.output_p[1]] == 0  # constant
 
 
 def test_levelize_2x2_max_depth_three():
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
-    depth = levelize(nl)
-    by_id = {sig.id: d for sig, d in depth.items()}
-    assert max(by_id[b.id] for b in nl.output_p) == 3
+    by_id = levelize(nl)
+    assert max(by_id[b] for b in nl.output_p) == 3
 
 
 def test_full_adder_counts_two_gate_units():
@@ -106,19 +104,19 @@ def test_full_adder_counts_two_gate_units():
     (b,) = nl.add_primitive(AND2, [nl.input_a[1], nl.input_b[0]])
     s, c = nl.add_primitive(FULL_ADDER, [a, b, nl.input_a[0]])
     nl.output_p = [s, c, a]
-    by_id = {sig.id: d for sig, d in levelize(nl).items()}
-    assert by_id[s.id] == 3  # and (1) + fa (2)
+    by_id = levelize(nl)
+    assert by_id[s] == 3  # and (1) + fa (2)
 
 
 def test_levelize_independent_of_insertion_order():
     nl = generate_multiplier(GeneratorConfig(3, 3, False))
-    base = {sig.id: d for sig, d in levelize(nl).items()}
+    base = levelize(nl)
     shuffled = Netlist(
         width_a=nl.width_a, width_b=nl.width_b,
         input_a=nl.input_a, input_b=nl.input_b, output_p=nl.output_p,
         clock=nl.clock, primitives=list(reversed(nl.primitives)),
         pipelined=nl.pipelined, signals=nl.signals, terminated=nl.terminated)
-    again = {sig.id: d for sig, d in levelize(shuffled).items()}
+    again = levelize(shuffled)
     assert base == again
 
 
@@ -173,8 +171,8 @@ def test_every_duplicated_dff_fails_validation():
         (q,) = nl.add_primitive(DFF, dff.outputs)  # a second register in series
         q_old = dff.outputs[0]
         for prim in nl.primitives[:-1]:
-            prim.inputs = [q if s.id == q_old.id else s for s in prim.inputs]
-        nl.output_p = [q if s.id == q_old.id else s for s in nl.output_p]
+            prim.inputs = [q if s == q_old else s for s in prim.inputs]
+        nl.output_p = [q if s == q_old else s for s in nl.output_p]
         assert unbalanced_findings(nl), f"doubling DFF {pos} went unnoticed"
 
 
@@ -208,7 +206,7 @@ def test_analysis_of_shuffled_pipelined_netlist_matches():
     assert again.order != base.order  # the fallback sort really ran
     assert (again.depth, again.reg_min, again.reg_max) == \
         (base.depth, base.reg_min, base.reg_max)
-    assert len(set(base.reg_min[b.id] for b in nl.output_p)) == 1
+    assert len(set(base.reg_min[b] for b in nl.output_p)) == 1
     assert validate(shuffled).is_empty()
 
 
@@ -228,7 +226,7 @@ def _netlist_with_every_defect():
     nl.primitives[-1].outputs[0] = s_twice                 # second driver
     floating = nl.new_signal()
     (s_term,) = nl.add_primitive(AND2, [floating, b0])     # undriven input
-    nl.terminated.add(s_term.id)                           # but read below
+    nl.terminated.add(s_term)                              # but read below
     nl.add_primitive(DFF, [s_twice])                       # no clock, not pipelined
     nl.output_p = [s_and, s_term, nl.new_signal()]         # 3 bits, one floats
     return nl

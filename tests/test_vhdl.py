@@ -21,8 +21,8 @@ def test_default_entity_names():
 def test_name_signals_ports_and_ordinals():
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
     names = name_signals(nl)
-    assert names[nl.input_a[0].id] == "x(0)"
-    assert names[nl.input_b[1].id] == "y(1)"
+    assert names[nl.input_a[0]] == "x(0)"
+    assert names[nl.input_b[1]] == "y(1)"
     internal = [v for v in names.values() if v.startswith("s")]
     assert internal == [f"s{i}" for i in range(len(internal))]
 
