@@ -241,10 +241,13 @@ def test_collector_paused_during_job_and_restored(tmp_path, monkeypatch, drop_df
         def broken(nl, count, seed, *, analysis=None):
             raise SimError("simulator refused")
         monkeypatch.setattr(cli_mod, "verify_random", broken)
-    during = []
+    during = []  # collector state seen by the job itself
     real_run = cli_mod.run
-    monkeypatch.setattr(cli_mod, "run",
-                        lambda args: during.append(gc.isenabled()) or real_run(args))
+
+    def watched(args):
+        during.append(gc.isenabled())
+        return real_run(args)
+    monkeypatch.setattr(cli_mod, "run", watched)
 
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
