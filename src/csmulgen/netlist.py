@@ -190,11 +190,13 @@ def validate(nl: Netlist) -> ValidationReport:
     def driven(sig):
         return port[sig] or drivers[sig]
 
-    for idx, prim in enumerate(nl.primitives):
-        for pos, inp in enumerate(prim.inputs):
-            if not driven(inp):
-                err("undriven-input",
-                    f"primitive {idx} ({prim.kind}) input {pos} (s{inp}) has no driver")
+    # The pin walk names what this far cheaper per-signal check finds.
+    if any(r and not (p or d) for r, p, d in zip(read, port, drivers)):
+        for idx, prim in enumerate(nl.primitives):
+            for pos, inp in enumerate(prim.inputs):
+                if not driven(inp):
+                    err("undriven-input",
+                        f"primitive {idx} ({prim.kind}) input {pos} (s{inp}) has no driver")
 
     for j, bit in enumerate(nl.output_p):
         if not driven(bit):
@@ -257,8 +259,8 @@ class CycleError(NetlistError):
 class Analysis:
     """What one pass over a netlist's graph tells every consumer.
 
-    order: combinational primitives in evaluation order (DFFs excluded).
-    dffs: the DFF primitives, in netlist order.
+    order: every primitive, DFFs included, each after the producers of
+    its inputs (except a DFF cut from a register loop).
     depth: signal id -> combinational depth in gate units.  Input bits,
     constants and DFF outputs sit at 0; AND gates and half adders add
     one unit, full adders two.
@@ -268,7 +270,6 @@ class Analysis:
     """
 
     order: list
-    dffs: list
     depth: list
     reg_min: list
     reg_max: list
@@ -292,19 +293,19 @@ def analyze(nl: Netlist) -> Analysis:
     netlist is sorted once.  Raises CycleError on a combinational cycle.
     """
     if _in_dependency_order(nl):
-        seq, cut = nl.primitives, ()
+        order, cut = nl.primitives, ()
     else:
-        seq, cut = _sorted_primitives(nl)
-    dffs = [p for p in nl.primitives if p.kind == DFF]
+        order, cut = _sorted_primitives(nl)
+    dffs = sum(p.kind == DFF for p in nl.primitives)
     n = len(nl.signals)
     depth = [0] * n
     reg_min = [0] * n
     reg_max = [0] * n if dffs else reg_min  # all zero without registers
     # A register loop gives paths of unbounded register count; its cut
     # DFFs are marked above anything a loop-free path can reach.
-    loop_mark = len(dffs) + 1
+    loop_mark = dffs + 1
     weight = DEPTH_WEIGHT.get
-    for prim in seq:
+    for prim in order:
         ins, outs = prim.inputs, prim.outputs
         w = weight(prim.kind, 0)
         d = 0
@@ -329,9 +330,7 @@ def analyze(nl: Netlist) -> Analysis:
         for out in outs:
             reg_min[out] = lo
             reg_max[out] = hi
-    order = [p for p in seq if p.kind != DFF]
-    return Analysis(order=order, dffs=dffs, depth=depth, reg_min=reg_min, reg_max=reg_max,
-                    netlist=nl)
+    return Analysis(order=order, depth=depth, reg_min=reg_min, reg_max=reg_max, netlist=nl)
 
 
 def analysis_for(nl: Netlist, analysis: Analysis | None = None) -> Analysis:
@@ -407,14 +406,6 @@ def _sorted_primitives(nl: Netlist):
     return order, cut
 
 
-def topological_order(nl: Netlist):
-    """Combinational primitives in evaluation order; DFFs excluded.
-
-    Raises NetlistError if the combinational graph has a cycle.
-    """
-    return analyze(nl).order
-
-
 def levelize(nl: Netlist):
     """Signal id -> combinational depth in gate units (see Analysis)."""
     return dict(enumerate(analyze(nl).depth))
@@ -423,7 +414,7 @@ def levelize(nl: Netlist):
 def max_stage_depth(nl: Netlist):
     """Largest combinational depth reaching any DFF input or output bit."""
     an = analyze(nl)
-    ends = [p.inputs[0] for p in an.dffs] + nl.output_p
+    ends = [p.inputs[0] for p in an.order if p.kind == DFF] + nl.output_p
     return max((an.depth[sig] for sig in ends), default=0)
 
 

@@ -1,9 +1,11 @@
 """Gate-level netlist evaluation and product verification.
 
 Values are plain Python integers used as lane vectors: bit t of a
-signal's value is that signal's logic level in test lane t.  A single
-evaluation is just the one-lane case.  AND/XOR/majority on big
-integers make exhaustive sweeps cheap without any extra machinery.
+signal's value is that signal's logic level in clock cycle t, and a
+register's output is its input one lane up.  So one pass in dependency
+order simulates every cycle, with a new input pair in each.  AND/XOR/
+majority on big integers make exhaustive sweeps cheap without any
+extra machinery.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from dataclasses import dataclass
 import json
 import random
 
+from .mulgen import compute_latency
 from .netlist import (
-    AND2, CONST0, FULL_ADDER, HALF_ADDER,
+    AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
     Analysis, Netlist, analysis_for,
 )
 
@@ -61,18 +64,16 @@ class SimState:
                    for j, b in enumerate(nl.output_p))
 
 
-def _apply_inputs(values, nl, a_masks, b_masks):
-    for sig, v in zip(nl.input_a, a_masks):
-        values[sig] = v
-    for sig, v in zip(nl.input_b, b_masks):
-        values[sig] = v
-
-
-def _settle(order, values):
+def _settle(order, values, mask):
+    """Evaluate every primitive once, in `order`, over the lanes in `mask`:
+    a register's output is its input one lane up, lane 0 its held value."""
     for prim in order:
         k = prim.kind
         ins = prim.inputs
-        if k == FULL_ADDER:
+        if k == DFF:
+            q = prim.outputs[0]
+            values[q] = ((values[ins[0]] << 1) | (values[q] & 1)) & mask
+        elif k == FULL_ADDER:
             a, b, c = values[ins[0]], values[ins[1]], values[ins[2]]
             s_out, c_out = prim.outputs
             t = a ^ b
@@ -89,21 +90,20 @@ def _settle(order, values):
             values[prim.outputs[0]] = 0
 
 
-def _settled(nl, an, a_masks, b_masks):
-    """Values with every register at zero and the inputs settled through."""
+def _stream(nl, an, a_masks, b_masks, lanes):
+    """Values over clock cycles 0 .. lanes - 1 from reset; lane t of the
+    input masks holds the inputs of cycle t."""
     values = [0] * len(nl.signals)
-    _apply_inputs(values, nl, a_masks, b_masks)
-    _settle(an.order, values)
+    for sig, v in zip(nl.input_a + nl.input_b, a_masks + b_masks):
+        values[sig] = v
+    _settle(an.order, values, (1 << lanes) - 1)
     return values
 
 
-def _clock_edge(nl, an, values, a_masks, b_masks):
-    """All registers latch at once, then the new inputs settle through."""
-    latched = [values[p.inputs[0]] for p in an.dffs]
-    for prim, v in zip(an.dffs, latched):
-        values[prim.outputs[0]] = v
-    _apply_inputs(values, nl, a_masks, b_masks)
-    _settle(an.order, values)
+def _latency(nl, an):
+    """Cycles from an input pair to its product; raises
+    UnbalancedPathError when any output bit's paths disagree."""
+    return compute_latency(nl, analysis=an).cycles if nl.pipelined else 0
 
 
 def _operand_lane_bits(nl, a, b):
@@ -125,24 +125,33 @@ def eval_combinational(nl: Netlist, a, b) -> SimState:
 def initial_state(nl: Netlist, a, b) -> SimState:
     """Cycle-0 state: registers all zero, then settle."""
     an = analysis_for(nl)
-    return SimState(values=_settled(nl, an, *_operand_lane_bits(nl, a, b)), analysis=an)
+    return SimState(values=_stream(nl, an, *_operand_lane_bits(nl, a, b), 1), analysis=an)
 
 
 def step_cycle(nl: Netlist, state: SimState, a, b) -> SimState:
     """One rising clock edge: registers latch simultaneously, then the
-    combinational regions settle with the (possibly new) inputs."""
+    combinational regions settle with the (possibly new) inputs.
+    Lane 0 streams the state's own cycle, lane 1 the next."""
     if not nl.pipelined:
         raise SimError("step_cycle requires a pipelined netlist")
-    nxt = SimState(values=list(state.values), analysis=state.analysis,
-                   cycle=state.cycle + 1)
-    _clock_edge(nl, nxt.analysis, nxt.values, *_operand_lane_bits(nl, a, b))
-    return nxt
+    values = list(state.values)
+    a_bits, b_bits = _operand_lane_bits(nl, a, b)
+    for sig, bit in zip(nl.input_a + nl.input_b, a_bits + b_bits):
+        values[sig] |= bit << 1
+    _settle(state.analysis.order, values, 0b11)
+    return SimState(values=[v >> 1 for v in values], analysis=state.analysis,
+                    cycle=state.cycle + 1)
 
 
 def run_to_output(nl: Netlist, a, b) -> int:
-    """Simulated product: the one-lane case of the lane-parallel core."""
-    values = _lane_eval(nl, *_operand_lane_bits(nl, a, b))
-    return sum(values[bit] << j for j, bit in enumerate(nl.output_p))
+    """Simulated product of one pair held for latency + 1 cycles."""
+    an = analysis_for(nl)
+    latency = _latency(nl, an)
+    held = (1 << (latency + 1)) - 1
+    a_bits, b_bits = _operand_lane_bits(nl, a, b)
+    values = _stream(nl, an, [x * held for x in a_bits], [x * held for x in b_bits],
+                     latency + 1)
+    return sum(((values[bit] >> latency) & 1) << j for j, bit in enumerate(nl.output_p))
 
 
 @dataclass(slots=True)
@@ -168,20 +177,6 @@ class VerificationReport:
         }, sort_keys=True)
 
 
-def _lane_eval(nl, a_masks, b_masks, analysis=None):
-    """Evaluate all lanes at once; returns the values list.
-
-    a_masks[i] holds input bit i of operand a across lanes.  Pipelined
-    netlists run with per-lane constant inputs for the full latency.
-    """
-    an = analysis_for(nl, analysis)
-    values = _settled(nl, an, a_masks, b_masks)
-    if nl.pipelined:
-        for _ in range(an.register_depth(nl.output_p[0])):
-            _clock_edge(nl, an, values, a_masks, b_masks)
-    return values
-
-
 def _lane_masks(words, width):
     """Bit-sliced view of per-lane words: mask i holds bit i of every
     word, word t at bit t."""
@@ -189,12 +184,13 @@ def _lane_masks(words, width):
     return [int(text[width - 1 - i::width], 2) for i in range(width)]
 
 
-def _check_lanes(nl, values, pairs, mode, tested_before=0):
-    """Compare every lane's output with a*b, whole masks at a time.
+def _check_lanes(nl, values, latency, pairs, mode, tested_before=0):
+    """Compare the output of every pair with a*b, whole masks at a time;
+    pair t's product is in lane t + latency.
 
-    Returns a failing report for the first wrong lane, or None.
+    Returns a failing report for the first wrong pair, or None.
     """
-    got = [values[b] for b in nl.output_p]
+    got = [values[b] >> latency for b in nl.output_p]
     width = max(len(got), nl.width_a + nl.width_b)
     got += [0] * (width - len(got))
     want = _lane_masks([a * b for a, b in pairs], width)
@@ -213,17 +209,21 @@ def _check_lanes(nl, values, pairs, mode, tested_before=0):
 
 def verify_pairs(nl: Netlist, pairs, mode: str, *,
                  analysis: Analysis | None = None) -> VerificationReport:
-    """Simulate each (a, b) pair as one lane and check it against a*b.
+    """Stream the (a, b) pairs through `nl`, pair t entering in clock
+    cycle t, and check each product against a*b as it leaves.
 
     The verify functions take an optional `analysis` of `nl` (as from
     `ValidationReport.analysis`) and analyse `nl` themselves without one.
+    They raise UnbalancedPathError when any output bit's paths disagree.
     """
     if not pairs:
         return VerificationReport(passed=True, tested=0, mode=mode)
+    an = analysis_for(nl, analysis)
+    latency = _latency(nl, an)
     a_masks = _lane_masks([a for a, _ in pairs], nl.width_a)
     b_masks = _lane_masks([b for _, b in pairs], nl.width_b)
-    values = _lane_eval(nl, a_masks, b_masks, analysis)
-    return (_check_lanes(nl, values, pairs, mode)
+    values = _stream(nl, an, a_masks, b_masks, len(pairs) + latency)
+    return (_check_lanes(nl, values, latency, pairs, mode)
             or VerificationReport(passed=True, tested=len(pairs), mode=mode))
 
 
@@ -235,15 +235,16 @@ def verify_exhaustive(nl: Netlist, *,
         raise SimError(f"exhaustive verification capped at {EXHAUSTIVE_GUARD_BITS} "
                        f"total input bits, got {n + k}")
     an = analysis_for(nl, analysis)
+    latency = _latency(nl, an)
     total = 1 << (n + k)
     chunk = min(total, 1 << 16)
     tested = 0
     for base in range(0, total, chunk):
         a_masks = [_pattern(i, chunk, base) for i in range(n)]
         b_masks = [_pattern(n + i, chunk, base) for i in range(k)]
-        values = _lane_eval(nl, a_masks, b_masks, an)
+        values = _stream(nl, an, a_masks, b_masks, chunk + latency)
         pairs = [((base + t) & ((1 << n) - 1), (base + t) >> n) for t in range(chunk)]
-        bad = _check_lanes(nl, values, pairs, "exhaustive", tested)
+        bad = _check_lanes(nl, values, latency, pairs, "exhaustive", tested)
         if bad is not None:
             return bad
         tested += chunk

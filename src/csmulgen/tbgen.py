@@ -97,9 +97,14 @@ def self_check_plan(nl: Netlist, plan: TestbenchPlan, *,
                     analysis: Analysis | None = None) -> bool:
     """Re-verify every expected value both arithmetically and against
     the gate-level simulator, all vectors as lanes of one simulation.
-    Raises PlanError on any mismatch, naming the first failing vector.
-    `analysis` is passed on to the simulator."""
+    Raises PlanError on any mismatch, naming the first failing vector,
+    or when a pipelined plan waits fewer cycles than its latency, so its
+    asserts would not see their own vector.  `analysis` is passed on."""
     _check_widths(nl, plan)
+    latency = compute_latency(nl, analysis=analysis).cycles if nl.pipelined else 0
+    if plan.wait_time < latency:
+        raise PlanError(f"wait time of {plan.wait_time} cycles is shorter than "
+                        f"the latency of {latency} cycles")
     for idx, vec in enumerate(plan.vectors):
         independent = _shift_add_product(vec.a.value, vec.b.value)
         if independent != vec.expected:

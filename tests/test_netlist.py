@@ -3,7 +3,7 @@ import pytest
 from csmulgen.netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
     Netlist, NetlistError, UnbalancedPathError,
-    analyze, levelize, max_stage_depth, register_depth, topological_order, validate,
+    analyze, levelize, max_stage_depth, register_depth, validate,
 )
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
 
@@ -72,7 +72,7 @@ def test_combinational_cycle_reported():
     assert "combinational-cycle" in [f.code for f in report.errors]
     assert report.analysis is None
     with pytest.raises(NetlistError):
-        topological_order(nl)
+        analyze(nl)
 
 
 def test_validation_order_is_deterministic():
@@ -188,7 +188,9 @@ def test_register_loop_is_unbalanced_not_a_combinational_cycle():
     codes = [f.code for f in validate(nl).errors]
     assert "combinational-cycle" not in codes
     assert "unbalanced-registers" in codes
-    assert topological_order(nl) == [nl.primitives[0], nl.primitives[2]]
+    from csmulgen.sim import verify_random
+    with pytest.raises(NetlistError):
+        verify_random(nl, 4, seed=1)
 
 
 def test_analysis_of_shuffled_pipelined_netlist_matches():

@@ -121,3 +121,58 @@ def test_simulator_matches_python_product(n, k, data):
     b = data.draw(st.integers(0, 2 ** k - 1))
     nl = generate_multiplier(GeneratorConfig(n, k, False))
     assert run_to_output(nl, a, b) == a * b
+
+
+@pytest.mark.parametrize("n, k, drop", [
+    (3, 3, False), (4, 4, False), (5, 7, False), (8, 8, False), (4, 4, True),
+])
+def test_streamed_pass_matches_step_cycle(n, k, drop, drop_dff):
+    """Lane t of one streamed pass is clock cycle t: with a new input
+    pair every cycle, every output bit agrees with the one-lane
+    initial_state/step_cycle oracle at every cycle."""
+    import random
+    from csmulgen import sim
+    from csmulgen.netlist import DFF, analyze
+    nl = generate_multiplier(GeneratorConfig(n, k, True))
+    if drop:
+        dffs = [p for p in nl.primitives if p.kind == DFF]
+        drop_dff(nl, dffs[len(dffs) // 2])
+    rng = random.Random(n * 16 + k)
+    feed = [(rng.getrandbits(n), rng.getrandbits(k)) for _ in range(40)]
+    values = sim._stream(nl, analyze(nl), sim._lane_masks([a for a, _ in feed], n),
+                         sim._lane_masks([b for _, b in feed], k), len(feed))
+    state = initial_state(nl, *feed[0])
+    for t, (a, b) in enumerate(feed):
+        if t:
+            state = step_cycle(nl, state, a, b)
+        assert [(values[bit] >> t) & 1 for bit in nl.output_p] == \
+            [state.values[bit] for bit in nl.output_p], f"cycle {t}"
+
+
+def test_verify_random_settles_the_netlist_once(monkeypatch):
+    from csmulgen import sim
+    settle = sim._settle
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return settle(*args)
+
+    monkeypatch.setattr(sim, "_settle", counted)
+    nl = generate_multiplier(GeneratorConfig(16, 16, True))
+    assert verify_random(nl, 20, seed=1).passed
+    assert len(calls) == 1
+
+
+def test_no_pass_for_any_dropped_register(drop_dff):
+    """Dropping any one register leaves some output bit unbalanced, and
+    the streamed check refuses the netlist rather than passing it."""
+    from csmulgen.netlist import DFF, NetlistError
+    cfg = GeneratorConfig(4, 4, True)
+    count = sum(p.kind == DFF for p in generate_multiplier(cfg).primitives)
+    assert count == 69
+    for i in range(count):
+        nl = generate_multiplier(cfg)
+        drop_dff(nl, [p for p in nl.primitives if p.kind == DFF][i])
+        with pytest.raises(NetlistError):
+            verify_exhaustive(nl)

@@ -57,6 +57,22 @@ def test_wait_time_pipelined_counts_cycles():
     assert plan.wait_time == compute_latency(nl).cycles + 1
 
 
+@pytest.mark.parametrize("n, k", [(4, 4), (8, 8), (5, 11)])
+def test_self_check_rejects_wait_shorter_than_latency(n, k):
+    """The testbench asserts each product after the plan's wait; it sees
+    that vector's product only when the wait covers the latency."""
+    nl = generate_multiplier(GeneratorConfig(n, k, True))
+    latency = compute_latency(nl).cycles
+    plan = make_plan(nl, 10, seed=2)
+    for wait in (1, latency - 1):
+        plan.wait_time = wait
+        with pytest.raises(PlanError, match="latency"):
+            self_check_plan(nl, plan)
+    for wait in (latency, latency + 1):
+        plan.wait_time = wait
+        assert self_check_plan(nl, plan)
+
+
 def test_testbench_text_structure():
     nl = generate_multiplier(GeneratorConfig(8, 8, False))
     plan = make_plan(nl, 10, seed=6400)
