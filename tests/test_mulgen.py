@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import sys
 
@@ -12,6 +13,7 @@ from csmulgen.netlist import (
     AND2, DFF, FULL_ADDER, HALF_ADDER, Netlist, validate,
 )
 from csmulgen.sim import run_to_output, verify_exhaustive
+from csmulgen.vhdl import emit_vhdl
 
 
 def count(nl, kind):
@@ -42,6 +44,19 @@ def test_reduction_terminates_with_columns_at_most_two():
     assert matrix.reduced()
     assert stages >= 1
     assert all(d.iteration <= stages for col in matrix.columns for d in col)
+
+
+def test_design_grid_digest():
+    # One sha256 over the design text of every n, k in 1..16 in both
+    # modes, so a change to reduction order or window placement shows
+    # even where no single-size pin or golden reaches.
+    h = hashlib.sha256()
+    for n in range(1, 17):
+        for k in range(1, 17):
+            for pipelined in (False, True):
+                nl = generate_multiplier(GeneratorConfig(n, k, pipelined))
+                h.update(emit_vhdl(nl).encode("utf-8"))
+    assert h.hexdigest() == "2ed4da8dfa78732ea6cb33120e8fcddc9b7c2c3c86a256a90cafafab0cb35516"
 
 
 def test_2x2_structure():
