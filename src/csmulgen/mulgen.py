@@ -14,11 +14,10 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
-    Analysis, Netlist, NetlistError, analysis_for,
+    Analysis, Netlist, NetlistError, UnbalancedPathError, analysis_for,
 )
 
 DEFAULT_MAX_WIDTH = 1024
@@ -38,30 +37,6 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.width_a < 1 or self.width_b < 1:
             raise ValueError("operand widths must be >= 1")
-
-
-class Dot(NamedTuple):
-    """One pending column bit: the signal id and the iteration at which
-    it becomes available for reduction."""
-
-    signal: int
-    iteration: int
-
-
-@dataclass(slots=True)
-class DotMatrix:
-    """Per-output-column lists of pending bits."""
-
-    columns: list
-
-    def heights(self):
-        return [len(col) for col in self.columns]
-
-    def total_dots(self):
-        return sum(len(col) for col in self.columns)
-
-    def reduced(self):
-        return all(len(col) <= 2 for col in self.columns)
 
 
 @dataclass(slots=True)
@@ -135,100 +110,89 @@ class _Builder:
         return [self.delayed(sig, latency - self.slot[sig]) for sig in bits]
 
 
-def build_partial_products(cfg: GeneratorConfig, builder: _Builder) -> DotMatrix:
+def build_partial_products(cfg: GeneratorConfig, builder: _Builder) -> list:
     """AND every pair of input bits; the product of bits a and b lands
-    in column a+b."""
+    in column a+b.  Returns the n + k columns as lists of signal ids."""
     n, k = cfg.width_a, cfg.width_b
     nl = builder.nl
     columns = [[] for _ in range(n + k)]
     for a in range(n):
         for b in range(k):
             (out,) = builder.add(AND2, [nl.input_a[a], nl.input_b[b]], 0)
-            columns[a + b].append(Dot(out, 0))
-    return DotMatrix(columns=columns)
+            columns[a + b].append(out)
+    return columns
 
 
-def reduce_step(matrix: DotMatrix, iteration: int, builder: _Builder) -> DotMatrix:
+def reduce_step(columns: list, iteration: int, builder: _Builder) -> list:
     """One carry-save compression pass.
 
-    Scans columns from the least significant upward, looking only at
-    dots available at this iteration.  Full adders are placed while a
-    column holds more than two eligible dots.  A column left with
-    exactly two dots receives a half adder unless one of the deferral
-    rules applies:
+    Scans columns from the least significant upward; every bit in a
+    column takes part in this pass.  Full adders are placed while a
+    column holds more than two bits.  A column left with exactly two
+    bits receives a half adder unless one of the deferral rules applies:
 
-      Rule A: a carry already landed in this column for the next
-      iteration during this pass, so a single full adder next time can
+      Rule A: a carry from the previous column already landed in this
+      column during this pass, so a single full adder next pass can
       absorb all three bits.
 
-      Rule B: the previous column holds two bits for the next
-      iteration, so the following pass will push a carry into this
-      column and a full adder two passes out absorbs all three.
+      Rule B: the previous column leaves this pass with two bits, so the
+      following pass will push a carry into this column and a full adder
+      two passes out absorbs all three.
 
-    All surviving dots cross into the next iteration.  Adders placed
-    here go in window i+1.
+    Returns the columns for the next pass: carries in first, then sums,
+    then the bits left unreduced.  Adders placed here go in window i+1.
     """
     i = iteration
-    ncols = len(matrix.columns)
+    ncols = len(columns)
     new_cols = [[] for _ in range(ncols)]
-    carries_in = [0] * ncols  # carry dots registered per column this pass
 
     def emit_carry(col, sig):
         if col >= ncols:
             raise NetlistError("reduction carry past the most significant column")
-        new_cols[col].append(Dot(sig, i + 1))
-        carries_in[col] += 1
+        new_cols[col].append(sig)
 
-    for j in range(ncols):
-        eligible = [d for d in matrix.columns[j] if d.iteration <= i]
-        future = [d for d in matrix.columns[j] if d.iteration > i]
-        new_cols[j].extend(future)
-
-        # Stable lowest-iteration-first operand selection.
-        eligible.sort(key=lambda d: d.iteration)
-
-        while len(eligible) > 2:
-            ops = eligible[:3]
-            eligible = eligible[3:]
-            s, c = builder.add(FULL_ADDER, [d.signal for d in ops], i + 1)
-            new_cols[j].append(Dot(s, i + 1))
+    for j, col in enumerate(columns):
+        # Before this column's adders, new_cols[j] holds only carries.
+        rule_a = bool(new_cols[j])
+        while len(col) > 2:
+            s, c = builder.add(FULL_ADDER, col[:3], i + 1)
+            col = col[3:]
+            new_cols[j].append(s)
             emit_carry(j + 1, c)
 
-        if len(eligible) == 2:
-            rule_a = carries_in[j] > 0
-            rule_b = j > 0 and sum(
-                1 for d in new_cols[j - 1] if d.iteration == i + 1) == 2
+        if len(col) == 2:
+            rule_b = j > 0 and len(new_cols[j - 1]) == 2
             # A half adder in the most significant column has no home for
-            # its carry and two dots are already final-adder material, so
+            # its carry and two bits are already final-adder material, so
             # the pair is always deferred there.
             at_top = j + 1 == ncols
             if not rule_a and not rule_b and not at_top:
-                s, c = builder.add(HALF_ADDER, [d.signal for d in eligible], i + 1)
-                eligible = []
-                new_cols[j].append(Dot(s, i + 1))
+                s, c = builder.add(HALF_ADDER, col, i + 1)
+                col = []
+                new_cols[j].append(s)
                 emit_carry(j + 1, c)
 
-        new_cols[j].extend(Dot(d.signal, i + 1) for d in eligible)
+        new_cols[j].extend(col)
 
-    return DotMatrix(columns=new_cols)
+    return new_cols
 
 
-def run_reduction(matrix: DotMatrix, builder: _Builder):
-    """Apply reduction passes until every column holds at most two dots.
+def run_reduction(columns: list, builder: _Builder):
+    """Apply reduction passes until every column holds at most two bits.
 
-    Returns the final matrix and the number of passes executed.  Each
-    pass over an unreduced matrix places at least one full adder, and a
-    full adder strictly decreases the total dot count, so this
+    Returns the final columns and the number of passes executed.  Each
+    pass over an unreduced column list places at least one full adder,
+    and a full adder strictly decreases the total bit count, so this
     terminates.
     """
     i = 0
-    while not matrix.reduced():
-        matrix = reduce_step(matrix, i, builder)
+    while any(len(col) > 2 for col in columns):
+        columns = reduce_step(columns, i, builder)
         i += 1
-    return matrix, i
+    return columns, i
 
 
-def build_final_adder(matrix: DotMatrix, builder: _Builder, window: int):
+def build_final_adder(columns: list, builder: _Builder, window: int):
     """Ripple-carry resolution of the remaining (at most two) rows.
 
     Column by column: nothing pending and no carry means a constant
@@ -239,11 +203,10 @@ def build_final_adder(matrix: DotMatrix, builder: _Builder, window: int):
     """
     out_bits = []
     carry = None
-    for j, col in enumerate(matrix.columns):
-        dots = [d.signal for d in col]
-        if len(dots) > 2:
-            raise NetlistError(f"column {j} holds {len(dots)} dots; final adder takes <= 2")
-        operands = dots + ([carry] if carry is not None else [])
+    for j, col in enumerate(columns):
+        if len(col) > 2:
+            raise NetlistError(f"column {j} holds {len(col)} bits; final adder takes <= 2")
+        operands = col + ([carry] if carry is not None else [])
         if len(operands) == 0:
             (zero,) = builder.add(CONST0, [], 0)
             out_bits.append(zero)
@@ -284,13 +247,13 @@ def generate_with_annotations(cfg: GeneratorConfig):
     builder = _Builder(nl)
     ann = BuildAnnotations()
 
-    matrix, ann.stage_count = run_reduction(build_partial_products(cfg, builder), builder)
+    columns, ann.stage_count = run_reduction(build_partial_products(cfg, builder), builder)
     kinds = Counter(p.kind for p in nl.primitives)
     ann.reduction_full_adders = kinds[FULL_ADDER]
     ann.reduction_half_adders = kinds[HALF_ADDER]
-    ann.dots_entering_final = matrix.total_dots()
+    ann.dots_entering_final = sum(map(len, columns))
 
-    nl.output_p = build_final_adder(matrix, builder, ann.stage_count + 1)
+    nl.output_p = build_final_adder(columns, builder, ann.stage_count + 1)
     if cfg.pipelined:
         nl.output_p = builder.deskew(nl.output_p)
     return nl, ann
@@ -308,7 +271,8 @@ def compute_latency(nl: Netlist, *, analysis: Analysis | None = None) -> Latency
     if nl.pipelined:
         depths = {an.register_depth(bit) for bit in nl.output_p}
         if len(depths) != 1:
-            raise NetlistError(f"output bits disagree on register depth: {sorted(depths)}")
+            raise UnbalancedPathError(
+                f"output bits disagree on register depth: {sorted(depths)}")
         return LatencyInfo(pipelined=True, cycles=depths.pop())
     worst = max(an.depth[bit] for bit in nl.output_p)
     return LatencyInfo(pipelined=False, gate_units=worst)

@@ -42,7 +42,7 @@ class NetlistError(Exception):
 
 
 class UnbalancedPathError(NetlistError):
-    """Paths to one output bit pass through differing register counts."""
+    """Paths to one output bit, or to different output bits, differ in register count."""
 
 
 @dataclass(slots=True)

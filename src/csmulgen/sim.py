@@ -215,7 +215,12 @@ def verify_pairs(nl: Netlist, pairs, mode: str, *,
     The verify functions take an optional `analysis` of `nl` (as from
     `ValidationReport.analysis`) and analyse `nl` themselves without one.
     They raise UnbalancedPathError when any output bit's paths disagree.
+    A pair that is negative or wider than its port raises SimError.
     """
+    for a, b in pairs:
+        if a < 0 or b < 0 or a >> nl.width_a or b >> nl.width_b:
+            raise SimError(f"pair {a} x {b} does not fit the "
+                           f"{nl.width_a}x{nl.width_b} operand ports")
     if not pairs:
         return VerificationReport(passed=True, tested=0, mode=mode)
     an = analysis_for(nl, analysis)

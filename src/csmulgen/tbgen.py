@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .mulgen import compute_latency, GeneratorConfig
 from .netlist import Analysis, Netlist
 from .sim import OperandValue, verify_pairs
-from .vhdl import EmitterOptions, check_identifier, default_entity_name
+from .vhdl import INDENT, EmitterOptions, check_identifier, default_entity_name
 
 DEFAULT_CLOCK_PERIOD = 10  # time units per clock cycle, pipelined only
 
@@ -128,7 +128,7 @@ def emit_testbench(nl: Netlist, plan: TestbenchPlan,
     entity = options.entity_name or default_entity_name(nl)
     check_identifier(entity)
     tb = f"{entity}_tb"
-    ind = " " * options.indent
+    ind = INDENT
     n, k = nl.width_a, nl.width_b
     wide = n + k > INTEGER_REPORT_BITS
 

@@ -31,6 +31,7 @@ variable wait when while with xnor xor
 """.split())
 
 _IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+INDENT = "  "  # one level of nesting in emitted VHDL and testbench text
 
 
 class EmissionError(Exception):
@@ -40,7 +41,6 @@ class EmissionError(Exception):
 @dataclass(frozen=True, slots=True)
 class EmitterOptions:
     entity_name: str | None = None
-    indent: int = 2
 
 
 def default_entity_name(nl: Netlist) -> str:
@@ -100,7 +100,7 @@ def emit_vhdl(nl: Netlist, options: EmitterOptions | None = None, *,
 
     entity = options.entity_name or default_entity_name(nl)
     check_identifier(entity)
-    ind = " " * options.indent
+    ind = INDENT
     t, named = _signal_text(nl)
 
     lines = []

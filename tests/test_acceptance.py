@@ -72,7 +72,7 @@ def test_criterion_3_structural_invariants(report):
             probe = _Builder(Netlist.create(n, k))
             matrix = build_partial_products(GeneratorConfig(n, k, False), probe)
             matrix, _ = run_reduction(matrix, probe)
-            ok = ok and all(h <= 2 for h in matrix.heights())
+            ok = ok and all(len(col) <= 2 for col in matrix)
             ok = ok and sum(1 for p in nl.primitives if p.kind == DFF) == 0
             ok = ok and validate(nl).is_empty()
     report(3, "structural invariants over 1..16 grid", ok)

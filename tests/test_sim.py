@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
+from csmulgen.netlist import DFF, UnbalancedPathError
 from csmulgen.sim import (
     OperandValue, SimError, eval_combinational, initial_state, run_to_output,
-    step_cycle, verify_exhaustive, verify_random,
+    step_cycle, verify_exhaustive, verify_pairs, verify_random,
 )
 
 
@@ -176,3 +177,23 @@ def test_no_pass_for_any_dropped_register(drop_dff):
         drop_dff(nl, [p for p in nl.primitives if p.kind == DFF][i])
         with pytest.raises(NetlistError):
             verify_exhaustive(nl)
+
+
+@pytest.mark.parametrize("pairs, named", [
+    ([(15, 15), (0, 255)], "pair 0 x 255 "),
+    ([(3, 2), (17, 1)], "pair 17 x 1 "),
+    ([(-1, 3)], "pair -1 x 3 "),
+])
+def test_verify_pairs_rejects_operands_wider_than_the_ports(pairs, named):
+    nl = generate_multiplier(GeneratorConfig(4, 4, False))
+    with pytest.raises(SimError, match=named):
+        verify_pairs(nl, pairs, "x")
+
+
+def test_output_bits_at_different_register_depths_are_unbalanced(drop_dff):
+    """Every output bit balanced, but bit 0 one register short of the rest."""
+    nl = generate_multiplier(GeneratorConfig(4, 4, True))
+    drop_dff(nl, next(p for p in nl.primitives
+                      if p.kind == DFF and p.outputs == [nl.output_p[0]]))
+    with pytest.raises(UnbalancedPathError, match=r"\[5, 6\]"):
+        verify_random(nl, 4, seed=1)
