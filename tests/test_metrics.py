@@ -78,3 +78,53 @@ def test_generation_time_optional():
     _, m = metrics_for(3, 3, False)
     data = json.loads(render_json(m))
     assert data["generation_time_ms"] is None
+
+
+PINNED_4X4 = """{
+  "schema_version": 1,
+  "width_a": 4,
+  "width_b": 4,
+  "pipelined": false,
+  "signals": 48,
+  "and_gates": 16,
+  "full_adders": 8,
+  "half_adders": 4,
+  "adders": 12,
+  "dffs": 0,
+  "reduction_stages": 3,
+  "latency": {
+    "pipelined": false,
+    "cycles": null,
+    "gate_units": 12
+  },
+  "generation_time_ms": 12.345
+}
+"""
+
+PINNED_8X8_P = """{
+  "schema_version": 1,
+  "width_a": 8,
+  "width_b": 8,
+  "pipelined": true,
+  "signals": 582,
+  "and_gates": 64,
+  "full_adders": 48,
+  "half_adders": 8,
+  "adders": 56,
+  "dffs": 390,
+  "reduction_stages": 5,
+  "latency": {
+    "pipelined": true,
+    "cycles": 14,
+    "gate_units": null
+  },
+  "generation_time_ms": 12.345
+}
+"""
+
+
+def test_render_json_pinned_text():
+    _, comb = metrics_for(4, 4, False, generation_time_ms=12.345)
+    _, pipe = metrics_for(8, 8, True, generation_time_ms=12.345)
+    assert render_json(comb) == PINNED_4X4
+    assert render_json(pipe) == PINNED_8X8_P
