@@ -11,14 +11,14 @@ from .mulgen import (
     compute_latency, generate_multiplier, generate_with_annotations,
 )
 from .metrics import MetricsReport, compute_metrics, render_json
-from .netlist import Netlist, ValidationReport, levelize, register_depth, validate
+from .netlist import Netlist, ValidationReport, register_depth, validate
 from .sim import (
     OperandValue, VerificationReport,
-    eval_combinational, initial_state, run_to_output, step_cycle,
+    initial_state, run_to_output, step_cycle,
     verify_exhaustive, verify_random,
 )
 from .tbgen import TestbenchPlan, TestVector, emit_testbench, generate_vectors, make_plan
-from .vhdl import EmitterOptions, emit_vhdl, name_signals
+from .vhdl import EmitterOptions, emit_vhdl
 
 __version__ = "0.1.0"
 
@@ -27,8 +27,7 @@ __all__ = [
     "Netlist", "OperandValue", "TestVector", "TestbenchPlan",
     "ValidationReport", "VerificationReport", "EmitterOptions",
     "compute_latency", "compute_metrics", "emit_testbench", "emit_vhdl",
-    "eval_combinational", "generate_multiplier", "generate_vectors",
-    "generate_with_annotations", "initial_state", "levelize", "make_plan",
-    "name_signals", "register_depth", "render_json", "step_cycle",
+    "generate_multiplier", "generate_vectors", "generate_with_annotations",
+    "initial_state", "make_plan", "register_depth", "render_json", "step_cycle",
     "run_to_output", "validate", "verify_exhaustive", "verify_random",
 ]

@@ -8,7 +8,7 @@ generation_time_ms field varies).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .mulgen import BuildAnnotations, LatencyInfo, compute_latency
 from .netlist import (
@@ -63,24 +63,5 @@ def compute_metrics(nl: Netlist, ann: BuildAnnotations,
 
 
 def render_json(report: MetricsReport) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "width_a": report.width_a,
-        "width_b": report.width_b,
-        "pipelined": report.pipelined,
-        "signals": report.signals,
-        "and_gates": report.and_gates,
-        "full_adders": report.full_adders,
-        "half_adders": report.half_adders,
-        "adders": report.adders,
-        "dffs": report.dffs,
-        "reduction_stages": report.reduction_stages,
-        "latency": {
-            "pipelined": report.latency.pipelined,
-            "cycles": report.latency.cycles,
-            "gate_units": report.latency.gate_units,
-        },
-        "generation_time_ms": report.generation_time_ms,
-    }
+    doc = {"schema_version": SCHEMA_VERSION, **asdict(report)}
     return json.dumps(doc, indent=2) + "\n"
-

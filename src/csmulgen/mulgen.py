@@ -12,7 +12,6 @@ output bit sees the identical latency.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 
 from .netlist import (
@@ -44,9 +43,6 @@ class BuildAnnotations:
     """Stage bookkeeping produced alongside the netlist."""
 
     stage_count: int = 0
-    dots_entering_final: int = 0
-    reduction_full_adders: int = 0
-    reduction_half_adders: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,11 +244,6 @@ def generate_with_annotations(cfg: GeneratorConfig):
     ann = BuildAnnotations()
 
     columns, ann.stage_count = run_reduction(build_partial_products(cfg, builder), builder)
-    kinds = Counter(p.kind for p in nl.primitives)
-    ann.reduction_full_adders = kinds[FULL_ADDER]
-    ann.reduction_half_adders = kinds[HALF_ADDER]
-    ann.dots_entering_final = sum(map(len, columns))
-
     nl.output_p = build_final_adder(columns, builder, ann.stage_count + 1)
     if cfg.pipelined:
         nl.output_p = builder.deskew(nl.output_p)

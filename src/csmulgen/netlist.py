@@ -131,15 +131,8 @@ class ValidationReport:
     def errors(self):
         return [f for f in self.findings if f.severity == "error"]
 
-    @property
-    def warnings(self):
-        return [f for f in self.findings if f.severity == "warning"]
-
     def is_valid(self):
         return not self.errors
-
-    def is_empty(self):
-        return not self.findings
 
 
 def validate(nl: Netlist) -> ValidationReport:
@@ -404,11 +397,6 @@ def _sorted_primitives(nl: Netlist):
             if indeg[nxt] == 0:
                 ready.append(nxt)
     return order, cut
-
-
-def levelize(nl: Netlist):
-    """Signal id -> combinational depth in gate units (see Analysis)."""
-    return dict(enumerate(analyze(nl).depth))
 
 
 def max_stage_depth(nl: Netlist):

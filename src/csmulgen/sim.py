@@ -11,7 +11,6 @@ extra machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
 import random
 
 from .mulgen import compute_latency
@@ -57,11 +56,9 @@ class SimState:
 
     values: list  # signal id -> lane vector
     analysis: Analysis
-    cycle: int = 0
 
-    def output_value(self, nl: Netlist, lane=0):
-        return sum(((self.values[b] >> lane) & 1) << j
-                   for j, b in enumerate(nl.output_p))
+    def output_value(self, nl: Netlist):
+        return sum((self.values[b] & 1) << j for j, b in enumerate(nl.output_p))
 
 
 def _settle(order, values, mask):
@@ -115,13 +112,6 @@ def _operand_lane_bits(nl, a, b):
     return a.bits, b.bits
 
 
-def eval_combinational(nl: Netlist, a, b) -> SimState:
-    """Settle a non-pipelined netlist on one input pair."""
-    if nl.pipelined:
-        raise SimError("eval_combinational requires a non-pipelined netlist")
-    return initial_state(nl, a, b)
-
-
 def initial_state(nl: Netlist, a, b) -> SimState:
     """Cycle-0 state: registers all zero, then settle."""
     an = analysis_for(nl)
@@ -139,8 +129,7 @@ def step_cycle(nl: Netlist, state: SimState, a, b) -> SimState:
     for sig, bit in zip(nl.input_a + nl.input_b, a_bits + b_bits):
         values[sig] |= bit << 1
     _settle(state.analysis.order, values, 0b11)
-    return SimState(values=[v >> 1 for v in values], analysis=state.analysis,
-                    cycle=state.cycle + 1)
+    return SimState(values=[v >> 1 for v in values], analysis=state.analysis)
 
 
 def run_to_output(nl: Netlist, a, b) -> int:
@@ -167,14 +156,6 @@ class VerificationReport:
         c = self.counterexample
         return (f"FAIL: {c['a']} x {c['b']} expected {c['expected']} "
                 f"got {c['got']} ({self.mode}, after {self.tested} vectors)")
-
-    def to_json(self):
-        return json.dumps({
-            "passed": self.passed,
-            "tested": self.tested,
-            "mode": self.mode,
-            "counterexample": self.counterexample,
-        }, sort_keys=True)
 
 
 def _lane_masks(words, width):
@@ -269,10 +250,15 @@ def _pattern(v, lanes, base):
     return p
 
 
+def random_pairs(width_a: int, width_b: int, count: int, seed: int) -> list:
+    """`count` seeded uniform (a, b) pairs; the testbench vectors and
+    `verify_random` both draw theirs here, so one seed gives one stream."""
+    rng = random.Random(seed)
+    return [(rng.getrandbits(width_a), rng.getrandbits(width_b)) for _ in range(count)]
+
+
 def verify_random(nl: Netlist, count: int, seed: int, *,
                   analysis: Analysis | None = None) -> VerificationReport:
     """Check seeded uniform random pairs, exact product equality each."""
-    rng = random.Random(seed)
-    n, k = nl.width_a, nl.width_b
-    pairs = [(rng.getrandbits(n), rng.getrandbits(k)) for _ in range(count)]
+    pairs = random_pairs(nl.width_a, nl.width_b, count, seed)
     return verify_pairs(nl, pairs, "random", analysis=analysis)

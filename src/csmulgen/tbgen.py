@@ -11,12 +11,11 @@ known-passing.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .mulgen import compute_latency, GeneratorConfig
 from .netlist import Analysis, Netlist
-from .sim import OperandValue, verify_pairs
+from .sim import OperandValue, random_pairs, verify_pairs
 from .vhdl import INDENT, EmitterOptions, check_identifier, default_entity_name
 
 DEFAULT_CLOCK_PERIOD = 10  # time units per clock cycle, pipelined only
@@ -47,18 +46,14 @@ class TestbenchPlan:
     vectors: list
     wait_time: int
     clock_period: int | None
-    seed: int
 
 
 def generate_vectors(cfg: GeneratorConfig, count: int, seed: int):
-    """Seeded uniform operand pairs with exact precomputed products."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        a = OperandValue(rng.getrandbits(cfg.width_a), cfg.width_a)
-        b = OperandValue(rng.getrandbits(cfg.width_b), cfg.width_b)
-        out.append(TestVector(a=a, b=b, expected=a.value * b.value))
-    return out
+    """Seeded uniform operand pairs (see `random_pairs`) with exact
+    precomputed products."""
+    return [TestVector(a=OperandValue(a, cfg.width_a), b=OperandValue(b, cfg.width_b),
+                       expected=a * b)
+            for a, b in random_pairs(cfg.width_a, cfg.width_b, count, seed)]
 
 
 def make_plan(nl: Netlist, count: int, seed: int, *,
@@ -70,9 +65,9 @@ def make_plan(nl: Netlist, count: int, seed: int, *,
     latency = compute_latency(nl, analysis=analysis)
     if nl.pipelined:
         return TestbenchPlan(vectors=vectors, wait_time=latency.cycles + 1,
-                             clock_period=DEFAULT_CLOCK_PERIOD, seed=seed)
+                             clock_period=DEFAULT_CLOCK_PERIOD)
     return TestbenchPlan(vectors=vectors, wait_time=latency.gate_units + 1,
-                         clock_period=None, seed=seed)
+                         clock_period=None)
 
 
 def _shift_add_product(a: int, b: int) -> int:
@@ -191,7 +186,8 @@ def emit_testbench(nl: Netlist, plan: TestbenchPlan,
     lines.append(f"{ind}{ind}wait;")
     lines.append(f"{ind}end process;")
     lines.append(f"end architecture bench;")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _vector_block(nl, plan, vec, ind, wide):

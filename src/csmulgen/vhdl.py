@@ -77,13 +77,6 @@ def _signal_text(nl: Netlist):
     return text, ordinal
 
 
-def name_signals(nl: Netlist):
-    """Signal id -> name for every named signal (see `_signal_text`);
-    constant-driver outputs stay unnamed."""
-    text, _ = _signal_text(nl)
-    return {i: t for i, t in enumerate(text) if t and t != "'0'"}
-
-
 def emit_vhdl(nl: Netlist, options: EmitterOptions | None = None, *,
               report: ValidationReport | None = None) -> str:
     """Render the netlist as one synthesizable VHDL design unit.
@@ -149,4 +142,5 @@ def emit_vhdl(nl: Netlist, options: EmitterOptions | None = None, *,
     for j, bit in enumerate(nl.output_p):
         lines.append(f"{ind}p({j}) <= {t[bit]};")
     lines.append(f"end architecture structural;")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)

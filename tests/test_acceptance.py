@@ -11,7 +11,7 @@ import pytest
 
 from csmulgen.mulgen import (
     GeneratorConfig, _Builder, build_partial_products, compute_latency,
-    generate_multiplier, generate_with_annotations, run_reduction,
+    generate_multiplier, run_reduction,
 )
 from csmulgen.netlist import (
     AND2, DFF, FULL_ADDER, Netlist, max_stage_depth, register_depth, validate,
@@ -65,16 +65,18 @@ def test_criterion_3_structural_invariants(report):
     ok = True
     for n in range(1, 17):
         for k in range(1, 17):
-            nl, ann = generate_with_annotations(GeneratorConfig(n, k, False))
+            nl = generate_multiplier(GeneratorConfig(n, k, False))
             ok = ok and sum(1 for p in nl.primitives if p.kind == AND2) == n * k
-            fa_red = ann.reduction_full_adders
-            ok = ok and fa_red == n * k - ann.dots_entering_final
             probe = _Builder(Netlist.create(n, k))
             matrix = build_partial_products(GeneratorConfig(n, k, False), probe)
             matrix, _ = run_reduction(matrix, probe)
+            reduced = probe.nl.primitives
+            ok = ok and nl.primitives[:len(reduced)] == reduced
+            fa_red = sum(1 for p in reduced if p.kind == FULL_ADDER)
+            ok = ok and fa_red == n * k - sum(map(len, matrix))
             ok = ok and all(len(col) <= 2 for col in matrix)
             ok = ok and sum(1 for p in nl.primitives if p.kind == DFF) == 0
-            ok = ok and validate(nl).is_empty()
+            ok = ok and validate(nl).findings == []
     report(3, "structural invariants over 1..16 grid", ok)
 
 

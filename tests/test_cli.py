@@ -205,7 +205,7 @@ def test_miswired_skew_chain_fails_verification(tmp_path, monkeypatch, capsys):
     for p in nl.primitives:
         p.inputs = [swap.get(s, s) for s in p.inputs]
     nl.output_p = [swap.get(s, s) for s in nl.output_p]
-    assert validate(nl).is_empty()
+    assert validate(nl).findings == []
 
     monkeypatch.setattr(cli_mod, "generate_with_annotations", lambda cfg: (nl, ann))
     assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",

@@ -123,11 +123,15 @@ def test_long_register_chains_need_no_deep_recursion():
 
 
 def test_annotations_consistent_with_netlist():
-    nl, ann = generate_with_annotations(GeneratorConfig(8, 8, False))
+    cfg = GeneratorConfig(8, 8, False)
+    nl, ann = generate_with_annotations(cfg)
+    probe = _Builder(Netlist.create(8, 8))
+    matrix, stages = run_reduction(build_partial_products(cfg, probe), probe)
+    assert stages == ann.stage_count
     fa = count(nl, FULL_ADDER)
     ha = count(nl, HALF_ADDER)
-    assert ann.reduction_full_adders + ann.reduction_half_adders <= fa + ha
-    assert ann.dots_entering_final <= 2 * (nl.width_a + nl.width_b)
+    assert count(probe.nl, FULL_ADDER) + count(probe.nl, HALF_ADDER) <= fa + ha
+    assert sum(map(len, matrix)) <= 2 * (nl.width_a + nl.width_b)
 
 
 def test_capacity_ceiling(monkeypatch):
@@ -152,7 +156,7 @@ def test_capacity_env_empty_means_default(monkeypatch):
 @given(n=st.integers(1, 10), k=st.integers(1, 10), pipe=st.booleans())
 def test_generated_netlists_validate_clean(n, k, pipe):
     nl = generate_multiplier(GeneratorConfig(n, k, pipe))
-    assert validate(nl).is_empty()
+    assert validate(nl).findings == []
     assert len(nl.output_p) == n + k
 
 

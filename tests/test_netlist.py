@@ -3,14 +3,14 @@ import pytest
 from csmulgen.netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
     Netlist, NetlistError, UnbalancedPathError,
-    analyze, levelize, max_stage_depth, register_depth, validate,
+    analyze, max_stage_depth, register_depth, validate,
 )
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
 
 
 def test_generated_2x2_validates_clean():
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
-    assert validate(nl).is_empty()
+    assert validate(nl).findings == []
 
 
 def test_undriven_output_bit_reported():
@@ -49,7 +49,7 @@ def test_unread_internal_is_warning_not_error():
     nl.output_p = [s0, zero]
     rep = validate(nl)
     assert rep.is_valid()
-    assert [f.code for f in rep.warnings] == ["unread-signal"]
+    assert [(f.severity, f.code) for f in rep.findings] == [("warning", "unread-signal")]
 
 
 def test_terminated_signal_suppresses_warning():
@@ -59,7 +59,7 @@ def test_terminated_signal_suppresses_warning():
     (zero,) = nl.add_primitive(CONST0, [])
     nl.output_p = [s0, zero]
     nl.terminated.add(s1)
-    assert validate(nl).is_empty()
+    assert validate(nl).findings == []
 
 
 def test_combinational_cycle_reported():
@@ -87,14 +87,14 @@ def test_validation_order_is_deterministic():
 
 def test_levelize_1x1():
     nl = generate_multiplier(GeneratorConfig(1, 1, False))
-    by_id = levelize(nl)
+    by_id = analyze(nl).depth
     assert by_id[nl.output_p[0]] == 1  # single AND gate
     assert by_id[nl.output_p[1]] == 0  # constant
 
 
 def test_levelize_2x2_max_depth_three():
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
-    by_id = levelize(nl)
+    by_id = analyze(nl).depth
     assert max(by_id[b] for b in nl.output_p) == 3
 
 
@@ -104,19 +104,19 @@ def test_full_adder_counts_two_gate_units():
     (b,) = nl.add_primitive(AND2, [nl.input_a[1], nl.input_b[0]])
     s, c = nl.add_primitive(FULL_ADDER, [a, b, nl.input_a[0]])
     nl.output_p = [s, c, a]
-    by_id = levelize(nl)
+    by_id = analyze(nl).depth
     assert by_id[s] == 3  # and (1) + fa (2)
 
 
 def test_levelize_independent_of_insertion_order():
     nl = generate_multiplier(GeneratorConfig(3, 3, False))
-    base = levelize(nl)
+    base = analyze(nl).depth
     shuffled = Netlist(
         width_a=nl.width_a, width_b=nl.width_b,
         input_a=nl.input_a, input_b=nl.input_b, output_p=nl.output_p,
         clock=nl.clock, primitives=list(reversed(nl.primitives)),
         pipelined=nl.pipelined, signals=nl.signals, terminated=nl.terminated)
-    again = levelize(shuffled)
+    again = analyze(shuffled).depth
     assert base == again
 
 
@@ -209,7 +209,7 @@ def test_analysis_of_shuffled_pipelined_netlist_matches():
     assert (again.depth, again.reg_min, again.reg_max) == \
         (base.depth, base.reg_min, base.reg_max)
     assert len(set(base.reg_min[b] for b in nl.output_p)) == 1
-    assert validate(shuffled).is_empty()
+    assert validate(shuffled).findings == []
 
 
 def _netlist_with_every_defect():

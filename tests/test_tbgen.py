@@ -3,7 +3,7 @@ import pytest
 from csmulgen.mulgen import GeneratorConfig, compute_latency, generate_multiplier
 from csmulgen import tbgen
 from csmulgen.netlist import FULL_ADDER
-from csmulgen.sim import run_to_output
+from csmulgen.sim import run_to_output, verify_random
 from csmulgen.tbgen import (
     PlanError, emit_testbench, generate_vectors, make_plan, self_check_plan,
 )
@@ -43,6 +43,18 @@ def test_self_check_plan_catches_fault():
     victim.outputs[0], victim.outputs[1] = victim.outputs[1], victim.outputs[0]
     with pytest.raises(PlanError):
         self_check_plan(nl, plan)
+
+
+def test_verify_random_and_self_check_name_the_same_failing_pair():
+    # One seed gives one pair stream, so both stages blame the same pair.
+    nl = generate_multiplier(GeneratorConfig(6, 6, False))
+    victim = next(p for p in nl.primitives if p.kind == FULL_ADDER)
+    victim.outputs[0], victim.outputs[1] = victim.outputs[1], victim.outputs[0]
+    report = verify_random(nl, 64, 3)
+    assert not report.passed
+    c = report.counterexample
+    with pytest.raises(PlanError, match=rf"^vector {report.tested}: .* for {c['a']}x{c['b']}$"):
+        self_check_plan(nl, make_plan(nl, 64, 3))
 
 
 def test_wait_time_combinational():

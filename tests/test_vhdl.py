@@ -7,7 +7,7 @@ from csmulgen.mulgen import GeneratorConfig, generate_multiplier
 from csmulgen.netlist import AND2, Netlist
 from csmulgen.vhdl import (
     EmissionError, EmitterOptions, check_identifier, default_entity_name,
-    emit_vhdl, name_signals,
+    emit_vhdl,
 )
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
@@ -20,10 +20,9 @@ def test_default_entity_names():
 
 def test_name_signals_ports_and_ordinals():
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
-    names = name_signals(nl)
-    assert names[nl.input_a[0]] == "x(0)"
-    assert names[nl.input_b[1]] == "y(1)"
-    internal = [v for v in names.values() if v.startswith("s")]
+    lines = emit_vhdl(nl).splitlines()
+    assert "  s1 <= x(0) and y(1);" in lines  # input_a[0] and input_b[1]
+    internal = [line.split()[1] for line in lines if line.startswith("  signal ")]
     assert internal == [f"s{i}" for i in range(len(internal))]
 
 
