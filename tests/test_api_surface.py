@@ -18,17 +18,6 @@ def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _public_defs():
-    """(module file name, name) of every public top-level def and class."""
-    defs = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in _parse(path).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defs.append((path.name, node.name))
-    return defs
-
-
 def _used_names(tree, skip=None):
     """Names read as a Name, an Attribute or an import, leaving out the
     body of the top-level def or class called `skip`."""
@@ -50,15 +39,19 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     demos = set()
     for path in sorted((ROOT / "demos").glob("*.py")):
         demos |= _used_names(_parse(path))
-    trees = {path.name: _parse(path) for path in PACKAGE.glob("*.py")
+    trees = {path.name: _parse(path) for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "__init__.py"}
     uncalled = []
-    for module, name in _public_defs():
-        used = set(demos)
-        for other, tree in trees.items():
-            used |= _used_names(tree, skip=name if other == module else None)
-        if name not in used:
-            uncalled.append(f"{module}:{name}")
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            used = set(demos)
+            for other, other_tree in trees.items():
+                used |= _used_names(other_tree, skip=node.name if other == module else None)
+            if node.name not in used:
+                uncalled.append(f"{module}:{node.name}")
     assert uncalled == []
 
 
