@@ -14,7 +14,7 @@ cfg = GeneratorConfig(width_a=4, width_b=4, pipelined=False)
 nl = generate_multiplier(cfg)
 
 print(f"4x4 multiplier: {len(nl.primitives)} primitives, "
-      f"{len(nl.signals)} signals")
+      f"{nl.signal_count} signals")
 print(f"validation findings: {len(validate(nl).findings)}")
 print(f"critical path: {compute_latency(nl).gate_units} gate units")
 

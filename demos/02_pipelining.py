@@ -7,14 +7,14 @@ streams a burst of operand pairs through the pipe.
 """
 
 from csmulgen import GeneratorConfig, generate_multiplier
-from csmulgen.mulgen import compute_latency
-from csmulgen.netlist import max_stage_depth, register_depth
+from csmulgen.netlist import analyze, compute_latency, max_stage_depth
 from csmulgen.sim import initial_state, step_cycle
 
 nl = generate_multiplier(GeneratorConfig(8, 8, pipelined=True))
-latency = compute_latency(nl).cycles
+an = analyze(nl)
+latency = compute_latency(nl, analysis=an).cycles
 
-depths = sorted({register_depth(nl, bit) for bit in nl.output_p})
+depths = sorted({d for bit in nl.output_p for d in (an.reg_min[bit], an.reg_max[bit])})
 print(f"latency: {latency} cycles (per-bit register depths: {depths})")
 print(f"worst logic depth between registers: {max_stage_depth(nl)} gate units")
 

@@ -7,11 +7,10 @@ emits structural VHDL plus a self-checking randomized testbench.
 """
 
 from .mulgen import (
-    CapacityError, GeneratorConfig, LatencyInfo,
-    compute_latency, generate_multiplier, generate_with_annotations,
+    CapacityError, GeneratorConfig, generate_multiplier, generate_with_annotations,
 )
 from .metrics import MetricsReport, compute_metrics, render_json
-from .netlist import Netlist, ValidationReport, register_depth, validate
+from .netlist import LatencyInfo, Netlist, ValidationReport, compute_latency, validate
 from .sim import (
     OperandValue, VerificationReport,
     initial_state, run_to_output, step_cycle,
@@ -28,6 +27,6 @@ __all__ = [
     "ValidationReport", "VerificationReport", "EmitterOptions",
     "compute_latency", "compute_metrics", "emit_testbench", "emit_vhdl",
     "generate_multiplier", "generate_vectors", "generate_with_annotations",
-    "initial_state", "make_plan", "register_depth", "render_json", "step_cycle",
+    "initial_state", "make_plan", "render_json", "step_cycle",
     "run_to_output", "validate", "verify_exhaustive", "verify_random",
 ]

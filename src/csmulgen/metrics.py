@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .mulgen import BuildAnnotations, LatencyInfo, compute_latency
+from .mulgen import BuildAnnotations
 from .netlist import (
-    AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, KIND_CLOCK, Analysis, Netlist,
+    AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, Analysis, LatencyInfo, Netlist,
+    compute_latency,
 )
 
 SCHEMA_VERSION = 1
@@ -45,12 +46,11 @@ def compute_metrics(nl: Netlist, ann: BuildAnnotations,
     counts = {AND2: 0, HALF_ADDER: 0, FULL_ADDER: 0, DFF: 0, CONST0: 0}
     for prim in nl.primitives:
         counts[prim.kind] += 1
-    signals = len(nl.signals) - nl.signals.count(KIND_CLOCK)
     return MetricsReport(
         width_a=nl.width_a,
         width_b=nl.width_b,
         pipelined=nl.pipelined,
-        signals=signals,
+        signals=nl.signal_count - (nl.clock is not None),
         and_gates=counts[AND2],
         full_adders=counts[FULL_ADDER],
         half_adders=counts[HALF_ADDER],

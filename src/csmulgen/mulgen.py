@@ -14,10 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .netlist import (
-    AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
-    Analysis, Netlist, NetlistError, UnbalancedPathError, analysis_for,
-)
+from .netlist import AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, Netlist, NetlistError
 
 DEFAULT_MAX_WIDTH = 1024
 MAX_WIDTH_ENV = "CSMULGEN_MAX_WIDTH"
@@ -43,13 +40,6 @@ class BuildAnnotations:
     """Stage bookkeeping produced alongside the netlist."""
 
     stage_count: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class LatencyInfo:
-    pipelined: bool
-    cycles: int | None = None
-    gate_units: int | None = None
 
 
 def max_width_ceiling():
@@ -253,17 +243,3 @@ def generate_with_annotations(cfg: GeneratorConfig):
 def generate_multiplier(cfg: GeneratorConfig) -> Netlist:
     return generate_with_annotations(cfg)[0]
 
-
-def compute_latency(nl: Netlist, *, analysis: Analysis | None = None) -> LatencyInfo:
-    """Pipelined: common register depth of the output bits.
-    Combinational: worst levelized depth over the output bits.
-    `analysis`, when given, is used instead of analysing `nl` again."""
-    an = analysis_for(nl, analysis)
-    if nl.pipelined:
-        depths = {an.register_depth(bit) for bit in nl.output_p}
-        if len(depths) != 1:
-            raise UnbalancedPathError(
-                f"output bits disagree on register depth: {sorted(depths)}")
-        return LatencyInfo(pipelined=True, cycles=depths.pop())
-    worst = max(an.depth[bit] for bit in nl.output_p)
-    return LatencyInfo(pipelined=False, gate_units=worst)

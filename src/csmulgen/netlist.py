@@ -2,8 +2,9 @@
 
 Flat single-bit signals and five primitive kinds (two-input AND, half
 adder, full adder, D flip-flop, constant-zero driver).  A signal is its
-int id: an index into `Netlist.signals`, which holds each signal's
-kind.  Every other module either builds one of these netlists or
+int id, below `Netlist.signal_count`.  The analysis of a netlist, and
+the pipeline latency and register balance decided from it, live here
+too.  Every other module either builds one of these netlists or
 consumes one.
 """
 
@@ -26,11 +27,6 @@ ARITY = {
     DFF: (1, 1),
     CONST0: (0, 1),
 }
-
-# Signal kinds.
-KIND_INPUT = "input_port_bit"
-KIND_INTERNAL = "internal"
-KIND_CLOCK = "clock"
 
 # Gate-unit weight of each combinational primitive: a full adder is two
 # gate levels deep, everything else is one.
@@ -58,8 +54,8 @@ class Primitive:
 class Netlist:
     """A circuit: ports, signals, primitives, optional clock.
 
-    signals[i] is the kind of signal i (KIND_INPUT, KIND_INTERNAL or
-    KIND_CLOCK); ports, the clock and primitive pins hold signal ids.
+    Signals are the ids 0 .. signal_count - 1; ports, the clock and
+    primitive pins hold signal ids.
 
     Netlists are treated as immutable once a generator returns them;
     the mutating helpers below are for construction only.
@@ -73,7 +69,7 @@ class Netlist:
     clock: int | None = None
     primitives: list = field(default_factory=list)
     pipelined: bool = False
-    signals: list = field(default_factory=list)
+    signal_count: int = 0
     # Signal ids declared intentionally unconnected (the IR analogue of
     # mapping an unused output to `open`); excluded from unread checks.
     terminated: set = field(default_factory=set)
@@ -82,17 +78,17 @@ class Netlist:
     def create(cls, width_a, width_b):
         """New netlist with input port bits allocated, nothing else."""
         nl = cls(width_a=width_a, width_b=width_b)
-        nl.input_a = [nl.new_signal(KIND_INPUT) for _ in range(width_a)]
-        nl.input_b = [nl.new_signal(KIND_INPUT) for _ in range(width_b)]
+        nl.input_a = [nl.new_signal() for _ in range(width_a)]
+        nl.input_b = [nl.new_signal() for _ in range(width_b)]
         return nl
 
-    def new_signal(self, kind=KIND_INTERNAL):
-        self.signals.append(kind)
-        return len(self.signals) - 1
+    def new_signal(self):
+        self.signal_count += 1
+        return self.signal_count - 1
 
     def add_clock(self):
         if self.clock is None:
-            self.clock = self.new_signal(KIND_CLOCK)
+            self.clock = self.new_signal()
         return self.clock
 
     def add_primitive(self, kind, inputs):
@@ -101,9 +97,9 @@ class Netlist:
         n_in, n_out = ARITY[kind]
         if len(inputs) != n_in:
             raise NetlistError(f"{kind} expects {n_in} inputs, got {len(inputs)}")
-        first = len(self.signals)
+        first = self.signal_count
+        self.signal_count += n_out
         outputs = list(range(first, first + n_out))
-        self.signals += [KIND_INTERNAL] * n_out
         self.primitives.append(Primitive(kind=kind, inputs=list(inputs), outputs=outputs))
         return outputs
 
@@ -147,7 +143,7 @@ def validate(nl: Netlist) -> ValidationReport:
     err = lambda code, msg: rep.findings.append(Finding("error", code, msg))
     warn = lambda code, msg: rep.findings.append(Finding("warning", code, msg))
 
-    n = len(nl.signals)
+    n = nl.signal_count
     drivers = [0] * n
     read = bytearray(n)
     dff_count = 0
@@ -195,8 +191,8 @@ def validate(nl: Netlist) -> ValidationReport:
         if not driven(bit):
             err("undriven-output", f"output bit {j} (s{bit}) has no driver")
 
-    for sig, kind in enumerate(nl.signals):
-        if kind != KIND_INTERNAL:
+    for sig in range(n):
+        if port[sig]:
             continue
         if sig in nl.terminated:
             if read[sig]:
@@ -212,7 +208,9 @@ def validate(nl: Netlist) -> ValidationReport:
         err("combinational-cycle", "combinational primitives form a cycle")
     else:
         rep.analysis = an
-        _check_register_balance(nl, an, driven, err)
+        for msg in _unbalanced_registers(
+                an, [(j, bit) for j, bit in enumerate(nl.output_p) if driven(bit)]):
+            err("unbalanced-registers", msg)
 
     if nl.pipelined != (dff_count > 0) or nl.pipelined != (nl.clock is not None):
         err("clock-consistency",
@@ -226,22 +224,22 @@ def validate(nl: Netlist) -> ValidationReport:
     return rep
 
 
-def _check_register_balance(nl, an, driven, err):
-    """Every driven output bit must see one register count on all its
-    paths, and all of them the same one."""
-    depths = set()
-    for j, bit in enumerate(nl.output_p):
-        if not driven(bit):
-            continue
+def _unbalanced_registers(an, bits):
+    """Breaches of the rule that every output bit sees one register count
+    on all its paths, and all of them the same one, as messages.
+
+    bits: (output bit index, signal id) pairs, as from `enumerate(nl.output_p)`.
+    """
+    messages, depths = [], set()
+    for j, bit in bits:
         lo, hi = an.reg_min[bit], an.reg_max[bit]
         if lo != hi:
-            err("unbalanced-registers",
-                f"output bit {j} (s{bit}) mixes paths with {lo} and {hi} registers")
+            messages.append(f"output bit {j} (s{bit}) mixes paths with {lo} and {hi} registers")
         else:
             depths.add(lo)
     if len(depths) > 1:
-        err("unbalanced-registers",
-            f"output bits disagree on register depth: {sorted(depths)}")
+        messages.append(f"output bits disagree on register depth: {sorted(depths)}")
+    return messages
 
 
 class CycleError(NetlistError):
@@ -268,15 +266,6 @@ class Analysis:
     reg_max: list
     netlist: Netlist = field(repr=False, compare=False)
 
-    def register_depth(self, bit: int) -> int:
-        """Register count shared by every path to signal `bit`; raises
-        UnbalancedPathError when the paths disagree."""
-        lo, hi = self.reg_min[bit], self.reg_max[bit]
-        if lo != hi:
-            raise UnbalancedPathError(
-                f"output bit s{bit} mixes paths with {lo} and {hi} registers")
-        return lo
-
 
 def analyze(nl: Netlist) -> Analysis:
     """Evaluation order, gate depth and register depth in one linear pass.
@@ -290,7 +279,7 @@ def analyze(nl: Netlist) -> Analysis:
     else:
         order, cut = _sorted_primitives(nl)
     dffs = sum(p.kind == DFF for p in nl.primitives)
-    n = len(nl.signals)
+    n = nl.signal_count
     depth = [0] * n
     reg_min = [0] * n
     reg_max = [0] * n if dffs else reg_min  # all zero without registers
@@ -342,7 +331,7 @@ def analysis_for(nl: Netlist, analysis: Analysis | None = None) -> Analysis:
 
 def _in_dependency_order(nl: Netlist) -> bool:
     """True when every primitive input is a port bit or an earlier output."""
-    known = bytearray(len(nl.signals))
+    known = bytearray(nl.signal_count)
     for sig in nl.input_a + nl.input_b:
         known[sig] = 1
     if nl.clock is not None:
@@ -406,13 +395,24 @@ def max_stage_depth(nl: Netlist):
     return max((an.depth[sig] for sig in ends), default=0)
 
 
-def register_depth(nl: Netlist, bit: int) -> int:
-    """Number of DFF stages on every source-to-bit path for one output
-    bit, given by its signal id.
+@dataclass(frozen=True, slots=True)
+class LatencyInfo:
+    pipelined: bool
+    cycles: int | None = None
+    gate_units: int | None = None
 
-    Non-pipelined netlists report 0.  Raises UnbalancedPathError when two
-    paths to the bit disagree.
-    """
-    if not nl.pipelined:
-        return 0
-    return analyze(nl).register_depth(bit)
+
+def compute_latency(nl: Netlist, *, analysis: Analysis | None = None) -> LatencyInfo:
+    """Pipelined: common register depth of the output bits; raises
+    UnbalancedPathError, with the first `unbalanced-registers` message
+    of `validate`, when the output bits do not share one.
+    Combinational: worst levelized depth over the output bits.
+    `analysis`, when given, is used instead of analysing `nl` again."""
+    an = analysis_for(nl, analysis)
+    if nl.pipelined:
+        unbalanced = _unbalanced_registers(an, enumerate(nl.output_p))
+        if unbalanced:
+            raise UnbalancedPathError(unbalanced[0])
+        return LatencyInfo(pipelined=True, cycles=an.reg_min[nl.output_p[0]])
+    worst = max(an.depth[bit] for bit in nl.output_p)
+    return LatencyInfo(pipelined=False, gate_units=worst)

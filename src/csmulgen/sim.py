@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 import random
 
-from .mulgen import compute_latency
 from .netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
-    Analysis, Netlist, analysis_for,
+    Analysis, Netlist, analysis_for, compute_latency,
 )
 
 EXHAUSTIVE_GUARD_BITS = 24
@@ -90,17 +89,11 @@ def _settle(order, values, mask):
 def _stream(nl, an, a_masks, b_masks, lanes):
     """Values over clock cycles 0 .. lanes - 1 from reset; lane t of the
     input masks holds the inputs of cycle t."""
-    values = [0] * len(nl.signals)
+    values = [0] * nl.signal_count
     for sig, v in zip(nl.input_a + nl.input_b, a_masks + b_masks):
         values[sig] = v
     _settle(an.order, values, (1 << lanes) - 1)
     return values
-
-
-def _latency(nl, an):
-    """Cycles from an input pair to its product; raises
-    UnbalancedPathError when any output bit's paths disagree."""
-    return compute_latency(nl, analysis=an).cycles if nl.pipelined else 0
 
 
 def _operand_lane_bits(nl, a, b):
@@ -135,7 +128,7 @@ def step_cycle(nl: Netlist, state: SimState, a, b) -> SimState:
 def run_to_output(nl: Netlist, a, b) -> int:
     """Simulated product of one pair held for latency + 1 cycles."""
     an = analysis_for(nl)
-    latency = _latency(nl, an)
+    latency = compute_latency(nl, analysis=an).cycles or 0
     held = (1 << (latency + 1)) - 1
     a_bits, b_bits = _operand_lane_bits(nl, a, b)
     values = _stream(nl, an, [x * held for x in a_bits], [x * held for x in b_bits],
@@ -205,7 +198,7 @@ def verify_pairs(nl: Netlist, pairs, mode: str, *,
     if not pairs:
         return VerificationReport(passed=True, tested=0, mode=mode)
     an = analysis_for(nl, analysis)
-    latency = _latency(nl, an)
+    latency = compute_latency(nl, analysis=an).cycles or 0
     a_masks = _lane_masks([a for a, _ in pairs], nl.width_a)
     b_masks = _lane_masks([b for _, b in pairs], nl.width_b)
     values = _stream(nl, an, a_masks, b_masks, len(pairs) + latency)
@@ -221,7 +214,7 @@ def verify_exhaustive(nl: Netlist, *,
         raise SimError(f"exhaustive verification capped at {EXHAUSTIVE_GUARD_BITS} "
                        f"total input bits, got {n + k}")
     an = analysis_for(nl, analysis)
-    latency = _latency(nl, an)
+    latency = compute_latency(nl, analysis=an).cycles or 0
     total = 1 << (n + k)
     chunk = min(total, 1 << 16)
     tested = 0

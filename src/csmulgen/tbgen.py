@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mulgen import compute_latency, GeneratorConfig
-from .netlist import Analysis, Netlist
+from .netlist import Analysis, Netlist, compute_latency
 from .sim import OperandValue, random_pairs, verify_pairs
 from .vhdl import INDENT, EmitterOptions, check_identifier, default_entity_name
 
@@ -48,20 +47,19 @@ class TestbenchPlan:
     clock_period: int | None
 
 
-def generate_vectors(cfg: GeneratorConfig, count: int, seed: int):
+def generate_vectors(width_a: int, width_b: int, count: int, seed: int):
     """Seeded uniform operand pairs (see `random_pairs`) with exact
     precomputed products."""
-    return [TestVector(a=OperandValue(a, cfg.width_a), b=OperandValue(b, cfg.width_b),
+    return [TestVector(a=OperandValue(a, width_a), b=OperandValue(b, width_b),
                        expected=a * b)
-            for a, b in random_pairs(cfg.width_a, cfg.width_b, count, seed)]
+            for a, b in random_pairs(width_a, width_b, count, seed)]
 
 
 def make_plan(nl: Netlist, count: int, seed: int, *,
               analysis: Analysis | None = None) -> TestbenchPlan:
     """Vectors plus settle timing derived from the circuit's latency.
     `analysis` is passed on to `compute_latency`."""
-    cfg = GeneratorConfig(nl.width_a, nl.width_b, nl.pipelined)
-    vectors = generate_vectors(cfg, count, seed)
+    vectors = generate_vectors(nl.width_a, nl.width_b, count, seed)
     latency = compute_latency(nl, analysis=analysis)
     if nl.pipelined:
         return TestbenchPlan(vectors=vectors, wait_time=latency.cycles + 1,
@@ -96,7 +94,7 @@ def self_check_plan(nl: Netlist, plan: TestbenchPlan, *,
     or when a pipelined plan waits fewer cycles than its latency, so its
     asserts would not see their own vector.  `analysis` is passed on."""
     _check_widths(nl, plan)
-    latency = compute_latency(nl, analysis=analysis).cycles if nl.pipelined else 0
+    latency = compute_latency(nl, analysis=analysis).cycles or 0
     if plan.wait_time < latency:
         raise PlanError(f"wait time of {plan.wait_time} cycles is shorter than "
                         f"the latency of {latency} cycles")

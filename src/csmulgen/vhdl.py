@@ -59,7 +59,7 @@ def _signal_text(nl: Netlist):
     internal names.  Ports are x/y/p vector slices, the clock is clk,
     internal signals are s<ordinal> in primitive insertion order.
     Constant-driver outputs are the literal '0' at their use sites."""
-    text = [""] * len(nl.signals)
+    text = [""] * nl.signal_count
     for i, sig in enumerate(nl.input_a):
         text[sig] = f"x({i})"
     for i, sig in enumerate(nl.input_b):

@@ -10,11 +10,10 @@ import json
 import pytest
 
 from csmulgen.mulgen import (
-    GeneratorConfig, _Builder, build_partial_products, compute_latency,
-    generate_multiplier, run_reduction,
+    GeneratorConfig, _Builder, build_partial_products, generate_multiplier, run_reduction,
 )
 from csmulgen.netlist import (
-    AND2, DFF, FULL_ADDER, Netlist, max_stage_depth, register_depth, validate,
+    AND2, DFF, FULL_ADDER, Netlist, analyze, compute_latency, max_stage_depth, validate,
 )
 from csmulgen.sim import (
     initial_state, run_to_output, step_cycle, verify_exhaustive, verify_random,
@@ -84,7 +83,9 @@ def test_criterion_4_pipeline_properties(report):
     ok = True
     for n, k in ((4, 4), (8, 8), (13, 63), (16, 16)):
         nl = generate_multiplier(GeneratorConfig(n, k, True))
-        depths = {register_depth(nl, bit) for bit in nl.output_p}
+        an = analyze(nl)
+        ok = ok and all(an.reg_min[bit] == an.reg_max[bit] for bit in nl.output_p)
+        depths = {an.reg_min[bit] for bit in nl.output_p}
         ok = ok and len(depths) == 1
         latency = depths.pop()
         ok = ok and compute_latency(nl).cycles == latency

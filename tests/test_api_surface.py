@@ -2,11 +2,16 @@
 
 Every public module-level function or class in `src/csmulgen` must be
 used somewhere in the package outside its own definition, or by a
-demo.  Re-exports in `__init__.py` do not count as uses.
+demo.  Re-exports in `__init__.py` do not count as uses.  Every public
+method or property of a class there must likewise be read as an
+attribute outside its own body.  Dataclass fields are not checked:
+`asdict` reads them by reflection.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import csmulgen
 
@@ -35,12 +40,34 @@ def _used_names(tree, skip=None):
     return used
 
 
-def test_every_public_definition_has_a_caller_outside_the_tests():
+def _attributes_read(tree, skip=None):
+    """Attribute names loaded anywhere in `tree` outside the node `skip`."""
+    read, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return read
+
+
+@pytest.fixture(scope="module")
+def trees():
+    return {path.name: _parse(path) for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+@pytest.fixture(scope="module")
+def demo_trees():
+    return [_parse(path) for path in sorted((ROOT / "demos").glob("*.py"))]
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests(trees, demo_trees):
     demos = set()
-    for path in sorted((ROOT / "demos").glob("*.py")):
-        demos |= _used_names(_parse(path))
-    trees = {path.name: _parse(path) for path in sorted(PACKAGE.glob("*.py"))
-             if path.name != "__init__.py"}
+    for tree in demo_trees:
+        demos |= _used_names(tree)
     uncalled = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -53,6 +80,27 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
             if node.name not in used:
                 uncalled.append(f"{module}:{node.name}")
     assert uncalled == []
+
+
+def test_every_public_method_is_read_outside_its_own_body(trees, demo_trees):
+    demos = set()
+    for tree in demo_trees:
+        demos |= _attributes_read(tree)
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if (not isinstance(method, ast.FunctionDef)
+                        or method.name.startswith("_")):
+                    continue
+                read = set(demos)
+                for other_tree in trees.values():
+                    read |= _attributes_read(other_tree, skip=method)
+                if method.name not in read:
+                    unread.append(f"{module}:{cls.name}.{method.name}")
+    assert unread == []
 
 
 def test_every_exported_name_resolves():

@@ -36,9 +36,9 @@ def test_counts_match_primitive_list():
 
 def test_signal_count_excludes_clock():
     nl, m = metrics_for(4, 4, True)
-    assert m.signals == len(nl.signals) - 1  # clock is not a data signal
+    assert m.signals == nl.signal_count - 1  # clock is not a data signal
     nl2, m2 = metrics_for(4, 4, False)
-    assert m2.signals == len(nl2.signals)
+    assert m2.signals == nl2.signal_count
 
 
 def test_latency_semantics_per_mode():

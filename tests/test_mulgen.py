@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from csmulgen.mulgen import (
     CapacityError, GeneratorConfig, _Builder, build_partial_products,
-    compute_latency, generate_multiplier, generate_with_annotations, run_reduction,
+    generate_multiplier, generate_with_annotations, run_reduction,
 )
 from csmulgen.netlist import (
-    AND2, DFF, FULL_ADDER, HALF_ADDER, Netlist, validate,
+    AND2, DFF, FULL_ADDER, HALF_ADDER, Netlist, compute_latency, validate,
 )
 from csmulgen.sim import run_to_output, verify_exhaustive
 from csmulgen.vhdl import emit_vhdl

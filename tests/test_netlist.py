@@ -3,7 +3,7 @@ import pytest
 from csmulgen.netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
     Netlist, NetlistError, UnbalancedPathError,
-    analyze, max_stage_depth, register_depth, validate,
+    analyze, compute_latency, max_stage_depth, validate,
 )
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
 
@@ -115,7 +115,7 @@ def test_levelize_independent_of_insertion_order():
         width_a=nl.width_a, width_b=nl.width_b,
         input_a=nl.input_a, input_b=nl.input_b, output_p=nl.output_p,
         clock=nl.clock, primitives=list(reversed(nl.primitives)),
-        pipelined=nl.pipelined, signals=nl.signals, terminated=nl.terminated)
+        pipelined=nl.pipelined, signal_count=nl.signal_count, terminated=nl.terminated)
     again = analyze(shuffled).depth
     assert base == again
 
@@ -127,13 +127,15 @@ def test_pipelined_8x8_stage_depth_at_most_two():
 
 def test_register_depth_uniform_on_pipelined():
     nl = generate_multiplier(GeneratorConfig(4, 4, True))
-    depths = {register_depth(nl, bit) for bit in nl.output_p}
-    assert len(depths) == 1
+    an = analyze(nl)
+    assert all(an.reg_min[bit] == an.reg_max[bit] for bit in nl.output_p)
+    assert len({an.reg_min[bit] for bit in nl.output_p}) == 1
 
 
 def test_register_depth_zero_when_not_pipelined():
     nl = generate_multiplier(GeneratorConfig(4, 4, False))
-    assert all(register_depth(nl, bit) == 0 for bit in nl.output_p)
+    an = analyze(nl)
+    assert all(an.reg_min[bit] == an.reg_max[bit] == 0 for bit in nl.output_p)
 
 
 def test_register_depth_unbalanced_path_error():
@@ -144,8 +146,10 @@ def test_register_depth_unbalanced_path_error():
     (q,) = nl.add_primitive(DFF, [nl.input_a[0]])
     s, c = nl.add_primitive(HALF_ADDER, [s0, q])  # mixes 0- and 1-register paths
     nl.output_p = [s, c]
+    an = analyze(nl)
+    assert an.reg_min[s] != an.reg_max[s]
     with pytest.raises(UnbalancedPathError):
-        register_depth(nl, nl.output_p[0])
+        compute_latency(nl, analysis=an)
 
 
 def unbalanced_findings(nl):
@@ -203,7 +207,7 @@ def test_analysis_of_shuffled_pipelined_netlist_matches():
         width_a=nl.width_a, width_b=nl.width_b,
         input_a=nl.input_a, input_b=nl.input_b, output_p=nl.output_p,
         clock=nl.clock, primitives=prims,
-        pipelined=nl.pipelined, signals=nl.signals, terminated=nl.terminated)
+        pipelined=nl.pipelined, signal_count=nl.signal_count, terminated=nl.terminated)
     again = analyze(shuffled)
     assert again.order != base.order  # the fallback sort really ran
     assert (again.depth, again.reg_min, again.reg_max) == \
@@ -266,3 +270,6 @@ def test_dropped_dff_gives_exact_findings(drop_dff, which, expected):
     nl = generate_multiplier(GeneratorConfig(4, 4, True))
     drop_dff(nl, [p for p in nl.primitives if p.kind == DFF][which])
     assert [(f.severity, f.code, f.message) for f in validate(nl).findings] == expected
+    with pytest.raises(UnbalancedPathError) as raised:
+        compute_latency(nl)
+    assert str(raised.value) == expected[0][2]

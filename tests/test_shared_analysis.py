@@ -16,9 +16,10 @@ import csmulgen.sim as sim_mod
 import csmulgen.vhdl as vhdl_mod
 from csmulgen.cli import main
 from csmulgen.metrics import compute_metrics, render_json
-from csmulgen.mulgen import GeneratorConfig, compute_latency, generate_with_annotations
+from csmulgen.mulgen import GeneratorConfig, generate_with_annotations
 from csmulgen.netlist import (
-    AND2, FULL_ADDER, Finding, NetlistError, Netlist, ValidationReport, analyze, validate,
+    AND2, FULL_ADDER, Finding, NetlistError, Netlist, ValidationReport, analyze,
+    compute_latency, validate,
 )
 from csmulgen.sim import verify_exhaustive, verify_random
 from csmulgen.tbgen import PlanError, make_plan, self_check_plan

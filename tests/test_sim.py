@@ -31,7 +31,7 @@ def test_initial_state_settles_2x2_all_pairs():
 
 
 def test_pipelined_output_appears_after_latency_cycles():
-    from csmulgen.mulgen import compute_latency
+    from csmulgen.netlist import compute_latency
     nl = generate_multiplier(GeneratorConfig(4, 4, True))
     latency = compute_latency(nl).cycles
     a, b = 13, 11
@@ -42,7 +42,7 @@ def test_pipelined_output_appears_after_latency_cycles():
 
 
 def test_pipeline_streams_one_result_per_cycle():
-    from csmulgen.mulgen import compute_latency
+    from csmulgen.netlist import compute_latency
     nl = generate_multiplier(GeneratorConfig(4, 4, True))
     latency = compute_latency(nl).cycles
     feed = [(3, 5), (15, 15), (0, 9), (7, 7), (12, 1), (6, 13)]

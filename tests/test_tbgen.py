@@ -1,8 +1,8 @@
 import pytest
 
-from csmulgen.mulgen import GeneratorConfig, compute_latency, generate_multiplier
+from csmulgen.mulgen import GeneratorConfig, generate_multiplier
 from csmulgen import tbgen
-from csmulgen.netlist import FULL_ADDER
+from csmulgen.netlist import FULL_ADDER, compute_latency
 from csmulgen.sim import run_to_output, verify_random
 from csmulgen.tbgen import (
     PlanError, emit_testbench, generate_vectors, make_plan, self_check_plan,
@@ -16,13 +16,12 @@ def test_vector_rejects_wrong_product():
 
 
 def test_generate_vectors_deterministic():
-    cfg = GeneratorConfig(8, 8, False)
-    assert generate_vectors(cfg, 20, seed=5) == generate_vectors(cfg, 20, seed=5)
-    assert generate_vectors(cfg, 20, seed=5) != generate_vectors(cfg, 20, seed=6)
+    assert generate_vectors(8, 8, 20, seed=5) == generate_vectors(8, 8, 20, seed=5)
+    assert generate_vectors(8, 8, 20, seed=5) != generate_vectors(8, 8, 20, seed=6)
 
 
 def test_seed_6400_first_vector():
-    vecs = generate_vectors(GeneratorConfig(8, 8, False), 1, seed=6400)
+    vecs = generate_vectors(8, 8, 1, seed=6400)
     v = vecs[0]
     assert (v.a.value, v.b.value, v.expected) == (53, 23, 1219)
     assert v.a.bitstring() == "00110101"
