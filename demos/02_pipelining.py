@@ -16,7 +16,7 @@ latency = compute_latency(nl, analysis=an).cycles
 
 depths = sorted({d for bit in nl.output_p for d in (an.reg_min[bit], an.reg_max[bit])})
 print(f"latency: {latency} cycles (per-bit register depths: {depths})")
-print(f"worst logic depth between registers: {max_stage_depth(nl)} gate units")
+print(f"worst logic depth between registers: {max_stage_depth(nl, analysis=an)} gate units")
 
 feed = [(53, 23), (255, 255), (0, 77), (128, 2), (99, 101), (17, 34)]
 print("streaming one pair per cycle:")

@@ -2,10 +2,11 @@
 
 Flat single-bit signals and five primitive kinds (two-input AND, half
 adder, full adder, D flip-flop, constant-zero driver).  A signal is its
-int id, below `Netlist.signal_count`.  The analysis of a netlist, and
-the pipeline latency and register balance decided from it, live here
-too.  Every other module either builds one of these netlists or
-consumes one.
+int id, below `Netlist.signal_count`.  Primitives are kept in
+dependency order, each after the drivers of its inputs; `analyze` is
+the one place that checks it.  The analysis of a netlist, and the
+pipeline latency and register balance decided from it, live here too.
+Every other module either builds one of these netlists or consumes one.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ class NetlistError(Exception):
     """Structural problem that prevents an operation from running."""
 
 
+class OutOfOrderError(NetlistError):
+    """A primitive reads a signal whose driver comes later in the netlist."""
+
+
 class UnbalancedPathError(NetlistError):
     """Paths to one output bit, or to different output bits, differ in register count."""
 
@@ -55,7 +60,10 @@ class Netlist:
     """A circuit: ports, signals, primitives, optional clock.
 
     Signals are the ids 0 .. signal_count - 1; ports, the clock and
-    primitive pins hold signal ids.
+    primitive pins hold signal ids.  Every primitive comes after the
+    primitives that drive its inputs, so one walk of `primitives` in
+    list order evaluates the circuit; `analyze` raises OutOfOrderError
+    on a netlist that breaks this.
 
     Netlists are treated as immutable once a generator returns them;
     the mutating helpers below are for construction only.
@@ -115,7 +123,7 @@ class Finding:
 class ValidationReport:
     """Findings of `validate`, plus the analysis it computed on the way.
 
-    analysis is None when the combinational primitives form a cycle.
+    analysis is None when the netlist is out of dependency order.
     Callers pass it on to later stages so that they need not analyse
     the same netlist again.
     """
@@ -157,9 +165,6 @@ def validate(nl: Netlist) -> ValidationReport:
             read[i] = 1
         for out in outs:
             drivers[out] += 1
-            if out in ins:
-                err("self-loop", f"primitive {idx} ({prim.kind}) output s{out} "
-                                 "is also one of its inputs")
         if prim.kind == DFF:
             dff_count += 1
     for bit in nl.output_p:
@@ -204,8 +209,8 @@ def validate(nl: Netlist) -> ValidationReport:
 
     try:
         an = analyze(nl)
-    except CycleError:
-        err("combinational-cycle", "combinational primitives form a cycle")
+    except OutOfOrderError as e:
+        err("out-of-order", str(e))
     else:
         rep.analysis = an
         for msg in _unbalanced_registers(
@@ -242,16 +247,10 @@ def _unbalanced_registers(an, bits):
     return messages
 
 
-class CycleError(NetlistError):
-    """The combinational primitives form a cycle."""
-
-
 @dataclass(frozen=True, slots=True)
 class Analysis:
     """What one pass over a netlist's graph tells every consumer.
 
-    order: every primitive, DFFs included, each after the producers of
-    its inputs (except a DFF cut from a register loop).
     depth: signal id -> combinational depth in gate units.  Input bits,
     constants and DFF outputs sit at 0; AND gates and half adders add
     one unit, full adders two.
@@ -260,7 +259,6 @@ class Analysis:
     netlist: the netlist analysed; `analysis_for` checks it.
     """
 
-    order: list
     depth: list
     reg_min: list
     reg_max: list
@@ -268,36 +266,36 @@ class Analysis:
 
 
 def analyze(nl: Netlist) -> Analysis:
-    """Evaluation order, gate depth and register depth in one linear pass.
+    """Gate depth and register depth in one linear pass over `nl.primitives`.
 
-    The generators append every primitive after the producers of its
-    inputs, so that order is checked and used as it is; any other
-    netlist is sorted once.  Raises CycleError on a combinational cycle.
+    That pass also checks the netlist's dependency order, and raises
+    OutOfOrderError for the first primitive that reads a signal whose
+    driver comes later.  A loop, through registers or not, always has
+    such a reader.  A signal no primitive drives reads as a source.
     """
-    if _in_dependency_order(nl):
-        order, cut = nl.primitives, ()
-    else:
-        order, cut = _sorted_primitives(nl)
     dffs = sum(p.kind == DFF for p in nl.primitives)
     n = nl.signal_count
     depth = [0] * n
     reg_min = [0] * n
     reg_max = [0] * n if dffs else reg_min  # all zero without registers
-    # A register loop gives paths of unbounded register count; its cut
-    # DFFs are marked above anything a loop-free path can reach.
-    loop_mark = dffs + 1
+    driven = bytearray(n)  # port bits and the outputs walked so far
+    for sig in nl.input_a + nl.input_b + ([nl.clock] if nl.clock is not None else []):
+        driven[sig] = 1
+    early = []  # (primitive index, signal) read before any driver
     weight = DEPTH_WEIGHT.get
-    for prim in order:
+    for idx, prim in enumerate(nl.primitives):
         ins, outs = prim.inputs, prim.outputs
-        w = weight(prim.kind, 0)
         d = 0
-        if w:
-            for s in ins:
-                if depth[s] > d:
-                    d = depth[s]
-            d += w
+        for s in ins:
+            if not driven[s]:
+                early.append((idx, s))
+            if depth[s] > d:
+                d = depth[s]
+        w = weight(prim.kind)
+        d = d + w if w else 0
         for out in outs:
             depth[out] = d
+            driven[out] = 1
         if not dffs:
             continue
         lo, hi = (reg_min[ins[0]], reg_max[ins[0]]) if ins else (0, 0)
@@ -308,11 +306,16 @@ def analyze(nl: Netlist) -> Analysis:
                 hi = reg_max[s]
         if prim.kind == DFF:
             lo += 1
-            hi = loop_mark if id(prim) in cut else hi + 1
+            hi += 1
         for out in outs:
             reg_min[out] = lo
             reg_max[out] = hi
-    return Analysis(order=order, depth=depth, reg_min=reg_min, reg_max=reg_max, netlist=nl)
+    for idx, s in early:
+        if driven[s]:
+            prim = nl.primitives[idx]
+            raise OutOfOrderError(f"primitive {idx} ({prim.kind}) input "
+                                  f"{prim.inputs.index(s)} (s{s}) is read before its driver")
+    return Analysis(depth=depth, reg_min=reg_min, reg_max=reg_max, netlist=nl)
 
 
 def analysis_for(nl: Netlist, analysis: Analysis | None = None) -> Analysis:
@@ -329,69 +332,11 @@ def analysis_for(nl: Netlist, analysis: Analysis | None = None) -> Analysis:
     return analysis
 
 
-def _in_dependency_order(nl: Netlist) -> bool:
-    """True when every primitive input is a port bit or an earlier output."""
-    known = bytearray(nl.signal_count)
-    for sig in nl.input_a + nl.input_b:
-        known[sig] = 1
-    if nl.clock is not None:
-        known[nl.clock] = 1
-    for prim in nl.primitives:
-        for inp in prim.inputs:
-            if not known[inp]:
-                return False
-        for out in prim.outputs:
-            known[out] = 1
-    return True
-
-
-def _sorted_primitives(nl: Netlist):
-    """Kahn sort of all primitives, each after the producers of its inputs.
-
-    A loop through registers is cut at its DFFs, whose outputs are
-    stored values, so the combinational order stays valid; the cut DFFs
-    are returned by id alongside the order.  Raises CycleError when a
-    loop without a DFF remains.
-    """
-    prims = nl.primitives
-    producer = {}
-    for i, prim in enumerate(prims):
-        for out in prim.outputs:
-            producer[out] = i
-    indeg = [0] * len(prims)
-    consumers = [[] for _ in prims]
-    for i, prim in enumerate(prims):
-        for inp in prim.inputs:
-            src = producer.get(inp)
-            if src is not None:
-                indeg[i] += 1
-                consumers[src].append(i)
-
-    ready = [i for i, d in enumerate(indeg) if d == 0]
-    placed = [False] * len(prims)
-    order, cut = [], set()
-    while len(order) < len(prims):
-        if not ready:
-            ready = [i for i, p in enumerate(prims) if not placed[i] and p.kind == DFF]
-            if not ready:
-                raise CycleError("combinational cycle detected")
-            cut.update(id(prims[i]) for i in ready)
-        i = ready.pop()
-        if placed[i]:
-            continue
-        placed[i] = True
-        order.append(prims[i])
-        for nxt in consumers[i]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    return order, cut
-
-
-def max_stage_depth(nl: Netlist):
-    """Largest combinational depth reaching any DFF input or output bit."""
-    an = analyze(nl)
-    ends = [p.inputs[0] for p in an.order if p.kind == DFF] + nl.output_p
+def max_stage_depth(nl: Netlist, *, analysis: Analysis | None = None):
+    """Largest combinational depth reaching any DFF input or output bit.
+    `analysis`, when given, is used instead of analysing `nl` again."""
+    an = analysis_for(nl, analysis)
+    ends = [p.inputs[0] for p in nl.primitives if p.kind == DFF] + nl.output_p
     return max((an.depth[sig] for sig in ends), default=0)
 
 

@@ -2,10 +2,10 @@
 
 Values are plain Python integers used as lane vectors: bit t of a
 signal's value is that signal's logic level in clock cycle t, and a
-register's output is its input one lane up.  So one pass in dependency
-order simulates every cycle, with a new input pair in each.  AND/XOR/
-majority on big integers make exhaustive sweeps cheap without any
-extra machinery.
+register's output is its input one lane up.  So one pass over the
+primitives, which a netlist keeps in dependency order, simulates every
+cycle, with a new input pair in each.  AND/XOR/majority on big
+integers make exhaustive sweeps cheap without any extra machinery.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 
 from .netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
-    Analysis, Netlist, analysis_for, compute_latency,
+    Analysis, Netlist, analyze, compute_latency,
 )
 
 EXHAUSTIVE_GUARD_BITS = 24
@@ -47,23 +47,19 @@ class OperandValue:
 
 @dataclass(slots=True)
 class SimState:
-    """Settled signal values after some number of clock edges.
-
-    analysis is the netlist's analysis the state was built with;
-    step_cycle reuses it instead of analysing the netlist every cycle.
-    """
+    """Settled signal values after some number of clock edges."""
 
     values: list  # signal id -> lane vector
-    analysis: Analysis
 
     def output_value(self, nl: Netlist):
         return sum((self.values[b] & 1) << j for j, b in enumerate(nl.output_p))
 
 
-def _settle(order, values, mask):
-    """Evaluate every primitive once, in `order`, over the lanes in `mask`:
-    a register's output is its input one lane up, lane 0 its held value."""
-    for prim in order:
+def _settle(nl, values, mask):
+    """Evaluate every primitive of `nl` once, in list order, over the lanes
+    in `mask`: a register's output is its input one lane up, lane 0 its
+    held value."""
+    for prim in nl.primitives:
         k = prim.kind
         ins = prim.inputs
         if k == DFF:
@@ -86,13 +82,14 @@ def _settle(order, values, mask):
             values[prim.outputs[0]] = 0
 
 
-def _stream(nl, an, a_masks, b_masks, lanes):
+def _stream(nl, a_masks, b_masks, lanes):
     """Values over clock cycles 0 .. lanes - 1 from reset; lane t of the
-    input masks holds the inputs of cycle t."""
+    input masks holds the inputs of cycle t.  `nl` must have passed
+    `analyze`, which checks its order."""
     values = [0] * nl.signal_count
     for sig, v in zip(nl.input_a + nl.input_b, a_masks + b_masks):
         values[sig] = v
-    _settle(an.order, values, (1 << lanes) - 1)
+    _settle(nl, values, (1 << lanes) - 1)
     return values
 
 
@@ -106,9 +103,10 @@ def _operand_lane_bits(nl, a, b):
 
 
 def initial_state(nl: Netlist, a, b) -> SimState:
-    """Cycle-0 state: registers all zero, then settle."""
-    an = analysis_for(nl)
-    return SimState(values=_stream(nl, an, *_operand_lane_bits(nl, a, b), 1), analysis=an)
+    """Cycle-0 state: registers all zero, then settle.  Raises
+    OutOfOrderError, through `analyze`, on a netlist out of order."""
+    analyze(nl)
+    return SimState(values=_stream(nl, *_operand_lane_bits(nl, a, b), 1))
 
 
 def step_cycle(nl: Netlist, state: SimState, a, b) -> SimState:
@@ -121,17 +119,16 @@ def step_cycle(nl: Netlist, state: SimState, a, b) -> SimState:
     a_bits, b_bits = _operand_lane_bits(nl, a, b)
     for sig, bit in zip(nl.input_a + nl.input_b, a_bits + b_bits):
         values[sig] |= bit << 1
-    _settle(state.analysis.order, values, 0b11)
-    return SimState(values=[v >> 1 for v in values], analysis=state.analysis)
+    _settle(nl, values, 0b11)
+    return SimState(values=[v >> 1 for v in values])
 
 
 def run_to_output(nl: Netlist, a, b) -> int:
     """Simulated product of one pair held for latency + 1 cycles."""
-    an = analysis_for(nl)
-    latency = compute_latency(nl, analysis=an).cycles or 0
+    latency = compute_latency(nl).cycles or 0
     held = (1 << (latency + 1)) - 1
     a_bits, b_bits = _operand_lane_bits(nl, a, b)
-    values = _stream(nl, an, [x * held for x in a_bits], [x * held for x in b_bits],
+    values = _stream(nl, [x * held for x in a_bits], [x * held for x in b_bits],
                      latency + 1)
     return sum(((values[bit] >> latency) & 1) << j for j, bit in enumerate(nl.output_p))
 
@@ -197,11 +194,10 @@ def verify_pairs(nl: Netlist, pairs, mode: str, *,
                            f"{nl.width_a}x{nl.width_b} operand ports")
     if not pairs:
         return VerificationReport(passed=True, tested=0, mode=mode)
-    an = analysis_for(nl, analysis)
-    latency = compute_latency(nl, analysis=an).cycles or 0
+    latency = compute_latency(nl, analysis=analysis).cycles or 0
     a_masks = _lane_masks([a for a, _ in pairs], nl.width_a)
     b_masks = _lane_masks([b for _, b in pairs], nl.width_b)
-    values = _stream(nl, an, a_masks, b_masks, len(pairs) + latency)
+    values = _stream(nl, a_masks, b_masks, len(pairs) + latency)
     return (_check_lanes(nl, values, latency, pairs, mode)
             or VerificationReport(passed=True, tested=len(pairs), mode=mode))
 
@@ -213,15 +209,14 @@ def verify_exhaustive(nl: Netlist, *,
     if n + k > EXHAUSTIVE_GUARD_BITS:
         raise SimError(f"exhaustive verification capped at {EXHAUSTIVE_GUARD_BITS} "
                        f"total input bits, got {n + k}")
-    an = analysis_for(nl, analysis)
-    latency = compute_latency(nl, analysis=an).cycles or 0
+    latency = compute_latency(nl, analysis=analysis).cycles or 0
     total = 1 << (n + k)
     chunk = min(total, 1 << 16)
     tested = 0
     for base in range(0, total, chunk):
         a_masks = [_pattern(i, chunk, base) for i in range(n)]
         b_masks = [_pattern(n + i, chunk, base) for i in range(k)]
-        values = _stream(nl, an, a_masks, b_masks, chunk + latency)
+        values = _stream(nl, a_masks, b_masks, chunk + latency)
         pairs = [((base + t) & ((1 << n) - 1), (base + t) >> n) for t in range(chunk)]
         bad = _check_lanes(nl, values, latency, pairs, "exhaustive", tested)
         if bad is not None:

@@ -135,40 +135,67 @@ def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert code == 3
 
 
-def test_unbalanced_pipeline_fails_validation(tmp_path, monkeypatch, capsys, drop_dff):
+def _generate_sabotaged(monkeypatch, defect):
+    """Have the CLI apply `defect` to each netlist it generates."""
     import csmulgen.cli as cli_mod
-    from csmulgen.netlist import DFF
     real = cli_mod.generate_with_annotations
 
     def sabotaged(cfg):
         nl, ann = real(cfg)
-        drop_dff(nl, next(p for p in nl.primitives if p.kind == DFF))
+        defect(nl)
         return nl, ann
 
     monkeypatch.setattr(cli_mod, "generate_with_annotations", sabotaged)
+
+
+def _bypass_validation(monkeypatch):
+    """Let any defect past the CLI's and the emitter's `validate`."""
+    import csmulgen.cli as cli_mod
+    import csmulgen.vhdl as vhdl_mod
+    from csmulgen.netlist import ValidationReport
+    for module in (cli_mod, vhdl_mod):
+        monkeypatch.setattr(module, "validate", lambda nl: ValidationReport())
+
+
+def _reverse_primitives(nl):
+    nl.primitives.reverse()
+
+
+def test_unbalanced_pipeline_fails_validation(tmp_path, monkeypatch, capsys, drop_dff):
+    from csmulgen.netlist import DFF
+    _generate_sabotaged(monkeypatch, lambda nl: drop_dff(
+        nl, next(p for p in nl.primitives if p.kind == DFF)))
     assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
                    "--out-dir", str(tmp_path)) == 2
     assert "unbalanced-registers" in capsys.readouterr().err
 
 
+def test_out_of_order_netlist_fails_validation(tmp_path, monkeypatch, capsys):
+    _generate_sabotaged(monkeypatch, _reverse_primitives)
+    assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
+                   "--out-dir", str(tmp_path)) == 2
+    assert "validation error [out-of-order]" in capsys.readouterr().err
+
+
 def test_netlist_error_after_validation_exits_2(tmp_path, monkeypatch, capsys,
                                                 drop_dff):
-    import csmulgen.cli as cli_mod
-    from csmulgen.netlist import DFF, ValidationReport
-    real = cli_mod.generate_with_annotations
-
-    def sabotaged(cfg):
-        nl, ann = real(cfg)
-        drop_dff(nl, next(p for p in nl.primitives if p.kind == DFF))
-        return nl, ann
-
-    monkeypatch.setattr(cli_mod, "generate_with_annotations", sabotaged)
-    import csmulgen.vhdl as vhdl_mod
-    for module in (cli_mod, vhdl_mod):  # let the defect past both checks
-        monkeypatch.setattr(module, "validate", lambda nl: ValidationReport())
+    from csmulgen.netlist import DFF
+    _generate_sabotaged(monkeypatch, lambda nl: drop_dff(
+        nl, next(p for p in nl.primitives if p.kind == DFF)))
+    _bypass_validation(monkeypatch)
     assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
                    "--verify", "off", "--out-dir", str(tmp_path)) == 2
     assert "register" in capsys.readouterr().err
+
+
+def test_out_of_order_netlist_after_validation_exits_2(tmp_path, monkeypatch, capsys):
+    """With `validate` bypassed, `analyze`'s own order check still
+    stops the job with exit 2."""
+    _generate_sabotaged(monkeypatch, _reverse_primitives)
+    _bypass_validation(monkeypatch)
+    assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
+                   "--verify", "off", "--out-dir", str(tmp_path)) == 2
+    assert "is read before its driver" in capsys.readouterr().err
 
 
 def test_sim_error_after_validation_exits_3(tmp_path, monkeypatch, capsys):
@@ -185,26 +212,23 @@ def test_sim_error_after_validation_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_miswired_skew_chain_fails_verification(tmp_path, monkeypatch, capsys):
-    """Swap the readers of two depth-1 DFF taps that carry partial
-    products of different column weight.  Every path keeps its register
-    count, so validate finds nothing; only simulation can catch it."""
+    """Cross the last output-deskew registers of product bits 0 and 1.
+    Both sit at the same register depth and the netlist stays in
+    dependency order, so validate finds nothing; only simulation can
+    catch it.  On 4x4p every other same-depth register swap either
+    breaks the order, which validate reports, or leaves the product
+    unchanged."""
     import csmulgen.cli as cli_mod
     from csmulgen.mulgen import GeneratorConfig, generate_with_annotations
-    from csmulgen.netlist import AND2, DFF, validate
+    from csmulgen.netlist import DFF, analyze, validate
 
     nl, ann = generate_with_annotations(GeneratorConfig(4, 4, True))
-    ands = {p.outputs[0]: p for p in nl.primitives if p.kind == AND2}
-    weight = {}  # DFF output -> column weight of the partial product it delays
-    for p in nl.primitives:
-        if p.kind == DFF and p.inputs[0] in ands:
-            x, y = ands[p.inputs[0]].inputs
-            weight[p.outputs[0]] = nl.input_a.index(x) + nl.input_b.index(y)
-    q1 = next(iter(weight))
-    q2 = next(q for q in weight if weight[q] != weight[q1])
-    swap = {q1: q2, q2: q1}
-    for p in nl.primitives:
-        p.inputs = [swap.get(s, s) for s in p.inputs]
-    nl.output_p = [swap.get(s, s) for s in nl.output_p]
+    q1, q2 = nl.output_p[:2]
+    dff_outputs = {p.outputs[0] for p in nl.primitives if p.kind == DFF}
+    assert {q1, q2} <= dff_outputs
+    an = analyze(nl)
+    assert an.reg_min[q1] == an.reg_min[q2] == 6
+    nl.output_p[:2] = [q2, q1]
     assert validate(nl).findings == []
 
     monkeypatch.setattr(cli_mod, "generate_with_annotations", lambda cfg: (nl, ann))

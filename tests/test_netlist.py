@@ -2,7 +2,7 @@ import pytest
 
 from csmulgen.netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
-    Netlist, NetlistError, UnbalancedPathError,
+    Netlist, NetlistError, OutOfOrderError, UnbalancedPathError,
     analyze, compute_latency, max_stage_depth, validate,
 )
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
@@ -69,9 +69,10 @@ def test_combinational_cycle_reported():
     nl.primitives[0].inputs[0] = s1  # s0 depends on s1 depends on s0
     nl.output_p = [s0, s1]
     report = validate(nl)
-    assert "combinational-cycle" in [f.code for f in report.errors]
+    assert [(f.code, f.message) for f in report.errors] == [
+        ("out-of-order", f"primitive 0 (and2) input 0 (s{s1}) is read before its driver")]
     assert report.analysis is None
-    with pytest.raises(NetlistError):
+    with pytest.raises(OutOfOrderError):
         analyze(nl)
 
 
@@ -106,18 +107,6 @@ def test_full_adder_counts_two_gate_units():
     nl.output_p = [s, c, a]
     by_id = analyze(nl).depth
     assert by_id[s] == 3  # and (1) + fa (2)
-
-
-def test_levelize_independent_of_insertion_order():
-    nl = generate_multiplier(GeneratorConfig(3, 3, False))
-    base = analyze(nl).depth
-    shuffled = Netlist(
-        width_a=nl.width_a, width_b=nl.width_b,
-        input_a=nl.input_a, input_b=nl.input_b, output_p=nl.output_p,
-        clock=nl.clock, primitives=list(reversed(nl.primitives)),
-        pipelined=nl.pipelined, signal_count=nl.signal_count, terminated=nl.terminated)
-    again = analyze(shuffled).depth
-    assert base == again
 
 
 def test_pipelined_8x8_stage_depth_at_most_two():
@@ -171,16 +160,17 @@ def test_every_duplicated_dff_fails_validation():
     positions = [i for i, p in enumerate(base.primitives) if p.kind == DFF]
     for pos in positions:
         nl = generate_multiplier(GeneratorConfig(4, 4, True))
-        dff = nl.primitives[pos]
-        (q,) = nl.add_primitive(DFF, dff.outputs)  # a second register in series
-        q_old = dff.outputs[0]
-        for prim in nl.primitives[:-1]:
+        q_old = nl.primitives[pos].outputs[0]
+        (q,) = nl.add_primitive(DFF, [q_old])  # a second register in series
+        second = nl.primitives.pop()
+        for prim in nl.primitives:
             prim.inputs = [q if s == q_old else s for s in prim.inputs]
+        nl.primitives.insert(pos + 1, second)  # right after the one it doubles
         nl.output_p = [q if s == q_old else s for s in nl.output_p]
         assert unbalanced_findings(nl), f"doubling DFF {pos} went unnoticed"
 
 
-def test_register_loop_is_unbalanced_not_a_combinational_cycle():
+def test_register_loop_is_out_of_order():
     nl = Netlist.create(1, 1)
     nl.pipelined = True
     nl.add_clock()
@@ -189,31 +179,30 @@ def test_register_loop_is_unbalanced_not_a_combinational_cycle():
     s, c = nl.add_primitive(HALF_ADDER, [q, q])
     nl.primitives[1].inputs[0] = s  # q now feeds back on itself through s
     nl.output_p = [s, c]
-    codes = [f.code for f in validate(nl).errors]
-    assert "combinational-cycle" not in codes
-    assert "unbalanced-registers" in codes
+    assert [(f.code, f.message) for f in validate(nl).errors] == [
+        ("out-of-order", f"primitive 1 (dff) input 0 (s{s}) is read before its driver")]
     from csmulgen.sim import verify_random
     with pytest.raises(NetlistError):
         verify_random(nl, 4, seed=1)
 
 
-def test_analysis_of_shuffled_pipelined_netlist_matches():
+def test_shuffled_pipelined_netlist_is_rejected():
+    """Dependency order is part of the IR: a shuffled netlist fails
+    validation, and every library entry point refuses to analyse it
+    rather than return a product."""
     import random
+    from csmulgen.sim import initial_state, run_to_output, verify_exhaustive, verify_random
     nl = generate_multiplier(GeneratorConfig(5, 7, True))
-    base = analyze(nl)
-    prims = list(nl.primitives)
-    random.Random(1).shuffle(prims)
-    shuffled = Netlist(
-        width_a=nl.width_a, width_b=nl.width_b,
-        input_a=nl.input_a, input_b=nl.input_b, output_p=nl.output_p,
-        clock=nl.clock, primitives=prims,
-        pipelined=nl.pipelined, signal_count=nl.signal_count, terminated=nl.terminated)
-    again = analyze(shuffled)
-    assert again.order != base.order  # the fallback sort really ran
-    assert (again.depth, again.reg_min, again.reg_max) == \
-        (base.depth, base.reg_min, base.reg_max)
-    assert len(set(base.reg_min[b] for b in nl.output_p)) == 1
-    assert validate(shuffled).findings == []
+    random.Random(1).shuffle(nl.primitives)
+    report = validate(nl)
+    assert [f.code for f in report.findings] == ["out-of-order"]
+    assert report.analysis is None
+    for call in (analyze, compute_latency, verify_exhaustive,
+                 lambda nl: verify_random(nl, 4, seed=1),
+                 lambda nl: run_to_output(nl, 3, 5),
+                 lambda nl: initial_state(nl, 3, 5)):
+        with pytest.raises(OutOfOrderError):
+            call(nl)
 
 
 def _netlist_with_every_defect():
@@ -224,7 +213,7 @@ def _netlist_with_every_defect():
     nl.primitives[-1].inputs.append(a1)                    # arity mismatch
     nl.add_primitive(AND2, [a1, b1])                       # unread
     (s_loop,) = nl.add_primitive(AND2, [a0, b1])
-    nl.primitives[-1].inputs[1] = s_loop                   # self-loop, cycle
+    nl.primitives[-1].inputs[1] = s_loop                   # reads itself: out of order
     nl.add_primitive(AND2, [a1, b0])
     nl.primitives[-1].outputs[0] = b1                      # drives a port bit
     (s_twice,) = nl.add_primitive(AND2, [a0, b0])
@@ -239,11 +228,11 @@ def _netlist_with_every_defect():
 
 
 def test_every_defect_gives_exact_findings_in_order():
-    findings = [(f.severity, f.code, f.message)
-                for f in validate(_netlist_with_every_defect()).findings]
+    report = validate(_netlist_with_every_defect())
+    assert not report.is_valid() and report.analysis is None
+    findings = [(f.severity, f.code, f.message) for f in report.findings]
     assert findings == [
         ("error", "arity-mismatch", "primitive 0 (and2) has 3 inputs and 1 outputs"),
-        ("error", "self-loop", "primitive 2 (and2) output s6 is also one of its inputs"),
         ("error", "multiple-drivers", "port bit s3 is driven by a primitive"),
         ("error", "multiple-drivers", "signal s8 has 2 drivers"),
         ("error", "undriven-input", "primitive 6 (and2) input 0 (s10) has no driver"),
@@ -252,7 +241,7 @@ def test_every_defect_gives_exact_findings_in_order():
         ("error", "terminated-but-read",
          "signal s11 is declared terminated but has readers"),
         ("warning", "unread-signal", "internal signal s12 drives nothing"),
-        ("error", "combinational-cycle", "combinational primitives form a cycle"),
+        ("error", "out-of-order", "primitive 2 (and2) input 1 (s6) is read before its driver"),
         ("error", "clock-consistency", "pipelined=False but dffs=1, clock=absent"),
         ("error", "output-width", "output has 3 bits, expected 4"),
     ]

@@ -127,14 +127,14 @@ def test_streamed_pass_matches_step_cycle(n, k, drop, drop_dff):
     initial_state/step_cycle oracle at every cycle."""
     import random
     from csmulgen import sim
-    from csmulgen.netlist import DFF, analyze
+    from csmulgen.netlist import DFF
     nl = generate_multiplier(GeneratorConfig(n, k, True))
     if drop:
         dffs = [p for p in nl.primitives if p.kind == DFF]
         drop_dff(nl, dffs[len(dffs) // 2])
     rng = random.Random(n * 16 + k)
     feed = [(rng.getrandbits(n), rng.getrandbits(k)) for _ in range(40)]
-    values = sim._stream(nl, analyze(nl), sim._lane_masks([a for a, _ in feed], n),
+    values = sim._stream(nl, sim._lane_masks([a for a, _ in feed], n),
                          sim._lane_masks([b for _, b in feed], k), len(feed))
     state = initial_state(nl, *feed[0])
     for t, (a, b) in enumerate(feed):
