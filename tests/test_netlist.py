@@ -109,6 +109,42 @@ def test_full_adder_counts_two_gate_units():
     assert by_id[s] == 3  # and (1) + fa (2)
 
 
+def _dependency_order(nl, rng):
+    """The same primitives in another dependency order: each still comes
+    after the drivers of its inputs, ties broken by `rng`."""
+    driver = {s: i for i, p in enumerate(nl.primitives) for s in p.outputs}
+    waits = [sum(1 for s in p.inputs if s in driver) for p in nl.primitives]
+    readers = [[] for _ in nl.primitives]
+    for i, p in enumerate(nl.primitives):
+        for s in p.inputs:
+            if s in driver:
+                readers[driver[s]].append(i)
+    ready = [i for i, w in enumerate(waits) if w == 0]
+    order = []
+    while ready:
+        i = ready.pop(rng.randrange(len(ready)))
+        order.append(nl.primitives[i])
+        for r in readers[i]:
+            waits[r] -= 1
+            if waits[r] == 0:
+                ready.append(r)
+    assert len(order) == len(nl.primitives)
+    return Netlist(
+        width_a=nl.width_a, width_b=nl.width_b,
+        input_a=nl.input_a, input_b=nl.input_b, output_p=nl.output_p,
+        clock=nl.clock, primitives=order,
+        pipelined=nl.pipelined, signal_count=nl.signal_count, terminated=nl.terminated)
+
+
+def test_levelize_independent_of_insertion_order():
+    import random
+    nl = generate_multiplier(GeneratorConfig(3, 3, False))
+    base = analyze(nl).depth
+    shuffled = _dependency_order(nl, random.Random(0))
+    assert shuffled.primitives != nl.primitives
+    assert analyze(shuffled).depth == base
+
+
 def test_pipelined_8x8_stage_depth_at_most_two():
     nl = generate_multiplier(GeneratorConfig(8, 8, True))
     assert max_stage_depth(nl) <= 2
@@ -184,6 +220,19 @@ def test_register_loop_is_out_of_order():
     from csmulgen.sim import verify_random
     with pytest.raises(NetlistError):
         verify_random(nl, 4, seed=1)
+
+
+def test_analysis_of_shuffled_pipelined_netlist_matches():
+    import random
+    nl = generate_multiplier(GeneratorConfig(5, 7, True))
+    base = analyze(nl)
+    shuffled = _dependency_order(nl, random.Random(1))
+    assert shuffled.primitives != nl.primitives
+    again = analyze(shuffled)
+    assert (again.depth, again.reg_min, again.reg_max) == \
+        (base.depth, base.reg_min, base.reg_max)
+    assert len(set(base.reg_min[b] for b in nl.output_p)) == 1
+    assert validate(shuffled).findings == []
 
 
 def test_shuffled_pipelined_netlist_is_rejected():
