@@ -7,7 +7,7 @@ the full exhaustive sweep.
 
 from csmulgen import (
     GeneratorConfig, compute_latency, generate_multiplier,
-    run_to_output, validate, verify_exhaustive,
+    simulate, validate, verify_exhaustive,
 )
 
 cfg = GeneratorConfig(width_a=4, width_b=4, pipelined=False)
@@ -18,8 +18,9 @@ print(f"4x4 multiplier: {len(nl.primitives)} primitives, "
 print(f"validation findings: {len(validate(nl).findings)}")
 print(f"critical path: {compute_latency(nl).gate_units} gate units")
 
-for a, b in [(0, 0), (3, 5), (15, 15), (9, 11)]:
-    print(f"  {a:2d} * {b:2d} = {run_to_output(nl, a, b)}")
+pairs = [(0, 0), (3, 5), (15, 15), (9, 11)]
+for (a, b), product in zip(pairs, simulate(nl, pairs)):
+    print(f"  {a:2d} * {b:2d} = {product}")
 
 report = verify_exhaustive(nl)
 print(report.to_text())

@@ -8,7 +8,7 @@ streams a burst of operand pairs through the pipe.
 
 from csmulgen import GeneratorConfig, generate_multiplier
 from csmulgen.netlist import analyze, compute_latency, max_stage_depth
-from csmulgen.sim import initial_state, step_cycle
+from csmulgen.sim import simulate
 
 nl = generate_multiplier(GeneratorConfig(8, 8, pipelined=True))
 an = analyze(nl)
@@ -20,12 +20,6 @@ print(f"worst logic depth between registers: {max_stage_depth(nl, analysis=an)} 
 
 feed = [(53, 23), (255, 255), (0, 77), (128, 2), (99, 101), (17, 34)]
 print("streaming one pair per cycle:")
-state = initial_state(nl, *feed[0])
-for cycle in range(1, latency + len(feed)):
-    a, b = feed[min(cycle, len(feed) - 1)]
-    state = step_cycle(nl, state, a, b)
-    if cycle >= latency:
-        a0, b0 = feed[cycle - latency]
-        got = state.output_value(nl)
-        mark = "ok" if got == a0 * b0 else "WRONG"
-        print(f"  cycle {cycle:2d}: {a0:3d} * {b0:3d} -> {got:5d}  {mark}")
+for t, ((a, b), got) in enumerate(zip(feed, simulate(nl, feed, analysis=an))):
+    mark = "ok" if got == a * b else "WRONG"
+    print(f"  cycle {t + latency:2d}: {a:3d} * {b:3d} -> {got:5d}  {mark}")

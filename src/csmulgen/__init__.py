@@ -11,11 +11,7 @@ from .mulgen import (
 )
 from .metrics import MetricsReport, compute_metrics, render_json
 from .netlist import LatencyInfo, Netlist, ValidationReport, compute_latency, validate
-from .sim import (
-    OperandValue, VerificationReport,
-    initial_state, run_to_output, step_cycle,
-    verify_exhaustive, verify_random,
-)
+from .sim import OperandValue, VerificationReport, simulate, verify_exhaustive, verify_random
 from .tbgen import TestbenchPlan, TestVector, emit_testbench, generate_vectors, make_plan
 from .vhdl import EmitterOptions, emit_vhdl
 
@@ -27,6 +23,6 @@ __all__ = [
     "ValidationReport", "VerificationReport", "EmitterOptions",
     "compute_latency", "compute_metrics", "emit_testbench", "emit_vhdl",
     "generate_multiplier", "generate_vectors", "generate_with_annotations",
-    "initial_state", "make_plan", "render_json", "step_cycle",
-    "run_to_output", "validate", "verify_exhaustive", "verify_random",
+    "make_plan", "render_json", "simulate", "validate",
+    "verify_exhaustive", "verify_random",
 ]

@@ -4,7 +4,9 @@ Values are plain Python integers used as lane vectors: bit t of a
 signal's value is that signal's logic level in clock cycle t, and a
 register's output is its input one lane up.  So one pass over the
 primitives, which a netlist keeps in dependency order, simulates every
-cycle, with a new input pair in each.  AND/XOR/majority on big
+cycle from reset, with a new input pair in each.  `simulate` returns
+the products of such a stream, and the verify functions compare them
+with a*b; one vector is the one-lane case.  AND/XOR/majority on big
 integers make exhaustive sweeps cheap without any extra machinery.
 """
 
@@ -15,7 +17,7 @@ import random
 
 from .netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
-    Analysis, Netlist, analyze, compute_latency,
+    Analysis, Netlist, compute_latency,
 )
 
 EXHAUSTIVE_GUARD_BITS = 24
@@ -36,35 +38,20 @@ class OperandValue:
         if self.value < 0 or self.value >> self.width:
             raise ValueError(f"{self.value} does not fit in {self.width} bits")
 
-    @property
-    def bits(self):
-        return [(self.value >> i) & 1 for i in range(self.width)]
-
     def bitstring(self):
         """MSB-first rendering, zero-extended to the full width."""
         return format(self.value, f"0{self.width}b")
 
 
-@dataclass(slots=True)
-class SimState:
-    """Settled signal values after some number of clock edges."""
-
-    values: list  # signal id -> lane vector
-
-    def output_value(self, nl: Netlist):
-        return sum((self.values[b] & 1) << j for j, b in enumerate(nl.output_p))
-
-
 def _settle(nl, values, mask):
     """Evaluate every primitive of `nl` once, in list order, over the lanes
-    in `mask`: a register's output is its input one lane up, lane 0 its
-    held value."""
+    in `mask`: a register's output is its input one lane up, and lane 0,
+    the reset cycle, is 0."""
     for prim in nl.primitives:
         k = prim.kind
         ins = prim.inputs
         if k == DFF:
-            q = prim.outputs[0]
-            values[q] = ((values[ins[0]] << 1) | (values[q] & 1)) & mask
+            values[prim.outputs[0]] = (values[ins[0]] << 1) & mask
         elif k == FULL_ADDER:
             a, b, c = values[ins[0]], values[ins[1]], values[ins[2]]
             s_out, c_out = prim.outputs
@@ -82,55 +69,52 @@ def _settle(nl, values, mask):
             values[prim.outputs[0]] = 0
 
 
-def _stream(nl, a_masks, b_masks, lanes):
-    """Values over clock cycles 0 .. lanes - 1 from reset; lane t of the
-    input masks holds the inputs of cycle t.  `nl` must have passed
-    `analyze`, which checks its order."""
+def _stream(nl, a_masks, b_masks, cycles, latency):
+    """Output-bit lane masks of `cycles` input cycles streamed from reset:
+    lane t of the input masks holds the inputs of cycle t, and lane t of
+    output mask j is product bit j in cycle t + latency.  `nl` must have
+    passed `analyze`, which checks its order."""
     values = [0] * nl.signal_count
     for sig, v in zip(nl.input_a + nl.input_b, a_masks + b_masks):
         values[sig] = v
-    _settle(nl, values, (1 << lanes) - 1)
-    return values
+    _settle(nl, values, (1 << (cycles + latency)) - 1)
+    return [values[bit] >> latency for bit in nl.output_p]
 
 
-def _operand_lane_bits(nl, a, b):
-    a = a if isinstance(a, OperandValue) else OperandValue(a, nl.width_a)
-    b = b if isinstance(b, OperandValue) else OperandValue(b, nl.width_b)
-    if a.width != nl.width_a or b.width != nl.width_b:
-        raise SimError(f"operand widths {a.width}x{b.width} do not match "
-                       f"netlist {nl.width_a}x{nl.width_b}")
-    return a.bits, b.bits
+def _lane_masks(words, width):
+    """Bit-sliced view of per-lane words: mask i holds bit i of every
+    word, word t at bit t.  No words give all-zero masks."""
+    text = "".join(map(f"{{:0{width}b}}".format, reversed(words)))
+    return [int(text[width - 1 - i::width] or "0", 2) for i in range(width)]
 
 
-def initial_state(nl: Netlist, a, b) -> SimState:
-    """Cycle-0 state: registers all zero, then settle.  Raises
-    OutOfOrderError, through `analyze`, on a netlist out of order."""
-    analyze(nl)
-    return SimState(values=_stream(nl, *_operand_lane_bits(nl, a, b), 1))
+def _lane(masks, t):
+    """Word t of the bit-sliced `masks`: the inverse of `_lane_masks`."""
+    return sum(((m >> t) & 1) << j for j, m in enumerate(masks))
 
 
-def step_cycle(nl: Netlist, state: SimState, a, b) -> SimState:
-    """One rising clock edge: registers latch simultaneously, then the
-    combinational regions settle with the (possibly new) inputs.
-    Lane 0 streams the state's own cycle, lane 1 the next."""
-    if not nl.pipelined:
-        raise SimError("step_cycle requires a pipelined netlist")
-    values = list(state.values)
-    a_bits, b_bits = _operand_lane_bits(nl, a, b)
-    for sig, bit in zip(nl.input_a + nl.input_b, a_bits + b_bits):
-        values[sig] |= bit << 1
-    _settle(nl, values, 0b11)
-    return SimState(values=[v >> 1 for v in values])
+def _products(nl, pairs, analysis):
+    """Output-bit lane masks of the (a, b) pairs streamed through `nl`,
+    pair t entering in clock cycle t: lane t holds the product pair t
+    leaves with, L cycles later."""
+    for a, b in pairs:
+        if a < 0 or b < 0 or a >> nl.width_a or b >> nl.width_b:
+            raise SimError(f"pair {a} x {b} does not fit the "
+                           f"{nl.width_a}x{nl.width_b} operand ports")
+    latency = compute_latency(nl, analysis=analysis).cycles or 0
+    a_masks = _lane_masks([a for a, _ in pairs], nl.width_a)
+    b_masks = _lane_masks([b for _, b in pairs], nl.width_b)
+    return _stream(nl, a_masks, b_masks, len(pairs), latency)
 
 
-def run_to_output(nl: Netlist, a, b) -> int:
-    """Simulated product of one pair held for latency + 1 cycles."""
-    latency = compute_latency(nl).cycles or 0
-    held = (1 << (latency + 1)) - 1
-    a_bits, b_bits = _operand_lane_bits(nl, a, b)
-    values = _stream(nl, [x * held for x in a_bits], [x * held for x in b_bits],
-                     latency + 1)
-    return sum(((values[bit] >> latency) & 1) << j for j, bit in enumerate(nl.output_p))
+def simulate(nl: Netlist, pairs, *, analysis: Analysis | None = None) -> list[int]:
+    """Products of the (a, b) pairs streamed through `nl` from reset,
+    pair t entering in clock cycle t and leaving L cycles later, L being
+    the latency (0 when combinational).  One product is
+    `simulate(nl, [(a, b)])[0]`.  Analyses `nl` unless given `analysis`,
+    and raises as `verify_pairs` does."""
+    got = _products(nl, pairs, analysis)
+    return [_lane(got, t) for t in range(len(pairs))]
 
 
 @dataclass(slots=True)
@@ -148,20 +132,12 @@ class VerificationReport:
                 f"got {c['got']} ({self.mode}, after {self.tested} vectors)")
 
 
-def _lane_masks(words, width):
-    """Bit-sliced view of per-lane words: mask i holds bit i of every
-    word, word t at bit t."""
-    text = "".join(format(w, f"0{width}b") for w in reversed(words))
-    return [int(text[width - 1 - i::width], 2) for i in range(width)]
-
-
-def _check_lanes(nl, values, latency, pairs, mode, tested_before=0):
-    """Compare the output of every pair with a*b, whole masks at a time;
-    pair t's product is in lane t + latency.
+def _check_lanes(nl, got, pairs, mode, tested_before=0):
+    """Compare the output-bit masks `got`, in which lane t holds pair t's
+    product, with a*b for every pair, whole masks at a time.
 
     Returns a failing report for the first wrong pair, or None.
     """
-    got = [values[b] >> latency for b in nl.output_p]
     width = max(len(got), nl.width_a + nl.width_b)
     got += [0] * (width - len(got))
     want = _lane_masks([a * b for a, b in pairs], width)
@@ -175,7 +151,7 @@ def _check_lanes(nl, values, latency, pairs, mode, tested_before=0):
     return VerificationReport(
         passed=False, tested=tested_before + lane, mode=mode,
         counterexample={"a": a, "b": b, "expected": a * b,
-                        "got": sum(((m >> lane) & 1) << j for j, m in enumerate(got))})
+                        "got": _lane(got, lane)})
 
 
 def verify_pairs(nl: Netlist, pairs, mode: str, *,
@@ -185,20 +161,11 @@ def verify_pairs(nl: Netlist, pairs, mode: str, *,
 
     The verify functions take an optional `analysis` of `nl` (as from
     `ValidationReport.analysis`) and analyse `nl` themselves without one.
-    They raise UnbalancedPathError when any output bit's paths disagree.
+    They raise UnbalancedPathError when any output bit's paths disagree,
+    and OutOfOrderError on a netlist out of order, even with no pairs.
     A pair that is negative or wider than its port raises SimError.
     """
-    for a, b in pairs:
-        if a < 0 or b < 0 or a >> nl.width_a or b >> nl.width_b:
-            raise SimError(f"pair {a} x {b} does not fit the "
-                           f"{nl.width_a}x{nl.width_b} operand ports")
-    if not pairs:
-        return VerificationReport(passed=True, tested=0, mode=mode)
-    latency = compute_latency(nl, analysis=analysis).cycles or 0
-    a_masks = _lane_masks([a for a, _ in pairs], nl.width_a)
-    b_masks = _lane_masks([b for _, b in pairs], nl.width_b)
-    values = _stream(nl, a_masks, b_masks, len(pairs) + latency)
-    return (_check_lanes(nl, values, latency, pairs, mode)
+    return (_check_lanes(nl, _products(nl, pairs, analysis), pairs, mode)
             or VerificationReport(passed=True, tested=len(pairs), mode=mode))
 
 
@@ -216,9 +183,9 @@ def verify_exhaustive(nl: Netlist, *,
     for base in range(0, total, chunk):
         a_masks = [_pattern(i, chunk, base) for i in range(n)]
         b_masks = [_pattern(n + i, chunk, base) for i in range(k)]
-        values = _stream(nl, a_masks, b_masks, chunk + latency)
+        got = _stream(nl, a_masks, b_masks, chunk, latency)
         pairs = [((base + t) & ((1 << n) - 1), (base + t) >> n) for t in range(chunk)]
-        bad = _check_lanes(nl, values, latency, pairs, "exhaustive", tested)
+        bad = _check_lanes(nl, got, pairs, "exhaustive", tested)
         if bad is not None:
             return bad
         tested += chunk

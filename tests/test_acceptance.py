@@ -15,9 +15,7 @@ from csmulgen.mulgen import (
 from csmulgen.netlist import (
     AND2, DFF, FULL_ADDER, Netlist, analyze, compute_latency, max_stage_depth, validate,
 )
-from csmulgen.sim import (
-    initial_state, run_to_output, step_cycle, verify_exhaustive, verify_random,
-)
+from csmulgen.sim import simulate, verify_exhaustive, verify_random
 from csmulgen import tbgen
 from csmulgen.vhdl import emit_vhdl
 from csmulgen.cli import main as cli_main
@@ -91,21 +89,11 @@ def test_criterion_4_pipeline_properties(report):
         ok = ok and compute_latency(nl).cycles == latency
 
         a, b = (1 << n) - 1, (1 << k) - 1
-        state = initial_state(nl, a, b)
-        for _ in range(latency):
-            state = step_cycle(nl, state, a, b)
-        ok = ok and state.output_value(nl) == a * b
+        ok = ok and simulate(nl, [(a, b)] * (latency + 1)) == [a * b] * (latency + 1)
 
         feed = [(i * 7 + 3) % (1 << n) for i in range(latency + 5)]
         feed = [(x, (x * 5 + 1) % (1 << k)) for x in feed]
-        state = initial_state(nl, *feed[0])
-        got = []
-        for cycle in range(1, len(feed)):
-            state = step_cycle(nl, state, *feed[cycle])
-            if cycle >= latency:
-                got.append(state.output_value(nl))
-        want = [x * y for x, y in feed[:len(got)]]
-        ok = ok and got == want
+        ok = ok and simulate(nl, feed) == [x * y for x, y in feed]
 
         ok = ok and max_stage_depth(nl) <= 2
     report(4, "pipeline latency, streaming and stage depth", ok)

@@ -240,7 +240,7 @@ def test_shuffled_pipelined_netlist_is_rejected():
     validation, and every library entry point refuses to analyse it
     rather than return a product."""
     import random
-    from csmulgen.sim import initial_state, run_to_output, verify_exhaustive, verify_random
+    from csmulgen.sim import simulate, verify_exhaustive, verify_pairs, verify_random
     nl = generate_multiplier(GeneratorConfig(5, 7, True))
     random.Random(1).shuffle(nl.primitives)
     report = validate(nl)
@@ -248,8 +248,9 @@ def test_shuffled_pipelined_netlist_is_rejected():
     assert report.analysis is None
     for call in (analyze, compute_latency, verify_exhaustive,
                  lambda nl: verify_random(nl, 4, seed=1),
-                 lambda nl: run_to_output(nl, 3, 5),
-                 lambda nl: initial_state(nl, 3, 5)):
+                 lambda nl: simulate(nl, [(3, 5)]),
+                 lambda nl: simulate(nl, []),
+                 lambda nl: verify_pairs(nl, [], "x")):
         with pytest.raises(OutOfOrderError):
             call(nl)
 

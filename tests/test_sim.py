@@ -4,15 +4,14 @@ from hypothesis import given, settings, strategies as st
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
 from csmulgen.netlist import DFF, UnbalancedPathError
 from csmulgen.sim import (
-    OperandValue, SimError, initial_state, run_to_output,
-    step_cycle, verify_exhaustive, verify_pairs, verify_random,
+    OperandValue, SimError, VerificationReport,
+    simulate, verify_exhaustive, verify_pairs, verify_random,
 )
 
 
 def test_operand_value_round_trip():
     v = OperandValue(53, 8)
     assert v.bitstring() == "00110101"
-    assert v.bits == [1, 0, 1, 0, 1, 1, 0, 0]
 
 
 def test_operand_value_rejects_out_of_range():
@@ -23,37 +22,28 @@ def test_operand_value_rejects_out_of_range():
 
 
 def test_initial_state_settles_2x2_all_pairs():
+    """One vector from reset is the one-lane case of `simulate`."""
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
     for a in range(4):
         for b in range(4):
-            state = initial_state(nl, a, b)
-            assert state.output_value(nl) == a * b
+            assert simulate(nl, [(a, b)]) == [a * b]
 
 
-def test_pipelined_output_appears_after_latency_cycles():
+def test_pipelined_output_appears_after_latency_cycles(reference_outputs):
+    """A pair held on the ports gives its product from cycle L on, and
+    the reference sees only the reset value before that."""
     from csmulgen.netlist import compute_latency
     nl = generate_multiplier(GeneratorConfig(4, 4, True))
     latency = compute_latency(nl).cycles
-    a, b = 13, 11
-    state = initial_state(nl, a, b)
-    for _ in range(latency):
-        state = step_cycle(nl, state, a, b)
-    assert state.output_value(nl) == a * b
+    held = [(13, 11)] * (latency + 1)
+    assert simulate(nl, held) == [13 * 11] * (latency + 1)
+    assert reference_outputs(nl, held, latency + 1) == [0] * latency + [13 * 11]
 
 
 def test_pipeline_streams_one_result_per_cycle():
-    from csmulgen.netlist import compute_latency
     nl = generate_multiplier(GeneratorConfig(4, 4, True))
-    latency = compute_latency(nl).cycles
     feed = [(3, 5), (15, 15), (0, 9), (7, 7), (12, 1), (6, 13)]
-    state = initial_state(nl, *feed[0])
-    results = []
-    for cycle in range(1, latency + len(feed)):
-        a, b = feed[min(cycle, len(feed) - 1)]
-        state = step_cycle(nl, state, a, b)
-        if cycle >= latency:
-            results.append(state.output_value(nl))
-    assert results == [a * b for a, b in feed]
+    assert simulate(nl, feed) == [a * b for a, b in feed]
 
 
 def test_verify_exhaustive_4x4():
@@ -115,33 +105,64 @@ def test_simulator_matches_python_product(n, k, data):
     a = data.draw(st.integers(0, 2 ** n - 1))
     b = data.draw(st.integers(0, 2 ** k - 1))
     nl = generate_multiplier(GeneratorConfig(n, k, False))
-    assert run_to_output(nl, a, b) == a * b
+    assert simulate(nl, [(a, b)]) == [a * b]
 
 
 @pytest.mark.parametrize("n, k, drop", [
     (3, 3, False), (4, 4, False), (5, 7, False), (8, 8, False), (4, 4, True),
 ])
-def test_streamed_pass_matches_step_cycle(n, k, drop, drop_dff):
+def test_streamed_pass_matches_step_cycle(n, k, drop, drop_dff, reference_outputs):
     """Lane t of one streamed pass is clock cycle t: with a new input
-    pair every cycle, every output bit agrees with the one-lane
-    initial_state/step_cycle oracle at every cycle."""
+    pair every cycle, the output word agrees with the scalar reference,
+    stepped one clock cycle at a time, at every cycle.  That holds for
+    a netlist with a register dropped too, which `simulate` refuses."""
     import random
     from csmulgen import sim
-    from csmulgen.netlist import DFF
     nl = generate_multiplier(GeneratorConfig(n, k, True))
     if drop:
         dffs = [p for p in nl.primitives if p.kind == DFF]
         drop_dff(nl, dffs[len(dffs) // 2])
     rng = random.Random(n * 16 + k)
     feed = [(rng.getrandbits(n), rng.getrandbits(k)) for _ in range(40)]
-    values = sim._stream(nl, sim._lane_masks([a for a, _ in feed], n),
-                         sim._lane_masks([b for _, b in feed], k), len(feed))
-    state = initial_state(nl, *feed[0])
-    for t, (a, b) in enumerate(feed):
-        if t:
-            state = step_cycle(nl, state, a, b)
-        assert [(values[bit] >> t) & 1 for bit in nl.output_p] == \
-            [state.values[bit] for bit in nl.output_p], f"cycle {t}"
+    got = sim._stream(nl, sim._lane_masks([a for a, _ in feed], n),
+                      sim._lane_masks([b for _, b in feed], k), len(feed), 0)
+    for t, want in enumerate(reference_outputs(nl, feed, len(feed))):
+        assert sim._lane(got, t) == want, f"cycle {t}"
+
+
+@pytest.mark.parametrize("n, k, nth", [(4, 4, 0), (4, 4, -1), (5, 7, 0), (5, 7, 7)])
+def test_simulate_matches_reference_on_a_miswired_adder(n, k, nth, reference_outputs):
+    """With a full adder's sum and carry swapped, `simulate` still
+    returns what the circuit computes: the reference's output words at
+    cycles L .. L + len(feed) - 1."""
+    import random
+    from csmulgen.netlist import FULL_ADDER, compute_latency
+    nl = generate_multiplier(GeneratorConfig(n, k, True))
+    victim = [p for p in nl.primitives if p.kind == FULL_ADDER][nth]
+    victim.outputs.reverse()
+    latency = compute_latency(nl).cycles
+    rng = random.Random(nth)
+    feed = [(rng.getrandbits(n), rng.getrandbits(k)) for _ in range(30)]
+    got = simulate(nl, feed)
+    assert got == reference_outputs(nl, feed, latency + len(feed))[latency:]
+    assert got != [a * b for a, b in feed]
+
+
+@pytest.mark.parametrize("width", [1, 8, 512])
+def test_lane_masks_match_a_per_bit_loop(width):
+    import random
+    from csmulgen.sim import _lane_masks
+    rng = random.Random(width)
+    words = [rng.getrandbits(width) for _ in range(37)] + [0, (1 << width) - 1]
+    want = [sum(((w >> i) & 1) << t for t, w in enumerate(words)) for i in range(width)]
+    assert _lane_masks(words, width) == want
+    assert _lane_masks([], width) == [0] * width
+
+
+def test_empty_pair_list_passes_after_analysis():
+    nl = generate_multiplier(GeneratorConfig(5, 7, True))
+    assert simulate(nl, []) == []
+    assert verify_pairs(nl, [], "x") == VerificationReport(passed=True, tested=0, mode="x")
 
 
 def test_verify_random_settles_the_netlist_once(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
 from csmulgen import tbgen
 from csmulgen.netlist import FULL_ADDER, compute_latency
-from csmulgen.sim import run_to_output, verify_random
+from csmulgen.sim import simulate, verify_random
 from csmulgen.tbgen import (
     PlanError, emit_testbench, generate_vectors, make_plan, self_check_plan,
 )
@@ -127,7 +127,7 @@ def swap_fa_outputs(nl, nth):
 def first_failure_per_vector(nl, plan):
     """The per-vector reference: index of the first vector the simulator gets wrong."""
     return next((idx for idx, vec in enumerate(plan.vectors)
-                 if run_to_output(nl, vec.a, vec.b) != vec.expected), None)
+                 if simulate(nl, [(vec.a.value, vec.b.value)])[0] != vec.expected), None)
 
 
 @pytest.mark.parametrize("n,k,pipe", [(8, 8, True), (5, 11, True), (13, 13, False)])
@@ -142,7 +142,7 @@ def test_lane_parallel_self_check_agrees_with_per_vector_runs(n, k, pipe):
         idx = first_failure_per_vector(bad, plan)
         assert idx is not None
         vec = plan.vectors[idx]
-        got = run_to_output(bad, vec.a, vec.b)
+        got = simulate(bad, [(vec.a.value, vec.b.value)])[0]
         with pytest.raises(PlanError, match=rf"^vector {idx}: circuit computes {got},"):
             self_check_plan(bad, plan)
 
