@@ -20,9 +20,7 @@ from .mulgen import (
 )
 from .netlist import NetlistError, validate
 from .sim import EXHAUSTIVE_GUARD_BITS, SimError, verify_exhaustive, verify_random
-from .vhdl import (
-    EmissionError, EmitterOptions, check_identifier, default_entity_name, emit_vhdl,
-)
+from .vhdl import EmissionError, check_identifier, default_entity_name, emit_vhdl
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,12 +127,11 @@ def _verify_and_write(args, cfg, nl, ann, gen_ms, report) -> int:
             return EXIT_VERIFICATION
 
     entity = args.entity_name or default_entity_name(nl)
-    options = EmitterOptions(entity_name=entity)
     try:
-        design_text = emit_vhdl(nl, options, report=report)
+        design_text = emit_vhdl(nl, entity_name=entity, report=report)
         plan = tbgen.make_plan(nl, args.tests, args.seed, analysis=an)
         tbgen.self_check_plan(nl, plan, analysis=an)
-        tb_text = tbgen.emit_testbench(nl, plan, options)
+        tb_text = tbgen.emit_testbench(nl, plan, entity_name=entity)
     except (EmissionError, tbgen.PlanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

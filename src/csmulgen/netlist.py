@@ -3,10 +3,13 @@
 Flat single-bit signals and five primitive kinds (two-input AND, half
 adder, full adder, D flip-flop, constant-zero driver).  A signal is its
 int id, below `Netlist.signal_count`.  Primitives are kept in
-dependency order, each after the drivers of its inputs; `analyze` is
-the one place that checks it.  The analysis of a netlist, and the
-pipeline latency and register balance decided from it, live here too.
-Every other module either builds one of these netlists or consumes one.
+dependency order, each after the drivers of its inputs.  `validate` is
+the one walk over a netlist's pins: it runs every structural check,
+that order included, and computes the analysis on the way; `analyze`
+is its out-of-order gate for callers that want only the analysis.  The
+pipeline latency and register balance decided from the analysis live
+here too.  Every other module either builds one of these netlists or
+consumes one.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ class Netlist:
     Signals are the ids 0 .. signal_count - 1; ports, the clock and
     primitive pins hold signal ids.  Every primitive comes after the
     primitives that drive its inputs, so one walk of `primitives` in
-    list order evaluates the circuit; `analyze` raises OutOfOrderError
-    on a netlist that breaks this.
+    list order evaluates the circuit; `validate` reports a netlist that
+    breaks this as `out-of-order`, and `analyze` raises OutOfOrderError.
 
     Netlists are treated as immutable once a generator returns them;
     the mutating helpers below are for construction only.
@@ -140,60 +143,83 @@ class ValidationReport:
 
 
 def validate(nl: Netlist) -> ValidationReport:
-    """Run every structural check; all problems become report entries.
+    """Run every structural check; all problems become report entries,
+    and the report carries the netlist's analysis.
 
-    Finding order is deterministic: checks run in a fixed sequence and
-    each check walks primitives/signals in id order.  One walk over the
-    primitives counts drivers and marks reads in lists indexed by signal
-    id; the later checks read only those lists.
+    This is the one walk over the pins of `nl.primitives`.  In list
+    order it checks arities, counts the drivers of each signal (a port
+    bit is its own driver), marks reads, computes the `Analysis` lists
+    and records every read of a signal that has no driver yet.  Such a
+    read is `undriven-input` when nothing ever drives the signal, and
+    `out-of-order` when a later primitive does; a loop, through
+    registers or not, always has one of the second kind.  The later
+    checks read only these lists, in a fixed sequence and each in
+    primitive, pin or signal id order, so finding order is
+    deterministic.
     """
     rep = ValidationReport()
     err = lambda code, msg: rep.findings.append(Finding("error", code, msg))
     warn = lambda code, msg: rep.findings.append(Finding("warning", code, msg))
 
     n = nl.signal_count
-    drivers = [0] * n
+    port = bytearray(n)
+    for sig in nl.input_a + nl.input_b + ([nl.clock] if nl.clock is not None else []):
+        port[sig] = 1
+    drivers = list(port)  # a port bit is its own driver
     read = bytearray(n)
-    dff_count = 0
+    dffs = sum(p.kind == DFF for p in nl.primitives)
+    depth = [0] * n
+    reg_min = [0] * n
+    reg_max = [0] * n if dffs else reg_min  # all zero without registers
+    early = []  # (primitive index, pin, signal) read before any driver
+    weight = DEPTH_WEIGHT.get
     for idx, prim in enumerate(nl.primitives):
         ins, outs = prim.inputs, prim.outputs
         if (len(ins), len(outs)) != ARITY[prim.kind]:
             err("arity-mismatch",
                 f"primitive {idx} ({prim.kind}) has {len(ins)} inputs "
                 f"and {len(outs)} outputs")
-        for i in ins:
-            read[i] = 1
+        d = 0
+        for pin, s in enumerate(ins):
+            read[s] = 1
+            if not drivers[s]:
+                early.append((idx, pin, s))
+            if depth[s] > d:
+                d = depth[s]
+        w = weight(prim.kind)
+        d = d + w if w else 0
         for out in outs:
+            depth[out] = d
             drivers[out] += 1
+        if not dffs:
+            continue
+        lo, hi = (reg_min[ins[0]], reg_max[ins[0]]) if ins else (0, 0)
+        for s in ins:
+            if reg_min[s] < lo:
+                lo = reg_min[s]
+            if reg_max[s] > hi:
+                hi = reg_max[s]
         if prim.kind == DFF:
-            dff_count += 1
+            lo += 1
+            hi += 1
+        for out in outs:
+            reg_min[out] = lo
+            reg_max[out] = hi
     for bit in nl.output_p:
         read[bit] = 1
 
-    port = bytearray(n)
-    for sig in nl.input_a + nl.input_b + ([nl.clock] if nl.clock is not None else []):
-        port[sig] = 1
+    for sig, count in enumerate(drivers):
+        if count > 1:
+            err("multiple-drivers", f"port bit s{sig} is driven by a primitive" if port[sig]
+                else f"signal s{sig} has {count} drivers")
 
-    for sig in range(n):
-        if port[sig]:
-            if drivers[sig]:
-                err("multiple-drivers", f"port bit s{sig} is driven by a primitive")
-        elif drivers[sig] > 1:
-            err("multiple-drivers", f"signal s{sig} has {drivers[sig]} drivers")
-
-    def driven(sig):
-        return port[sig] or drivers[sig]
-
-    # The pin walk names what this far cheaper per-signal check finds.
-    if any(r and not (p or d) for r, p, d in zip(read, port, drivers)):
-        for idx, prim in enumerate(nl.primitives):
-            for pos, inp in enumerate(prim.inputs):
-                if not driven(inp):
-                    err("undriven-input",
-                        f"primitive {idx} ({prim.kind}) input {pos} (s{inp}) has no driver")
+    for idx, pin, s in early:
+        if not drivers[s]:
+            err("undriven-input",
+                f"primitive {idx} ({nl.primitives[idx].kind}) input {pin} (s{s}) has no driver")
 
     for j, bit in enumerate(nl.output_p):
-        if not driven(bit):
+        if not drivers[bit]:
             err("undriven-output", f"output bit {j} (s{bit}) has no driver")
 
     for sig in range(n):
@@ -207,19 +233,20 @@ def validate(nl: Netlist) -> ValidationReport:
         if not read[sig] and drivers[sig]:
             warn("unread-signal", f"internal signal s{sig} drives nothing")
 
-    try:
-        an = analyze(nl)
-    except OutOfOrderError as e:
-        err("out-of-order", str(e))
+    late = next(((idx, pin, s) for idx, pin, s in early if drivers[s]), None)
+    if late:
+        idx, pin, s = late
+        err("out-of-order", f"primitive {idx} ({nl.primitives[idx].kind}) input {pin} "
+                            f"(s{s}) is read before its driver")
     else:
-        rep.analysis = an
+        rep.analysis = Analysis(depth=depth, reg_min=reg_min, reg_max=reg_max, netlist=nl)
         for msg in _unbalanced_registers(
-                an, [(j, bit) for j, bit in enumerate(nl.output_p) if driven(bit)]):
+                rep.analysis, [(j, bit) for j, bit in enumerate(nl.output_p) if drivers[bit]]):
             err("unbalanced-registers", msg)
 
-    if nl.pipelined != (dff_count > 0) or nl.pipelined != (nl.clock is not None):
+    if nl.pipelined != (dffs > 0) or nl.pipelined != (nl.clock is not None):
         err("clock-consistency",
-            f"pipelined={nl.pipelined} but dffs={dff_count}, "
+            f"pipelined={nl.pipelined} but dffs={dffs}, "
             f"clock={'present' if nl.clock is not None else 'absent'}")
 
     if len(nl.output_p) != nl.width_a + nl.width_b:
@@ -249,7 +276,7 @@ def _unbalanced_registers(an, bits):
 
 @dataclass(frozen=True, slots=True)
 class Analysis:
-    """What one pass over a netlist's graph tells every consumer.
+    """What `validate`'s one walk over a netlist tells every consumer.
 
     depth: signal id -> combinational depth in gate units.  Input bits,
     constants and DFF outputs sit at 0; AND gates and half adders add
@@ -266,56 +293,17 @@ class Analysis:
 
 
 def analyze(nl: Netlist) -> Analysis:
-    """Gate depth and register depth in one linear pass over `nl.primitives`.
+    """The analysis `validate` computes: `validate(nl).analysis`.
 
-    That pass also checks the netlist's dependency order, and raises
-    OutOfOrderError for the first primitive that reads a signal whose
-    driver comes later.  A loop, through registers or not, always has
-    such a reader.  A signal no primitive drives reads as a source.
+    This is `validate`'s out-of-order gate.  It raises OutOfOrderError,
+    with the message of the `out-of-order` finding, when the netlist is
+    out of dependency order and so has no analysis.  Other findings do
+    not stop it; a signal no primitive drives reads as a source.
     """
-    dffs = sum(p.kind == DFF for p in nl.primitives)
-    n = nl.signal_count
-    depth = [0] * n
-    reg_min = [0] * n
-    reg_max = [0] * n if dffs else reg_min  # all zero without registers
-    driven = bytearray(n)  # port bits and the outputs walked so far
-    for sig in nl.input_a + nl.input_b + ([nl.clock] if nl.clock is not None else []):
-        driven[sig] = 1
-    early = []  # (primitive index, signal) read before any driver
-    weight = DEPTH_WEIGHT.get
-    for idx, prim in enumerate(nl.primitives):
-        ins, outs = prim.inputs, prim.outputs
-        d = 0
-        for s in ins:
-            if not driven[s]:
-                early.append((idx, s))
-            if depth[s] > d:
-                d = depth[s]
-        w = weight(prim.kind)
-        d = d + w if w else 0
-        for out in outs:
-            depth[out] = d
-            driven[out] = 1
-        if not dffs:
-            continue
-        lo, hi = (reg_min[ins[0]], reg_max[ins[0]]) if ins else (0, 0)
-        for s in ins:
-            if reg_min[s] < lo:
-                lo = reg_min[s]
-            if reg_max[s] > hi:
-                hi = reg_max[s]
-        if prim.kind == DFF:
-            lo += 1
-            hi += 1
-        for out in outs:
-            reg_min[out] = lo
-            reg_max[out] = hi
-    for idx, s in early:
-        if driven[s]:
-            prim = nl.primitives[idx]
-            raise OutOfOrderError(f"primitive {idx} ({prim.kind}) input "
-                                  f"{prim.inputs.index(s)} (s{s}) is read before its driver")
-    return Analysis(depth=depth, reg_min=reg_min, reg_max=reg_max, netlist=nl)
+    rep = validate(nl)
+    if rep.analysis is None:
+        raise OutOfOrderError(next(f.message for f in rep.errors if f.code == "out-of-order"))
+    return rep.analysis
 
 
 def analysis_for(nl: Netlist, analysis: Analysis | None = None) -> Analysis:

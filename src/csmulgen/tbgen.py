@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .netlist import Analysis, Netlist, compute_latency
 from .sim import OperandValue, random_pairs, verify_pairs
-from .vhdl import INDENT, EmitterOptions, check_identifier, default_entity_name
+from .vhdl import INDENT, check_identifier, default_entity_name
 
 DEFAULT_CLOCK_PERIOD = 10  # time units per clock cycle, pipelined only
 
@@ -44,7 +44,6 @@ class TestVector:
 class TestbenchPlan:
     vectors: list
     wait_time: int
-    clock_period: int | None
 
 
 def generate_vectors(width_a: int, width_b: int, count: int, seed: int):
@@ -61,11 +60,8 @@ def make_plan(nl: Netlist, count: int, seed: int, *,
     `analysis` is passed on to `compute_latency`."""
     vectors = generate_vectors(nl.width_a, nl.width_b, count, seed)
     latency = compute_latency(nl, analysis=analysis)
-    if nl.pipelined:
-        return TestbenchPlan(vectors=vectors, wait_time=latency.cycles + 1,
-                             clock_period=DEFAULT_CLOCK_PERIOD)
-    return TestbenchPlan(vectors=vectors, wait_time=latency.gate_units + 1,
-                         clock_period=None)
+    wait = latency.cycles if nl.pipelined else latency.gate_units
+    return TestbenchPlan(vectors=vectors, wait_time=wait + 1)
 
 
 def _shift_add_product(a: int, b: int) -> int:
@@ -112,13 +108,13 @@ def self_check_plan(nl: Netlist, plan: TestbenchPlan, *,
     return True
 
 
-def emit_testbench(nl: Netlist, plan: TestbenchPlan,
-                   options: EmitterOptions | None = None) -> str:
-    """Render the self-checking testbench as one VHDL design unit."""
-    options = options or EmitterOptions()
+def emit_testbench(nl: Netlist, plan: TestbenchPlan, *,
+                   entity_name: str | None = None) -> str:
+    """Render the self-checking testbench as one VHDL design unit for the
+    entity `entity_name`, or else `default_entity_name(nl)`."""
     _check_widths(nl, plan)
 
-    entity = options.entity_name or default_entity_name(nl)
+    entity = entity_name or default_entity_name(nl)
     check_identifier(entity)
     tb = f"{entity}_tb"
     ind = INDENT
@@ -162,7 +158,7 @@ def emit_testbench(nl: Netlist, plan: TestbenchPlan,
     lines.append(f"{ind}{ind}port map ({', '.join(port_map)});")
     lines.append("")
     if nl.pipelined:
-        half = plan.clock_period // 2
+        half = DEFAULT_CLOCK_PERIOD // 2
         lines.append(f"{ind}clocking : process")
         lines.append(f"{ind}begin")
         lines.append(f"{ind}{ind}while not done loop")
@@ -178,7 +174,7 @@ def emit_testbench(nl: Netlist, plan: TestbenchPlan,
     lines.append(f"{ind}stimulus : process")
     lines.append(f"{ind}begin")
     for vec in plan.vectors:
-        lines.extend(_vector_block(nl, plan, vec, ind, wide))
+        lines.extend(_vector_block(nl, vec, ind, wide))
     if nl.pipelined:
         lines.append(f"{ind}{ind}done <= true;")
     lines.append(f"{ind}{ind}wait;")
@@ -188,7 +184,7 @@ def emit_testbench(nl: Netlist, plan: TestbenchPlan,
     return "\n".join(lines)
 
 
-def _vector_block(nl, plan, vec, ind, wide):
+def _vector_block(nl, vec, ind, wide):
     lines = []
     expected = vec.expected
     lines.append(f"{ind}{ind}-- input vector: {vec.a.value}")
@@ -196,7 +192,7 @@ def _vector_block(nl, plan, vec, ind, wide):
     lines.append(f"{ind}{ind}-- input vector: {vec.b.value}")
     lines.append(f'{ind}{ind}sy <= "{vec.b.bitstring()}";')
     if nl.pipelined:
-        lines.append(f"{ind}{ind}wait for waittime * {plan.clock_period} ns;")
+        lines.append(f"{ind}{ind}wait for waittime * {DEFAULT_CLOCK_PERIOD} ns;")
     else:
         lines.append(f"{ind}{ind}wait for waittime * 1 ns;")
     lines.append(f"{ind}{ind}-- output: {expected}")

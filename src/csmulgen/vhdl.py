@@ -10,11 +10,10 @@ flops become one clocked process each, constant outputs are assigned
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
-    Netlist, ValidationReport, validate,
+    Netlist, ValidationReport, analysis_for, validate,
 )
 
 # VHDL-93 reserved words; emitted identifiers must avoid these.
@@ -36,11 +35,6 @@ INDENT = "  "  # one level of nesting in emitted VHDL and testbench text
 
 class EmissionError(Exception):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class EmitterOptions:
-    entity_name: str | None = None
 
 
 def default_entity_name(nl: Netlist) -> str:
@@ -77,21 +71,24 @@ def _signal_text(nl: Netlist):
     return text, ordinal
 
 
-def emit_vhdl(nl: Netlist, options: EmitterOptions | None = None, *,
+def emit_vhdl(nl: Netlist, *, entity_name: str | None = None,
               report: ValidationReport | None = None) -> str:
-    """Render the netlist as one synthesizable VHDL design unit.
+    """Render the netlist as one synthesizable VHDL design unit, named
+    `entity_name` or else `default_entity_name(nl)`.
 
     `report` is `validate(nl)` when the caller already has it; without
-    one the netlist is validated here.  A report with errors is refused.
+    one the netlist is validated here.  A report with errors is refused,
+    and so is a report of another netlist (NetlistError, through
+    `analysis_for`).
     """
-    options = options or EmitterOptions()
     if report is None:
         report = validate(nl)
     if not report.is_valid():
         msgs = "; ".join(f.message for f in report.errors)
         raise EmissionError(f"refusing to emit an invalid netlist: {msgs}")
+    analysis_for(nl, report.analysis)
 
-    entity = options.entity_name or default_entity_name(nl)
+    entity = entity_name or default_entity_name(nl)
     check_identifier(entity)
     ind = INDENT
     t, named = _signal_text(nl)

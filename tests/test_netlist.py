@@ -72,8 +72,29 @@ def test_combinational_cycle_reported():
     assert [(f.code, f.message) for f in report.errors] == [
         ("out-of-order", f"primitive 0 (and2) input 0 (s{s1}) is read before its driver")]
     assert report.analysis is None
-    with pytest.raises(OutOfOrderError):
+    with pytest.raises(OutOfOrderError) as raised:
         analyze(nl)
+    assert str(raised.value) == report.errors[0].message
+
+
+def test_reads_before_any_driver_split_into_undriven_and_out_of_order():
+    """A read of a signal with no driver yet is `undriven-input` when
+    nothing ever drives it, and `out-of-order` when a later primitive does."""
+    nl = Netlist.create(1, 1)
+    floating = nl.new_signal()
+    (s0,) = nl.add_primitive(AND2, [floating, floating])      # both pins undriven
+    (s1,) = nl.add_primitive(AND2, [floating, nl.input_a[0]])
+    (s2,) = nl.add_primitive(AND2, [s0, s1])
+    nl.primitives[1].inputs[1] = s2                           # pin 1 driven later
+    nl.output_p = [s2, s1]
+    report = validate(nl)
+    assert [(f.code, f.message) for f in report.findings] == [
+        ("undriven-input", f"primitive 0 (and2) input 0 (s{floating}) has no driver"),
+        ("undriven-input", f"primitive 0 (and2) input 1 (s{floating}) has no driver"),
+        ("undriven-input", f"primitive 1 (and2) input 0 (s{floating}) has no driver"),
+        ("out-of-order", f"primitive 1 (and2) input 1 (s{s2}) is read before its driver"),
+    ]
+    assert report.analysis is None
 
 
 def test_validation_order_is_deterministic():

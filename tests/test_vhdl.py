@@ -5,10 +5,7 @@ import pytest
 
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
 from csmulgen.netlist import AND2, Netlist
-from csmulgen.vhdl import (
-    EmissionError, EmitterOptions, check_identifier, default_entity_name,
-    emit_vhdl,
-)
+from csmulgen.vhdl import EmissionError, check_identifier, default_entity_name, emit_vhdl
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -95,7 +92,7 @@ def test_pipelined_entity_has_clock_and_processes():
 
 def test_custom_entity_name():
     nl = generate_multiplier(GeneratorConfig(4, 4, False))
-    text = emit_vhdl(nl, EmitterOptions(entity_name="my_mult"))
+    text = emit_vhdl(nl, entity_name="my_mult")
     assert "entity my_mult is" in text
     assert "end entity my_mult;" in text
 
