@@ -27,8 +27,8 @@ bench = tbgen.emit_testbench(nl, plan)
 
 print(f"wrote {out / 'mul_8x8.vhd'} ({len(design.splitlines())} lines)")
 print(f"wrote {out / 'mul_8x8_tb.vhd'} ({len(bench.splitlines())} lines)")
-v = plan.vectors[0]
-print(f"first vector: {v.a.value} * {v.b.value} = {v.expected}")
+a, b = plan.pairs[0]
+print(f"first vector: {a} * {b} = {a * b}")
 print("first stimulus block of the testbench:")
 lines = bench.splitlines()
 start = next(i for i, ln in enumerate(lines) if "-- input vector" in ln)

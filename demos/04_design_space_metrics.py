@@ -13,8 +13,8 @@ print(f"{'n':>3} {'mode':<13} {'and':>5} {'fa':>5} {'ha':>4} "
       f"{'dff':>6} {'stages':>6} {'latency':>10}")
 for n in (4, 8, 16, 32):
     for pipe in (False, True):
-        nl, ann = generate_with_annotations(GeneratorConfig(n, n, pipe))
-        m = compute_metrics(nl, ann)
+        nl, passes = generate_with_annotations(GeneratorConfig(n, n, pipe))
+        m = compute_metrics(nl, passes)
         lat = (f"{m.latency.cycles} cyc" if pipe
                else f"{m.latency.gate_units} gates")
         mode = "pipelined" if pipe else "combinational"
@@ -24,5 +24,5 @@ for n in (4, 8, 16, 32):
 
 print()
 print("full JSON report for the pipelined 8x8 design:")
-nl, ann = generate_with_annotations(GeneratorConfig(8, 8, True))
-print(render_json(compute_metrics(nl, ann)), end="")
+nl, passes = generate_with_annotations(GeneratorConfig(8, 8, True))
+print(render_json(compute_metrics(nl, passes)), end="")

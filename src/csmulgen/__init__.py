@@ -11,18 +11,17 @@ from .mulgen import (
 )
 from .metrics import MetricsReport, compute_metrics, render_json
 from .netlist import LatencyInfo, Netlist, ValidationReport, compute_latency, validate
-from .sim import OperandValue, VerificationReport, simulate, verify_exhaustive, verify_random
-from .tbgen import TestbenchPlan, TestVector, emit_testbench, generate_vectors, make_plan
+from .sim import VerificationReport, simulate, verify_exhaustive, verify_random
+from .tbgen import TestbenchPlan, emit_testbench, make_plan
 from .vhdl import emit_vhdl
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError", "GeneratorConfig", "LatencyInfo", "MetricsReport",
-    "Netlist", "OperandValue", "TestVector", "TestbenchPlan",
-    "ValidationReport", "VerificationReport",
+    "Netlist", "TestbenchPlan", "ValidationReport", "VerificationReport",
     "compute_latency", "compute_metrics", "emit_testbench", "emit_vhdl",
-    "generate_multiplier", "generate_vectors", "generate_with_annotations",
+    "generate_multiplier", "generate_with_annotations",
     "make_plan", "render_json", "simulate", "validate",
     "verify_exhaustive", "verify_random",
 ]

@@ -83,7 +83,7 @@ def run(args) -> int:
           f"{'pipelined' if cfg.pipelined else 'combinational'} multiplier ...")
     t0 = time.perf_counter()
     try:
-        nl, ann = generate_with_annotations(cfg)
+        nl, passes = generate_with_annotations(cfg)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -97,7 +97,7 @@ def run(args) -> int:
         return EXIT_VALIDATION
 
     try:
-        return _verify_and_write(args, cfg, nl, ann, gen_ms, report)
+        return _verify_and_write(args, cfg, nl, passes, gen_ms, report)
     except NetlistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -106,7 +106,7 @@ def run(args) -> int:
         return EXIT_VERIFICATION
 
 
-def _verify_and_write(args, cfg, nl, ann, gen_ms, report) -> int:
+def _verify_and_write(args, cfg, nl, passes, gen_ms, report) -> int:
     """Everything after validation: simulate, emit, self-check, write.
 
     Every stage shares the analysis `validate` computed, and `emit_vhdl`
@@ -136,7 +136,7 @@ def _verify_and_write(args, cfg, nl, ann, gen_ms, report) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 
-    mrep = metrics_mod.compute_metrics(nl, ann, generation_time_ms=round(gen_ms, 3),
+    mrep = metrics_mod.compute_metrics(nl, passes, generation_time_ms=round(gen_ms, 3),
                                        analysis=an)
     out_dir = args.out_dir
     try:

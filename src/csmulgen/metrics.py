@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .mulgen import BuildAnnotations
 from .netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, Analysis, LatencyInfo, Netlist,
     compute_latency,
@@ -35,7 +34,7 @@ class MetricsReport:
     generation_time_ms: float | None = None
 
 
-def compute_metrics(nl: Netlist, ann: BuildAnnotations,
+def compute_metrics(nl: Netlist, reduction_stages: int,
                     generation_time_ms: float | None = None, *,
                     analysis: Analysis | None = None) -> MetricsReport:
     """Exact counts from a linear scan of the primitive list.
@@ -56,7 +55,7 @@ def compute_metrics(nl: Netlist, ann: BuildAnnotations,
         half_adders=counts[HALF_ADDER],
         adders=counts[FULL_ADDER] + counts[HALF_ADDER],
         dffs=counts[DFF],
-        reduction_stages=ann.stage_count,
+        reduction_stages=reduction_stages,
         latency=compute_latency(nl, analysis=analysis),
         generation_time_ms=generation_time_ms,
     )

@@ -35,13 +35,6 @@ class GeneratorConfig:
             raise ValueError("operand widths must be >= 1")
 
 
-@dataclass(slots=True)
-class BuildAnnotations:
-    """Stage bookkeeping produced alongside the netlist."""
-
-    stage_count: int = 0
-
-
 def max_width_ceiling():
     """Width ceiling from the environment; an unset or empty variable
     means the default.  Raises ValueError unless it is a positive integer."""
@@ -220,7 +213,7 @@ def build_final_adder(columns: list, builder: _Builder, window: int):
 
 
 def generate_with_annotations(cfg: GeneratorConfig):
-    """Build a multiplier and return (netlist, annotations)."""
+    """Build a multiplier and return (netlist, reduction passes run)."""
     ceiling = max_width_ceiling()
     if cfg.width_a > ceiling or cfg.width_b > ceiling:
         raise CapacityError(
@@ -231,13 +224,11 @@ def generate_with_annotations(cfg: GeneratorConfig):
         nl.pipelined = True
         nl.add_clock()
     builder = _Builder(nl)
-    ann = BuildAnnotations()
-
-    columns, ann.stage_count = run_reduction(build_partial_products(cfg, builder), builder)
-    nl.output_p = build_final_adder(columns, builder, ann.stage_count + 1)
+    columns, passes = run_reduction(build_partial_products(cfg, builder), builder)
+    nl.output_p = build_final_adder(columns, builder, passes + 1)
     if cfg.pipelined:
         nl.output_p = builder.deskew(nl.output_p)
-    return nl, ann
+    return nl, passes
 
 
 def generate_multiplier(cfg: GeneratorConfig) -> Netlist:

@@ -126,7 +126,7 @@ class Finding:
 class ValidationReport:
     """Findings of `validate`, plus the analysis it computed on the way.
 
-    analysis is None when the netlist is out of dependency order.
+    analysis is None when the netlist is out of order or has an unknown id.
     Callers pass it on to later stages so that they need not analyse
     the same netlist again.
     """
@@ -155,15 +155,24 @@ def validate(nl: Netlist) -> ValidationReport:
     registers or not, always has one of the second kind.  The later
     checks read only these lists, in a fixed sequence and each in
     primitive, pin or signal id order, so finding order is
-    deterministic.
+    deterministic.  The checks index by signal id, so the first port bit
+    or pin holding an id outside 0 .. signal_count - 1 is the one finding.
     """
     rep = ValidationReport()
     err = lambda code, msg: rep.findings.append(Finding("error", code, msg))
     warn = lambda code, msg: rep.findings.append(Finding("warning", code, msg))
 
     n = nl.signal_count
+    unknown = lambda place, s: ValidationReport([Finding(
+        "error", "unknown-signal", f"{place} (s{s}) is not one of the {n} signals")])
+    clock = [nl.clock] if nl.clock is not None else []
+    for name, bits in (("input_a", nl.input_a), ("input_b", nl.input_b),
+                       ("clock", clock), ("output", nl.output_p)):
+        for j, s in enumerate(bits):
+            if not 0 <= s < n:
+                return unknown(f"{name} bit {j}", s)
     port = bytearray(n)
-    for sig in nl.input_a + nl.input_b + ([nl.clock] if nl.clock is not None else []):
+    for sig in nl.input_a + nl.input_b + clock:
         port[sig] = 1
     drivers = list(port)  # a port bit is its own driver
     read = bytearray(n)
@@ -181,6 +190,8 @@ def validate(nl: Netlist) -> ValidationReport:
                 f"and {len(outs)} outputs")
         d = 0
         for pin, s in enumerate(ins):
+            if not 0 <= s < n:
+                return unknown(f"primitive {idx} ({prim.kind}) input {pin}", s)
             read[s] = 1
             if not drivers[s]:
                 early.append((idx, pin, s))
@@ -189,6 +200,8 @@ def validate(nl: Netlist) -> ValidationReport:
         w = weight(prim.kind)
         d = d + w if w else 0
         for out in outs:
+            if not 0 <= out < n:
+                return unknown(f"primitive {idx} ({prim.kind}) output {outs.index(out)}", out)
             depth[out] = d
             drivers[out] += 1
         if not dffs:
@@ -295,14 +308,15 @@ class Analysis:
 def analyze(nl: Netlist) -> Analysis:
     """The analysis `validate` computes: `validate(nl).analysis`.
 
-    This is `validate`'s out-of-order gate.  It raises OutOfOrderError,
-    with the message of the `out-of-order` finding, when the netlist is
-    out of dependency order and so has no analysis.  Other findings do
-    not stop it; a signal no primitive drives reads as a source.
+    This is `validate`'s out-of-order gate: with no analysis it raises
+    OutOfOrderError with the `out-of-order` message, or NetlistError
+    with the `unknown-signal` one.  Other findings do not stop it; a
+    signal no primitive drives reads as a source.
     """
     rep = validate(nl)
     if rep.analysis is None:
-        raise OutOfOrderError(next(f.message for f in rep.errors if f.code == "out-of-order"))
+        first = next(f for f in rep.errors if f.code in ("out-of-order", "unknown-signal"))
+        raise (OutOfOrderError if first.code == "out-of-order" else NetlistError)(first.message)
     return rep.analysis
 
 

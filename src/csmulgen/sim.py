@@ -27,22 +27,6 @@ class SimError(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class OperandValue:
-    """Unsigned operand of a fixed bit width; LSB is bit index 0."""
-
-    value: int
-    width: int
-
-    def __post_init__(self):
-        if self.value < 0 or self.value >> self.width:
-            raise ValueError(f"{self.value} does not fit in {self.width} bits")
-
-    def bitstring(self):
-        """MSB-first rendering, zero-extended to the full width."""
-        return format(self.value, f"0{self.width}b")
-
-
 def _settle(nl, values, mask):
     """Evaluate every primitive of `nl` once, in list order, over the lanes
     in `mask`: a register's output is its input one lane up, and lane 0,
@@ -93,14 +77,19 @@ def _lane(masks, t):
     return sum(((m >> t) & 1) << j for j, m in enumerate(masks))
 
 
-def _products(nl, pairs, analysis):
-    """Output-bit lane masks of the (a, b) pairs streamed through `nl`,
-    pair t entering in clock cycle t: lane t holds the product pair t
-    leaves with, L cycles later."""
+def check_pairs(nl: Netlist, pairs):
+    """Raise SimError unless every (a, b) pair fits `nl`'s operand ports."""
     for a, b in pairs:
         if a < 0 or b < 0 or a >> nl.width_a or b >> nl.width_b:
             raise SimError(f"pair {a} x {b} does not fit the "
                            f"{nl.width_a}x{nl.width_b} operand ports")
+
+
+def _products(nl, pairs, analysis):
+    """Output-bit lane masks of the (a, b) pairs streamed through `nl`,
+    pair t entering in clock cycle t: lane t holds the product pair t
+    leaves with, L cycles later."""
+    check_pairs(nl, pairs)
     latency = compute_latency(nl, analysis=analysis).cycles or 0
     a_masks = _lane_masks([a for a, _ in pairs], nl.width_a)
     b_masks = _lane_masks([b for _, b in pairs], nl.width_b)
@@ -208,6 +197,8 @@ def _pattern(v, lanes, base):
 def random_pairs(width_a: int, width_b: int, count: int, seed: int) -> list:
     """`count` seeded uniform (a, b) pairs; the testbench vectors and
     `verify_random` both draw theirs here, so one seed gives one stream."""
+    if count < 0:
+        raise ValueError(f"vector count must be >= 0, got {count}")
     rng = random.Random(seed)
     return [(rng.getrandbits(width_a), rng.getrandbits(width_b)) for _ in range(count)]
 

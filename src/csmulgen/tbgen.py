@@ -1,12 +1,12 @@
 """Self-checking randomized VHDL testbench generation.
 
-Seeded random operand pairs with precomputed exact products, a
-wait-for-latency stimulus process, and paired assert statements: a
-severity-error report naming inputs/expected/got, and the inverted
-assert printing a success note.  Every plan is re-verified against an
-independent product implementation and against the gate-level
-simulator before any text is written, so emitted testbenches are
-known-passing.
+A plan is seeded random (a, b) operand pairs plus a wait.  Each pair
+gets a wait-for-latency stimulus step and paired assert statements on
+a*b: a severity-error report naming inputs/expected/got, and the
+inverted assert printing a success note.  Every plan is re-verified
+against an independent product implementation and against the
+gate-level simulator before any text is written, so emitted
+testbenches are known-passing.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .netlist import Analysis, Netlist, compute_latency
-from .sim import OperandValue, random_pairs, verify_pairs
+from .sim import check_pairs, random_pairs, verify_pairs
 from .vhdl import INDENT, check_identifier, default_entity_name
 
 DEFAULT_CLOCK_PERIOD = 10  # time units per clock cycle, pipelined only
@@ -28,40 +28,22 @@ class PlanError(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class TestVector:
-    a: OperandValue
-    b: OperandValue
-    expected: int
-
-    def __post_init__(self):
-        if self.expected != self.a.value * self.b.value:
-            raise PlanError(
-                f"expected value {self.expected} is not {self.a.value}*{self.b.value}")
-
-
 @dataclass(slots=True)
 class TestbenchPlan:
-    vectors: list
+    """(a, b) pairs in stimulus order, and the wait before each assert."""
+
+    pairs: list
     wait_time: int
-
-
-def generate_vectors(width_a: int, width_b: int, count: int, seed: int):
-    """Seeded uniform operand pairs (see `random_pairs`) with exact
-    precomputed products."""
-    return [TestVector(a=OperandValue(a, width_a), b=OperandValue(b, width_b),
-                       expected=a * b)
-            for a, b in random_pairs(width_a, width_b, count, seed)]
 
 
 def make_plan(nl: Netlist, count: int, seed: int, *,
               analysis: Analysis | None = None) -> TestbenchPlan:
-    """Vectors plus settle timing derived from the circuit's latency.
-    `analysis` is passed on to `compute_latency`."""
-    vectors = generate_vectors(nl.width_a, nl.width_b, count, seed)
+    """`count` seeded pairs from `random_pairs`, and a wait one past the
+    circuit's latency.  `analysis` is passed on to `compute_latency`."""
+    pairs = random_pairs(nl.width_a, nl.width_b, count, seed)
     latency = compute_latency(nl, analysis=analysis)
     wait = latency.cycles if nl.pipelined else latency.gate_units
-    return TestbenchPlan(vectors=vectors, wait_time=wait + 1)
+    return TestbenchPlan(pairs=pairs, wait_time=wait + 1)
 
 
 def _shift_add_product(a: int, b: int) -> int:
@@ -75,32 +57,25 @@ def _shift_add_product(a: int, b: int) -> int:
     return acc
 
 
-def _check_widths(nl: Netlist, plan: TestbenchPlan):
-    for vec in plan.vectors:
-        if vec.a.width != nl.width_a or vec.b.width != nl.width_b:
-            raise PlanError(f"vector widths {vec.a.width}x{vec.b.width} do not "
-                            f"match netlist {nl.width_a}x{nl.width_b}")
-
-
 def self_check_plan(nl: Netlist, plan: TestbenchPlan, *,
                     analysis: Analysis | None = None) -> bool:
-    """Re-verify every expected value both arithmetically and against
-    the gate-level simulator, all vectors as lanes of one simulation.
+    """Re-verify every product a*b both arithmetically and against the
+    gate-level simulator, all pairs as lanes of one simulation.
     Raises PlanError on any mismatch, naming the first failing vector,
     or when a pipelined plan waits fewer cycles than its latency, so its
-    asserts would not see their own vector.  `analysis` is passed on."""
-    _check_widths(nl, plan)
+    asserts would not see their own vector.  A pair that does not fit
+    the ports raises SimError first.  `analysis` is passed on."""
+    check_pairs(nl, plan.pairs)
     latency = compute_latency(nl, analysis=analysis).cycles or 0
     if plan.wait_time < latency:
         raise PlanError(f"wait time of {plan.wait_time} cycles is shorter than "
                         f"the latency of {latency} cycles")
-    for idx, vec in enumerate(plan.vectors):
-        independent = _shift_add_product(vec.a.value, vec.b.value)
-        if independent != vec.expected:
-            raise PlanError(f"vector {idx}: expected {vec.expected}, "
+    for idx, (a, b) in enumerate(plan.pairs):
+        independent = _shift_add_product(a, b)
+        if independent != a * b:
+            raise PlanError(f"vector {idx}: expected {a * b}, "
                             f"independent product says {independent}")
-    pairs = [(vec.a.value, vec.b.value) for vec in plan.vectors]
-    report = verify_pairs(nl, pairs, "testbench", analysis=analysis)
+    report = verify_pairs(nl, plan.pairs, "testbench", analysis=analysis)
     if not report.passed:
         c = report.counterexample
         raise PlanError(f"vector {report.tested}: circuit computes {c['got']}, "
@@ -111,8 +86,9 @@ def self_check_plan(nl: Netlist, plan: TestbenchPlan, *,
 def emit_testbench(nl: Netlist, plan: TestbenchPlan, *,
                    entity_name: str | None = None) -> str:
     """Render the self-checking testbench as one VHDL design unit for the
-    entity `entity_name`, or else `default_entity_name(nl)`."""
-    _check_widths(nl, plan)
+    entity `entity_name`, or else `default_entity_name(nl)`.  A pair
+    that does not fit the ports raises SimError."""
+    check_pairs(nl, plan.pairs)
 
     entity = entity_name or default_entity_name(nl)
     check_identifier(entity)
@@ -173,8 +149,8 @@ def emit_testbench(nl: Netlist, plan: TestbenchPlan, *,
 
     lines.append(f"{ind}stimulus : process")
     lines.append(f"{ind}begin")
-    for vec in plan.vectors:
-        lines.extend(_vector_block(nl, vec, ind, wide))
+    for a, b in plan.pairs:
+        lines.extend(_vector_block(nl, a, b, ind, wide))
     if nl.pipelined:
         lines.append(f"{ind}{ind}done <= true;")
     lines.append(f"{ind}{ind}wait;")
@@ -184,13 +160,13 @@ def emit_testbench(nl: Netlist, plan: TestbenchPlan, *,
     return "\n".join(lines)
 
 
-def _vector_block(nl, vec, ind, wide):
+def _vector_block(nl, a, b, ind, wide):
     lines = []
-    expected = vec.expected
-    lines.append(f"{ind}{ind}-- input vector: {vec.a.value}")
-    lines.append(f'{ind}{ind}sx <= "{vec.a.bitstring()}";')
-    lines.append(f"{ind}{ind}-- input vector: {vec.b.value}")
-    lines.append(f'{ind}{ind}sy <= "{vec.b.bitstring()}";')
+    expected = a * b
+    lines.append(f"{ind}{ind}-- input vector: {a}")
+    lines.append(f'{ind}{ind}sx <= "{a:0{nl.width_a}b}";')
+    lines.append(f"{ind}{ind}-- input vector: {b}")
+    lines.append(f'{ind}{ind}sy <= "{b:0{nl.width_b}b}";')
     if nl.pipelined:
         lines.append(f"{ind}{ind}wait for waittime * {DEFAULT_CLOCK_PERIOD} ns;")
     else:
@@ -206,11 +182,11 @@ def _vector_block(nl, vec, ind, wide):
         lines.append(f"{ind}{ind}assert (vec2int(sp) /= {expected})")
         lines.append(f'{ind}{ind}{ind}report "TESTBENCH OK" severity note;')
     else:
-        bits = OperandValue(expected, nl.width_a + nl.width_b)
+        bits = f"{expected:0{nl.width_a + nl.width_b}b}"
         hexstr = format(expected, "x")
-        lines.append(f'{ind}{ind}assert (sp = "{bits.bitstring()}")')
+        lines.append(f'{ind}{ind}assert (sp = "{bits}")')
         lines.append(f'{ind}{ind}{ind}report "TESTBENCH Expected (hex): {hexstr}"')
         lines.append(f"{ind}{ind}{ind}severity error;")
-        lines.append(f'{ind}{ind}assert (sp /= "{bits.bitstring()}")')
+        lines.append(f'{ind}{ind}assert (sp /= "{bits}")')
         lines.append(f'{ind}{ind}{ind}report "TESTBENCH OK" severity note;')
     return lines

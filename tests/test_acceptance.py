@@ -105,12 +105,12 @@ def test_criterion_5_testbench_integrity(report):
         nl = generate_multiplier(GeneratorConfig(n, k, pipe))
         plan = tbgen.make_plan(nl, 50, seed=2)
         ok = ok and tbgen.self_check_plan(nl, plan)
-        for vec in plan.vectors:
-            ok = ok and vec.expected == vec.a.value * vec.b.value
+        text = tbgen.emit_testbench(nl, plan)
+        outputs = [ln.split(": ")[1] for ln in text.splitlines() if "-- output: " in ln]
+        ok = ok and outputs == [str(a * b) for a, b in plan.pairs]
     nl = generate_multiplier(GeneratorConfig(8, 8, False))
     plan = tbgen.make_plan(nl, 10, seed=6400)
-    first = plan.vectors[0]
-    ok = ok and (first.a.value, first.b.value, first.expected) == (53, 23, 1219)
+    ok = ok and plan.pairs[0] == (53, 23)
     text = tbgen.emit_testbench(nl, plan)
     ok = ok and '"00110101"' in text and '"00010111"' in text
     ok = ok and "1219" in text

@@ -41,6 +41,12 @@ def test_usage_error_on_bad_width(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_usage_error_on_negative_tests(tmp_path, capsys):
+    assert run_cli("--width-a", "4", "--width-b", "4", "--tests", "-1",
+                   "--out-dir", str(tmp_path)) == 1
+    assert "--tests must be >= 0" in capsys.readouterr().err
+
+
 def test_usage_error_on_unknown_flag(capsys):
     assert run_cli("--frobnicate") == 1
 
@@ -123,11 +129,11 @@ def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys):
     real = cli_mod.generate_with_annotations
 
     def sabotaged(cfg):
-        nl, ann = real(cfg)
+        nl, passes = real(cfg)
         victim = next(p for p in nl.primitives if p.kind == FULL_ADDER)
         victim.outputs[0], victim.outputs[1] = \
             victim.outputs[1], victim.outputs[0]
-        return nl, ann
+        return nl, passes
 
     monkeypatch.setattr(cli_mod, "generate_with_annotations", sabotaged)
     code = run_cli("--width-a", "4", "--width-b", "4",
@@ -141,9 +147,9 @@ def _generate_sabotaged(monkeypatch, defect):
     real = cli_mod.generate_with_annotations
 
     def sabotaged(cfg):
-        nl, ann = real(cfg)
+        nl, passes = real(cfg)
         defect(nl)
-        return nl, ann
+        return nl, passes
 
     monkeypatch.setattr(cli_mod, "generate_with_annotations", sabotaged)
 
@@ -175,6 +181,16 @@ def test_out_of_order_netlist_fails_validation(tmp_path, monkeypatch, capsys):
     assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
                    "--out-dir", str(tmp_path)) == 2
     assert "validation error [out-of-order]" in capsys.readouterr().err
+
+
+def test_unknown_signal_fails_validation(tmp_path, monkeypatch, capsys):
+    def past_the_end(nl):
+        nl.primitives[0].inputs[0] = nl.signal_count
+    _generate_sabotaged(monkeypatch, past_the_end)
+    assert run_cli("--width-a", "4", "--width-b", "4",
+                   "--out-dir", str(tmp_path)) == 2
+    assert "validation error [unknown-signal]" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_netlist_error_after_validation_exits_2(tmp_path, monkeypatch, capsys,
@@ -222,7 +238,7 @@ def test_miswired_skew_chain_fails_verification(tmp_path, monkeypatch, capsys):
     from csmulgen.mulgen import GeneratorConfig, generate_with_annotations
     from csmulgen.netlist import DFF, analyze, validate
 
-    nl, ann = generate_with_annotations(GeneratorConfig(4, 4, True))
+    nl, passes = generate_with_annotations(GeneratorConfig(4, 4, True))
     q1, q2 = nl.output_p[:2]
     dff_outputs = {p.outputs[0] for p in nl.primitives if p.kind == DFF}
     assert {q1, q2} <= dff_outputs
@@ -231,7 +247,7 @@ def test_miswired_skew_chain_fails_verification(tmp_path, monkeypatch, capsys):
     nl.output_p[:2] = [q2, q1]
     assert validate(nl).findings == []
 
-    monkeypatch.setattr(cli_mod, "generate_with_annotations", lambda cfg: (nl, ann))
+    monkeypatch.setattr(cli_mod, "generate_with_annotations", lambda cfg: (nl, passes))
     assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
                    "--out-dir", str(tmp_path)) == 3
     out = capsys.readouterr().out
@@ -257,9 +273,9 @@ def test_collector_paused_during_job_and_restored(tmp_path, monkeypatch, drop_df
         real = cli_mod.generate_with_annotations
 
         def sabotaged(cfg):
-            nl, ann = real(cfg)
+            nl, passes = real(cfg)
             drop_dff(nl, next(p for p in nl.primitives if p.kind == DFF))
-            return nl, ann
+            return nl, passes
         monkeypatch.setattr(cli_mod, "generate_with_annotations", sabotaged)
     elif stub == "sim_error":
         def broken(nl, count, seed, *, analysis=None):

@@ -7,8 +7,8 @@ from csmulgen.netlist import AND2, DFF, FULL_ADDER, HALF_ADDER
 
 
 def metrics_for(n, k, pipe, **kw):
-    nl, ann = generate_with_annotations(GeneratorConfig(n, k, pipe))
-    return nl, compute_metrics(nl, ann, **kw)
+    nl, passes = generate_with_annotations(GeneratorConfig(n, k, pipe))
+    return nl, compute_metrics(nl, passes, **kw)
 
 
 def test_2x2_counts():

@@ -57,7 +57,7 @@ def test_design_grid_digest():
 
 
 def test_2x2_structure():
-    nl, ann = generate_with_annotations(GeneratorConfig(2, 2, False))
+    nl, passes = generate_with_annotations(GeneratorConfig(2, 2, False))
     assert count(nl, AND2) == 4
     assert count(nl, HALF_ADDER) == 2
     assert count(nl, FULL_ADDER) == 0
@@ -100,14 +100,14 @@ def test_pipelined_preserves_function():
 
 @pytest.mark.parametrize("n, k", [(1, 1), (1, 5), (5, 1), (3, 7), (8, 8)])
 def test_gate_counts_match_between_modes(n, k):
-    comb, ann_c = generate_with_annotations(GeneratorConfig(n, k, False))
-    pipe, ann_p = generate_with_annotations(GeneratorConfig(n, k, True))
+    comb, passes_c = generate_with_annotations(GeneratorConfig(n, k, False))
+    pipe, passes_p = generate_with_annotations(GeneratorConfig(n, k, True))
     for kind in (AND2, FULL_ADDER, HALF_ADDER):
         assert count(comb, kind) == count(pipe, kind)
     # Pipelining only adds registers: the same primitives in the same order.
     assert ([p.kind for p in pipe.primitives if p.kind != DFF]
             == [p.kind for p in comb.primitives])
-    assert ann_c.stage_count == ann_p.stage_count
+    assert passes_c == passes_p
 
 
 def test_long_register_chains_need_no_deep_recursion():
@@ -124,10 +124,10 @@ def test_long_register_chains_need_no_deep_recursion():
 
 def test_annotations_consistent_with_netlist():
     cfg = GeneratorConfig(8, 8, False)
-    nl, ann = generate_with_annotations(cfg)
+    nl, passes = generate_with_annotations(cfg)
     probe = _Builder(Netlist.create(8, 8))
     matrix, stages = run_reduction(build_partial_products(cfg, probe), probe)
-    assert stages == ann.stage_count
+    assert stages == passes
     fa = count(nl, FULL_ADDER)
     ha = count(nl, HALF_ADDER)
     assert count(probe.nl, FULL_ADDER) + count(probe.nl, HALF_ADDER) <= fa + ha
@@ -173,10 +173,10 @@ def test_product_matches_oracle(n, k, a, b):
 @settings(max_examples=10, deadline=None)
 @given(n=st.integers(1, 8), k=st.integers(1, 8))
 def test_reduction_stage_count_monotone_floor(n, k):
-    nl, ann = generate_with_annotations(GeneratorConfig(n, k, False))
+    nl, passes = generate_with_annotations(GeneratorConfig(n, k, False))
     # Column j holds min(j+1, n, k, n+k-1-j) partial products.
     tallest = min(n, k)
     if tallest <= 2:
-        assert ann.stage_count == 0
+        assert passes == 0
     else:
-        assert ann.stage_count >= 1
+        assert passes >= 1

@@ -97,6 +97,55 @@ def test_reads_before_any_driver_split_into_undriven_and_out_of_order():
     assert report.analysis is None
 
 
+def _set_pin(nl, where, sig):
+    """Put `sig` on one port bit or primitive pin of a 2x2 netlist and
+    return how `validate` names that place."""
+    if where == "input pin":
+        nl.primitives[4].inputs[1] = sig
+        return "primitive 4 (ha) input 1"
+    if where == "output pin":
+        nl.primitives[5].outputs[0] = sig
+        return "primitive 5 (ha) output 0"
+    if where == "input port":
+        nl.input_b[1] = sig
+        return "input_b bit 1"
+    nl.output_p[2] = sig
+    return "output bit 2"
+
+
+@pytest.mark.parametrize("sig", [12, -1])
+@pytest.mark.parametrize("where", ["input pin", "output pin", "input port", "output port"])
+def test_signal_id_outside_the_netlist_is_unknown_signal(where, sig):
+    """An id at or past signal_count, or below 0, is reported and never
+    used as an index: a negative index would alias a signal from the end."""
+    nl = generate_multiplier(GeneratorConfig(2, 2, False))
+    assert nl.signal_count == 12
+    place = _set_pin(nl, where, sig)
+    report = validate(nl)
+    message = f"{place} (s{sig}) is not one of the 12 signals"
+    assert [(f.code, f.message) for f in report.findings] == [("unknown-signal", message)]
+    assert report.analysis is None
+    with pytest.raises(NetlistError) as raised:
+        analyze(nl)
+    assert type(raised.value) is NetlistError and str(raised.value) == message
+
+
+def test_first_unknown_signal_is_the_one_finding():
+    """Port bits are checked before pins, and pins in primitive order.
+    The first id outside the netlist is the one finding, so an arity
+    mismatch ahead of it is not reported."""
+    nl = generate_multiplier(GeneratorConfig(2, 2, False))
+    nl.primitives[0].inputs.append(nl.input_a[0])
+    for where, sig in (("output pin", 99), ("input pin", -1), ("output port", 12)):
+        _set_pin(nl, where, sig)
+    messages = lambda: [f.message for f in validate(nl).findings]
+    assert messages() == ["output bit 2 (s12) is not one of the 12 signals"]
+    nl.output_p[2] = 10
+    assert messages() == ["primitive 4 (ha) input 1 (s-1) is not one of the 12 signals"]
+    nl.primitives[4].inputs[1] = 6
+    assert messages() == ["primitive 5 (ha) output 0 (s99) is not one of the 12 signals"]
+
+
 def test_validation_order_is_deterministic():
     def build():
         nl = Netlist.create(2, 2)

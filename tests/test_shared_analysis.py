@@ -45,7 +45,7 @@ def _plan_outcome(nl, plan, **kw):
 
 @pytest.mark.parametrize("n,k,pipe,faulty", FAULT_CASES)
 def test_shared_analysis_gives_the_same_results(n, k, pipe, faulty):
-    nl, ann = generate_with_annotations(GeneratorConfig(n, k, pipe))
+    nl, passes = generate_with_annotations(GeneratorConfig(n, k, pipe))
     if faulty:
         _swap_first_fa_outputs(nl)
     report = validate(nl)
@@ -61,8 +61,8 @@ def test_shared_analysis_gives_the_same_results(n, k, pipe, faulty):
     plan = make_plan(nl, 30, 5)
     assert plan == make_plan(nl, 30, 5, analysis=an)
     assert _plan_outcome(nl, plan) == _plan_outcome(nl, plan, analysis=an)
-    assert (render_json(compute_metrics(nl, ann))
-            == render_json(compute_metrics(nl, ann, analysis=an)))
+    assert (render_json(compute_metrics(nl, passes))
+            == render_json(compute_metrics(nl, passes, analysis=an)))
     assert emit_vhdl(nl) == emit_vhdl(nl, report=report)
 
 
@@ -80,25 +80,25 @@ def test_emit_refuses_a_report_with_errors():
 
 
 STAGES = {
-    "verify_random": lambda nl, ann, an: verify_random(nl, 5, 1, analysis=an),
-    "verify_exhaustive": lambda nl, ann, an: verify_exhaustive(nl, analysis=an),
-    "compute_latency": lambda nl, ann, an: compute_latency(nl, analysis=an),
-    "make_plan": lambda nl, ann, an: make_plan(nl, 5, 1, analysis=an),
-    "self_check_plan": lambda nl, ann, an: self_check_plan(
+    "verify_random": lambda nl, passes, an: verify_random(nl, 5, 1, analysis=an),
+    "verify_exhaustive": lambda nl, passes, an: verify_exhaustive(nl, analysis=an),
+    "compute_latency": lambda nl, passes, an: compute_latency(nl, analysis=an),
+    "make_plan": lambda nl, passes, an: make_plan(nl, 5, 1, analysis=an),
+    "self_check_plan": lambda nl, passes, an: self_check_plan(
         nl, make_plan(nl, 5, 1), analysis=an),
-    "compute_metrics": lambda nl, ann, an: compute_metrics(nl, ann, analysis=an),
-    "emit_vhdl": lambda nl, ann, an: emit_vhdl(nl, report=ValidationReport(analysis=an)),
+    "compute_metrics": lambda nl, passes, an: compute_metrics(nl, passes, analysis=an),
+    "emit_vhdl": lambda nl, passes, an: emit_vhdl(nl, report=ValidationReport(analysis=an)),
 }
 
 
 @pytest.mark.parametrize("stage", sorted(STAGES))
 def test_analysis_of_another_netlist_is_rejected(stage):
     cfg = GeneratorConfig(4, 4, True)
-    nl, ann = generate_with_annotations(cfg)
+    nl, passes = generate_with_annotations(cfg)
     twin, _ = generate_with_annotations(cfg)  # same structure, different object
     with pytest.raises(NetlistError, match="different netlist"):
-        STAGES[stage](nl, ann, analyze(twin))
-    STAGES[stage](nl, ann, analyze(nl))
+        STAGES[stage](nl, passes, analyze(twin))
+    STAGES[stage](nl, passes, analyze(nl))
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,21 +4,9 @@ from hypothesis import given, settings, strategies as st
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
 from csmulgen.netlist import DFF, UnbalancedPathError
 from csmulgen.sim import (
-    OperandValue, SimError, VerificationReport,
+    SimError, VerificationReport,
     simulate, verify_exhaustive, verify_pairs, verify_random,
 )
-
-
-def test_operand_value_round_trip():
-    v = OperandValue(53, 8)
-    assert v.bitstring() == "00110101"
-
-
-def test_operand_value_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        OperandValue(4, 2)
-    with pytest.raises(ValueError):
-        OperandValue(-1, 2)
 
 
 def test_initial_state_settles_2x2_all_pairs():

@@ -1,31 +1,39 @@
 import pytest
 
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
-from csmulgen import tbgen
 from csmulgen.netlist import FULL_ADDER, compute_latency
-from csmulgen.sim import simulate, verify_random
-from csmulgen.tbgen import (
-    PlanError, emit_testbench, generate_vectors, make_plan, self_check_plan,
-)
-
-
-def test_vector_rejects_wrong_product():
-    from csmulgen.sim import OperandValue
-    with pytest.raises(PlanError):
-        tbgen.TestVector(OperandValue(3, 2), OperandValue(3, 2), 8)
+from csmulgen.sim import SimError, simulate, verify_random
+from csmulgen.tbgen import PlanError, emit_testbench, make_plan, self_check_plan
 
 
 def test_generate_vectors_deterministic():
-    assert generate_vectors(8, 8, 20, seed=5) == generate_vectors(8, 8, 20, seed=5)
-    assert generate_vectors(8, 8, 20, seed=5) != generate_vectors(8, 8, 20, seed=6)
+    nl = generate_multiplier(GeneratorConfig(8, 8, False))
+    assert make_plan(nl, 20, seed=5).pairs == make_plan(nl, 20, seed=5).pairs
+    assert make_plan(nl, 20, seed=5).pairs != make_plan(nl, 20, seed=6).pairs
 
 
 def test_seed_6400_first_vector():
-    vecs = generate_vectors(8, 8, 1, seed=6400)
-    v = vecs[0]
-    assert (v.a.value, v.b.value, v.expected) == (53, 23, 1219)
-    assert v.a.bitstring() == "00110101"
-    assert v.b.bitstring() == "00010111"
+    nl = generate_multiplier(GeneratorConfig(8, 8, False))
+    assert make_plan(nl, 1, seed=6400).pairs == [(53, 23)]
+
+
+@pytest.mark.parametrize("caller", [make_plan, verify_random])
+def test_negative_count_is_rejected(caller):
+    nl = generate_multiplier(GeneratorConfig(4, 4, False))
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        caller(nl, -3, 1)
+
+
+@pytest.mark.parametrize("pair", [(4, 0), (-1, 3), (3, -1)])
+def test_plan_pairs_that_do_not_fit_raise_sim_error(pair):
+    """The range check runs before the independent product: with a
+    negative b, its shift-and-add loop would never end."""
+    nl = generate_multiplier(GeneratorConfig(2, 2, False))
+    plan = make_plan(nl, 0, seed=1)
+    plan.pairs = [pair]
+    for stage in (self_check_plan, emit_testbench):
+        with pytest.raises(SimError, match=rf"^pair {pair[0]} x {pair[1]} does not fit"):
+            stage(nl, plan)
 
 
 def test_self_check_plan_passes_for_generated_design():
@@ -92,7 +100,7 @@ def test_testbench_text_structure():
     assert '"00110101"' in text
     assert '"00010111"' in text
     assert "1219" in text
-    assert text.count("assert") == 2 * len(plan.vectors)
+    assert text.count("assert") == 2 * len(plan.pairs)
     assert "TESTBENCH OK" in text
 
 
@@ -126,8 +134,8 @@ def swap_fa_outputs(nl, nth):
 
 def first_failure_per_vector(nl, plan):
     """The per-vector reference: index of the first vector the simulator gets wrong."""
-    return next((idx for idx, vec in enumerate(plan.vectors)
-                 if simulate(nl, [(vec.a.value, vec.b.value)])[0] != vec.expected), None)
+    return next((idx for idx, (a, b) in enumerate(plan.pairs)
+                 if simulate(nl, [(a, b)])[0] != a * b), None)
 
 
 @pytest.mark.parametrize("n,k,pipe", [(8, 8, True), (5, 11, True), (13, 13, False)])
@@ -141,8 +149,7 @@ def test_lane_parallel_self_check_agrees_with_per_vector_runs(n, k, pipe):
         swap_fa_outputs(bad, nth)
         idx = first_failure_per_vector(bad, plan)
         assert idx is not None
-        vec = plan.vectors[idx]
-        got = simulate(bad, [(vec.a.value, vec.b.value)])[0]
+        got = simulate(bad, [plan.pairs[idx]])[0]
         with pytest.raises(PlanError, match=rf"^vector {idx}: circuit computes {got},"):
             self_check_plan(bad, plan)
 
