@@ -20,7 +20,7 @@ from .mulgen import (
 )
 from .netlist import NetlistError, validate
 from .sim import EXHAUSTIVE_GUARD_BITS, SimError, verify_exhaustive, verify_random
-from .vhdl import EmissionError, check_identifier, default_entity_name, emit_vhdl
+from .vhdl import EmissionError, check_identifier, default_entity_name, iter_vhdl
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,9 +109,12 @@ def run(args) -> int:
 def _verify_and_write(args, cfg, nl, passes, gen_ms, report) -> int:
     """Everything after validation: simulate, emit, self-check, write.
 
-    Every stage shares the analysis `validate` computed, and `emit_vhdl`
+    Every stage shares the analysis `validate` computed, and `iter_vhdl`
     takes the report instead of validating again: the netlist does not
-    change after generation.
+    change after generation.  `iter_vhdl` checks when called but renders
+    only as the write block consumes it, chunk by chunk: no file is
+    written before the self-check passes, and the whole design text is
+    never held in memory.
     """
     an = report.analysis
     mode = args.verify
@@ -128,7 +131,7 @@ def _verify_and_write(args, cfg, nl, passes, gen_ms, report) -> int:
 
     entity = args.entity_name or default_entity_name(nl)
     try:
-        design_text = emit_vhdl(nl, entity_name=entity, report=report)
+        design_chunks = iter_vhdl(nl, entity_name=entity, report=report)
         plan = tbgen.make_plan(nl, args.tests, args.seed, analysis=an)
         tbgen.self_check_plan(nl, plan, analysis=an)
         tb_text = tbgen.emit_testbench(nl, plan, entity_name=entity)
@@ -144,7 +147,8 @@ def _verify_and_write(args, cfg, nl, passes, gen_ms, report) -> int:
         design_path = out_dir / f"{entity}.vhd"
         tb_path = out_dir / f"{entity}_tb.vhd"
         metrics_path = out_dir / f"{entity}_metrics.json"
-        design_path.write_text(design_text, encoding="utf-8", newline="\n")
+        with open(design_path, "w", encoding="utf-8", newline="\n") as f:
+            f.writelines(design_chunks)
         tb_path.write_text(tb_text, encoding="utf-8", newline="\n")
         metrics_path.write_text(metrics_mod.render_json(mrep), encoding="utf-8",
                                 newline="\n")

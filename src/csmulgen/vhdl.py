@@ -4,12 +4,15 @@ One design unit per netlist: an entity with x/y/p vector ports (plus
 clk when registered) and an architecture with one concurrent statement
 group per primitive.  Adders become inline boolean expressions, flip
 flops become one clocked process each, constant outputs are assigned
-'0' in place.  Output text is byte-deterministic.
+'0' in place.  Output text is byte-deterministic.  `iter_vhdl` yields
+it in chunks of lines, so a writer never holds the whole text;
+`emit_vhdl` joins them.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
@@ -31,6 +34,10 @@ variable wait when while with xnor xor
 
 _IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 INDENT = "  "  # one level of nesting in emitted VHDL and testbench text
+# Lines per chunk of design text.  A chunk is a few hundred kB whatever
+# the design's size, so writing one costs far more than the call does,
+# and a writer holds one chunk at a time, never the whole text.
+CHUNK_LINES = 8192
 
 
 class EmissionError(Exception):
@@ -73,13 +80,21 @@ def _signal_text(nl: Netlist):
 
 def emit_vhdl(nl: Netlist, *, entity_name: str | None = None,
               report: ValidationReport | None = None) -> str:
+    """The whole design text: the join of `iter_vhdl`'s chunks."""
+    return "".join(iter_vhdl(nl, entity_name=entity_name, report=report))
+
+
+def iter_vhdl(nl: Netlist, *, entity_name: str | None = None,
+              report: ValidationReport | None = None):
     """Render the netlist as one synthesizable VHDL design unit, named
-    `entity_name` or else `default_entity_name(nl)`.
+    `entity_name` or else `default_entity_name(nl)`, as an iterator of
+    text chunks of at most CHUNK_LINES lines, each ending in a newline.
 
     `report` is `validate(nl)` when the caller already has it; without
     one the netlist is validated here.  A report with errors is refused,
     and so is a report of another netlist (NetlistError, through
-    `analysis_for`).
+    `analysis_for`), and so is an illegal entity name.  These checks run
+    when `iter_vhdl` is called, before any chunk is asked for.
     """
     if report is None:
         report = validate(nl)
@@ -87,18 +102,26 @@ def emit_vhdl(nl: Netlist, *, entity_name: str | None = None,
         msgs = "; ".join(f.message for f in report.errors)
         raise EmissionError(f"refusing to emit an invalid netlist: {msgs}")
     analysis_for(nl, report.analysis)
-
     entity = entity_name or default_entity_name(nl)
     check_identifier(entity)
+    return _chunks(_lines(nl, entity))
+
+
+def _chunks(lines):
+    while batch := list(islice(lines, CHUNK_LINES)):
+        yield "\n".join(batch) + "\n"
+
+
+def _lines(nl: Netlist, entity: str):
+    """The design text, one line at a time, without line ends."""
     ind = INDENT
     t, named = _signal_text(nl)
 
-    lines = []
-    lines.append("library ieee;")
-    lines.append("use ieee.std_logic_1164.all;")
-    lines.append("")
-    lines.append(f"entity {entity} is")
-    lines.append(f"{ind}port (")
+    yield "library ieee;"
+    yield "use ieee.std_logic_1164.all;"
+    yield ""
+    yield f"entity {entity} is"
+    yield f"{ind}port ("
     ports = [
         f"x : in std_logic_vector({nl.width_a - 1} downto 0)",
         f"y : in std_logic_vector({nl.width_b - 1} downto 0)",
@@ -108,36 +131,35 @@ def emit_vhdl(nl: Netlist, *, entity_name: str | None = None,
     ports.append(f"p : out std_logic_vector({nl.width_a + nl.width_b - 1} downto 0)")
     for i, port in enumerate(ports):
         sep = ";" if i < len(ports) - 1 else ""
-        lines.append(f"{ind}{ind}{port}{sep}")
-    lines.append(f"{ind});")
-    lines.append(f"end entity {entity};")
-    lines.append("")
-    lines.append(f"architecture structural of {entity} is")
-    lines.extend(f"{ind}signal s{i} : std_logic;" for i in range(named))
-    lines.append("begin")
+        yield f"{ind}{ind}{port}{sep}"
+    yield f"{ind});"
+    yield f"end entity {entity};"
+    yield ""
+    yield f"architecture structural of {entity} is"
+    for i in range(named):
+        yield f"{ind}signal s{i} : std_logic;"
+    yield "begin"
 
     ind2, ind3 = ind * 2, ind * 3
+    process_open = f"{ind}process (clk)", f"{ind}begin", f"{ind2}if rising_edge(clk) then"
+    process_close = f"{ind2}end if;", f"{ind}end process;"
     for prim in nl.primitives:
         kind, ins, outs = prim.kind, prim.inputs, prim.outputs
         if kind == AND2:
-            lines.append(f"{ind}{t[outs[0]]} <= {t[ins[0]]} and {t[ins[1]]};")
+            yield f"{ind}{t[outs[0]]} <= {t[ins[0]]} and {t[ins[1]]};"
         elif kind == HALF_ADDER:
             a, b = t[ins[0]], t[ins[1]]
-            lines.append(f"{ind}{t[outs[0]]} <= {a} xor {b};\n"
-                         f"{ind}{t[outs[1]]} <= {a} and {b};")
+            yield f"{ind}{t[outs[0]]} <= {a} xor {b};"
+            yield f"{ind}{t[outs[1]]} <= {a} and {b};"
         elif kind == FULL_ADDER:
             a, b, c = t[ins[0]], t[ins[1]], t[ins[2]]
-            lines.append(f"{ind}{t[outs[0]]} <= {a} xor {b} xor {c};\n"
-                         f"{ind}{t[outs[1]]} <= ({a} and {b}) or "
-                         f"({a} and {c}) or ({b} and {c});")
+            yield f"{ind}{t[outs[0]]} <= {a} xor {b} xor {c};"
+            yield f"{ind}{t[outs[1]]} <= ({a} and {b}) or ({a} and {c}) or ({b} and {c});"
         elif kind == DFF:
-            lines.append(f"{ind}process (clk)\n{ind}begin\n"
-                         f"{ind2}if rising_edge(clk) then\n"
-                         f"{ind3}{t[outs[0]]} <= {t[ins[0]]};\n"
-                         f"{ind2}end if;\n{ind}end process;")
+            yield from process_open
+            yield f"{ind3}{t[outs[0]]} <= {t[ins[0]]};"
+            yield from process_close
 
     for j, bit in enumerate(nl.output_p):
-        lines.append(f"{ind}p({j}) <= {t[bit]};")
-    lines.append(f"end architecture structural;")
-    lines.append("")
-    return "\n".join(lines)
+        yield f"{ind}p({j}) <= {t[bit]};"
+    yield "end architecture structural;"

@@ -202,6 +202,7 @@ def test_netlist_error_after_validation_exits_2(tmp_path, monkeypatch, capsys,
     assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
                    "--verify", "off", "--out-dir", str(tmp_path)) == 2
     assert "register" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.vhd"))
 
 
 def test_out_of_order_netlist_after_validation_exits_2(tmp_path, monkeypatch, capsys):
@@ -212,6 +213,7 @@ def test_out_of_order_netlist_after_validation_exits_2(tmp_path, monkeypatch, ca
     assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
                    "--verify", "off", "--out-dir", str(tmp_path)) == 2
     assert "is read before its driver" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.vhd"))
 
 
 def test_sim_error_after_validation_exits_3(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,8 @@
 """One validation per CLI job, whose analysis every stage shares.
 
-Each stage that takes `analysis=` (or `report=`, for `emit_vhdl`) must
-give exactly what it gives when it analyses the netlist itself, and
-must refuse an analysis of a different netlist.
+Each stage that takes `analysis=` (or `report=`, for `emit_vhdl` and
+`iter_vhdl`) must give exactly what it gives when it analyses the
+netlist itself, and must refuse an analysis of a different netlist.
 """
 
 from collections import Counter
@@ -23,7 +23,7 @@ from csmulgen.netlist import (
 )
 from csmulgen.sim import verify_exhaustive, verify_random
 from csmulgen.tbgen import PlanError, make_plan, self_check_plan
-from csmulgen.vhdl import EmissionError, emit_vhdl
+from csmulgen.vhdl import EmissionError, emit_vhdl, iter_vhdl
 
 CASES = [(1, 1, False), (3, 7, False), (8, 8, True), (13, 13, False), (5, 11, True)]
 # Each case as generated, and (where it has a full adder) with one broken.
@@ -71,6 +71,8 @@ def test_emit_refuses_a_report_with_errors():
     report = ValidationReport(findings=[Finding("error", "test", "handed-in defect")])
     with pytest.raises(EmissionError, match="handed-in defect"):
         emit_vhdl(nl, report=report)
+    with pytest.raises(EmissionError, match="handed-in defect"):
+        iter_vhdl(nl, report=report)  # when called, before any chunk
 
     bad = Netlist.create(1, 1)
     (s,) = bad.add_primitive(AND2, [bad.input_a[0], bad.input_b[0]])
@@ -88,6 +90,8 @@ STAGES = {
         nl, make_plan(nl, 5, 1), analysis=an),
     "compute_metrics": lambda nl, passes, an: compute_metrics(nl, passes, analysis=an),
     "emit_vhdl": lambda nl, passes, an: emit_vhdl(nl, report=ValidationReport(analysis=an)),
+    # Called, not consumed: the check runs before the first chunk.
+    "iter_vhdl": lambda nl, passes, an: iter_vhdl(nl, report=ValidationReport(analysis=an)),
 }
 
 

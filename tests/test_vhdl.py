@@ -3,9 +3,12 @@ import pathlib
 
 import pytest
 
+from csmulgen.cli import main
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
 from csmulgen.netlist import AND2, Netlist
-from csmulgen.vhdl import EmissionError, check_identifier, default_entity_name, emit_vhdl
+from csmulgen.vhdl import (
+    CHUNK_LINES, EmissionError, check_identifier, default_entity_name, emit_vhdl, iter_vhdl,
+)
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -108,3 +111,37 @@ def test_output_uses_lf_and_ends_with_newline():
     text = emit_vhdl(generate_multiplier(GeneratorConfig(2, 2, False)))
     assert "\r" not in text
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("widths, pipelined", [((64, 64), False), ((32, 32), True)])
+def test_design_text_comes_in_chunks_of_whole_lines(widths, pipelined):
+    nl = generate_multiplier(GeneratorConfig(*widths, pipelined))
+    chunks = list(iter_vhdl(nl))
+    assert len(chunks) >= 2
+    for chunk in chunks:
+        assert chunk.endswith("\n")
+        assert chunk.count("\n") <= CHUNK_LINES
+    # Every chunk but the last is full.
+    assert {chunk.count("\n") for chunk in chunks[:-1]} == {CHUNK_LINES}
+
+
+def test_emit_checks_before_the_first_chunk():
+    nl = generate_multiplier(GeneratorConfig(4, 4, False))
+    with pytest.raises(EmissionError, match="not a legal VHDL basic identifier"):
+        iter_vhdl(nl, entity_name="signal")
+    bad = Netlist.create(1, 1)
+    (s,) = bad.add_primitive(AND2, [bad.input_a[0], bad.input_b[0]])
+    bad.output_p = [s, bad.new_signal()]  # undriven output bit
+    with pytest.raises(EmissionError, match="no driver"):
+        iter_vhdl(bad)
+
+
+def test_cli_writes_the_emitted_bytes(tmp_path):
+    """The CLI writes the design chunk by chunk; the file holds exactly
+    the text `emit_vhdl` returns, over more than one chunk."""
+    assert main(["--width-a", "32", "--width-b", "32", "--pipeline", "--tests", "4",
+                 "--out-dir", str(tmp_path)]) == 0
+    nl = generate_multiplier(GeneratorConfig(32, 32, True))
+    want = emit_vhdl(nl).encode("utf-8")
+    assert want.count(b"\n") > CHUNK_LINES
+    assert (tmp_path / "mul_32x32_p.vhd").read_bytes() == want
