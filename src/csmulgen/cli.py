@@ -52,8 +52,8 @@ def build_parser():
     parser.add_argument("--verify", choices=["off", "random", "exhaustive", "auto"],
                         default="auto",
                         help="simulator verification policy (default %(default)s): "
-                             "auto is exhaustive for small widths, 100 random "
-                             "vectors otherwise")
+                             "auto is exhaustive for small widths, "
+                             "max(100, --tests) random vectors otherwise")
     parser.add_argument("--entity-name", default=None,
                         help="override the generated entity name")
     return parser
@@ -62,7 +62,7 @@ def build_parser():
 def run(args) -> int:
     try:
         max_width_ceiling()  # a malformed variable fails before any work
-        if args.entity_name:
+        if args.entity_name is not None:
             check_identifier(args.entity_name)
     except (ValueError, EmissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -107,14 +107,17 @@ def run(args) -> int:
 
 
 def _verify_and_write(args, cfg, nl, passes, gen_ms, report) -> int:
-    """Everything after validation: simulate, emit, self-check, write.
+    """Everything after validation: simulate, emit, write.
 
-    Every stage shares the analysis `validate` computed, and `iter_vhdl`
-    takes the report instead of validating again: the netlist does not
-    change after generation.  `iter_vhdl` checks when called but renders
-    only as the write block consumes it, chunk by chunk: no file is
-    written before the self-check passes, and the whole design text is
-    never held in memory.
+    One simulation checks the netlist: the testbench's pairs are among
+    those verified (a prefix in random mode, which checks
+    `max(DEFAULT_TESTS, --tests)` pairs of the same seeded stream), so
+    `self_check_plan` runs only with `--verify off`.  Every stage shares
+    the analysis `validate` computed, and `iter_vhdl` takes the report
+    instead of validating again: the netlist does not change after
+    generation.  `iter_vhdl` checks when called but renders only as the
+    write block consumes it, chunk by chunk: no file is written before
+    the check passes, and the whole design text is never held in memory.
     """
     an = report.analysis
     mode = args.verify
@@ -124,16 +127,18 @@ def _verify_and_write(args, cfg, nl, passes, gen_ms, report) -> int:
     if mode != "off":
         print(f"verifying ({mode}) ...")
         vrep = (verify_exhaustive(nl, analysis=an) if mode == "exhaustive"
-                else verify_random(nl, DEFAULT_TESTS, args.seed, analysis=an))
+                else verify_random(nl, max(DEFAULT_TESTS, args.tests), args.seed,
+                                   analysis=an))
         print(vrep.to_text())
         if not vrep.passed:
             return EXIT_VERIFICATION
 
-    entity = args.entity_name or default_entity_name(nl)
+    entity = default_entity_name(nl) if args.entity_name is None else args.entity_name
     try:
         design_chunks = iter_vhdl(nl, entity_name=entity, report=report)
         plan = tbgen.make_plan(nl, args.tests, args.seed, analysis=an)
-        tbgen.self_check_plan(nl, plan, analysis=an)
+        if mode == "off":
+            tbgen.self_check_plan(nl, plan, analysis=an)
         tb_text = tbgen.emit_testbench(nl, plan, entity_name=entity)
     except (EmissionError, tbgen.PlanError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -350,16 +350,21 @@ class LatencyInfo:
 
 
 def compute_latency(nl: Netlist, *, analysis: Analysis | None = None) -> LatencyInfo:
-    """Pipelined: common register depth of the output bits; raises
-    UnbalancedPathError, with the first `unbalanced-registers` message
-    of `validate`, when the output bits do not share one.
+    """Pipelined: common register depth of the output bits.
     Combinational: worst levelized depth over the output bits.
+    Raises UnbalancedPathError, with the first `unbalanced-registers`
+    message of `validate`, when the output bits do not share one
+    register depth, pipelined or not, and when a netlist marked
+    combinational has registers on its output paths.
     `analysis`, when given, is used instead of analysing `nl` again."""
     an = analysis_for(nl, analysis)
+    unbalanced = _unbalanced_registers(an, enumerate(nl.output_p))
+    cycles = an.reg_min[nl.output_p[0]]
+    if cycles and not nl.pipelined:
+        unbalanced.append(f"combinational output bits carry {cycles} registers")
+    if unbalanced:
+        raise UnbalancedPathError(unbalanced[0])
     if nl.pipelined:
-        unbalanced = _unbalanced_registers(an, enumerate(nl.output_p))
-        if unbalanced:
-            raise UnbalancedPathError(unbalanced[0])
-        return LatencyInfo(pipelined=True, cycles=an.reg_min[nl.output_p[0]])
+        return LatencyInfo(pipelined=True, cycles=cycles)
     worst = max(an.depth[bit] for bit in nl.output_p)
     return LatencyInfo(pipelined=False, gate_units=worst)

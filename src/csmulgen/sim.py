@@ -1,12 +1,12 @@
 """Gate-level netlist evaluation and product verification.
 
 Values are plain Python integers used as lane vectors: bit t of a
-signal's value is that signal's logic level in clock cycle t, and a
-register's output is its input one lane up.  So one pass over the
-primitives, which a netlist keeps in dependency order, simulates every
-cycle from reset, with a new input pair in each.  `simulate` returns
-the products of such a stream, and the verify functions compare them
-with a*b; one vector is the one-lane case.  AND/XOR/majority on big
+signal's value is its level for input pair t.  A register is a wire:
+`compute_latency` checks that every output path holds the same number
+L of registers, so the product leaving in cycle t + L is pair t's.
+One pass over the primitives, which a netlist keeps in dependency
+order, gives every pair's product; `simulate` returns them, and the
+verify functions compare them with a*b.  AND/XOR/majority on big
 integers make exhaustive sweeps cheap without any extra machinery.
 """
 
@@ -27,15 +27,14 @@ class SimError(Exception):
     pass
 
 
-def _settle(nl, values, mask):
-    """Evaluate every primitive of `nl` once, in list order, over the lanes
-    in `mask`: a register's output is its input one lane up, and lane 0,
-    the reset cycle, is 0."""
+def _settle(nl, values):
+    """Evaluate every primitive of `nl` once, in list order, over all
+    lanes at once; a register's output is its input."""
     for prim in nl.primitives:
         k = prim.kind
         ins = prim.inputs
         if k == DFF:
-            values[prim.outputs[0]] = (values[ins[0]] << 1) & mask
+            values[prim.outputs[0]] = values[ins[0]]
         elif k == FULL_ADDER:
             a, b, c = values[ins[0]], values[ins[1]], values[ins[2]]
             s_out, c_out = prim.outputs
@@ -53,16 +52,15 @@ def _settle(nl, values, mask):
             values[prim.outputs[0]] = 0
 
 
-def _stream(nl, a_masks, b_masks, cycles, latency):
-    """Output-bit lane masks of `cycles` input cycles streamed from reset:
-    lane t of the input masks holds the inputs of cycle t, and lane t of
-    output mask j is product bit j in cycle t + latency.  `nl` must have
-    passed `analyze`, which checks its order."""
+def _stream(nl, a_masks, b_masks):
+    """Output-bit lane masks of the input lane masks: lane t of output
+    mask j is product bit j for the inputs in lane t.  `nl` must have
+    passed `compute_latency`, which checks its order and its balance."""
     values = [0] * nl.signal_count
     for sig, v in zip(nl.input_a + nl.input_b, a_masks + b_masks):
         values[sig] = v
-    _settle(nl, values, (1 << (cycles + latency)) - 1)
-    return [values[bit] >> latency for bit in nl.output_p]
+    _settle(nl, values)
+    return [values[bit] for bit in nl.output_p]
 
 
 def _lane_masks(words, width):
@@ -86,20 +84,19 @@ def check_pairs(nl: Netlist, pairs):
 
 
 def _products(nl, pairs, analysis):
-    """Output-bit lane masks of the (a, b) pairs streamed through `nl`,
-    pair t entering in clock cycle t: lane t holds the product pair t
-    leaves with, L cycles later."""
+    """Output-bit lane masks of the (a, b) pairs streamed through `nl`:
+    lane t holds the product pair t leaves with, L cycles later."""
     check_pairs(nl, pairs)
-    latency = compute_latency(nl, analysis=analysis).cycles or 0
+    compute_latency(nl, analysis=analysis)
     a_masks = _lane_masks([a for a, _ in pairs], nl.width_a)
     b_masks = _lane_masks([b for _, b in pairs], nl.width_b)
-    return _stream(nl, a_masks, b_masks, len(pairs), latency)
+    return _stream(nl, a_masks, b_masks)
 
 
 def simulate(nl: Netlist, pairs, *, analysis: Analysis | None = None) -> list[int]:
-    """Products of the (a, b) pairs streamed through `nl` from reset,
-    pair t entering in clock cycle t and leaving L cycles later, L being
-    the latency (0 when combinational).  One product is
+    """Products of the (a, b) pairs streamed through `nl`, pair t
+    entering in clock cycle t and leaving L cycles later, L being the
+    latency (0 when combinational).  One product is
     `simulate(nl, [(a, b)])[0]`.  Analyses `nl` unless given `analysis`,
     and raises as `verify_pairs` does."""
     got = _products(nl, pairs, analysis)
@@ -165,14 +162,14 @@ def verify_exhaustive(nl: Netlist, *,
     if n + k > EXHAUSTIVE_GUARD_BITS:
         raise SimError(f"exhaustive verification capped at {EXHAUSTIVE_GUARD_BITS} "
                        f"total input bits, got {n + k}")
-    latency = compute_latency(nl, analysis=analysis).cycles or 0
+    compute_latency(nl, analysis=analysis)
     total = 1 << (n + k)
     chunk = min(total, 1 << 16)
     tested = 0
     for base in range(0, total, chunk):
         a_masks = [_pattern(i, chunk, base) for i in range(n)]
         b_masks = [_pattern(n + i, chunk, base) for i in range(k)]
-        got = _stream(nl, a_masks, b_masks, chunk, latency)
+        got = _stream(nl, a_masks, b_masks)
         pairs = [((base + t) & ((1 << n) - 1), (base + t) >> n) for t in range(chunk)]
         bad = _check_lanes(nl, got, pairs, "exhaustive", tested)
         if bad is not None:

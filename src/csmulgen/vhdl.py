@@ -102,7 +102,7 @@ def iter_vhdl(nl: Netlist, *, entity_name: str | None = None,
         msgs = "; ".join(f.message for f in report.errors)
         raise EmissionError(f"refusing to emit an invalid netlist: {msgs}")
     analysis_for(nl, report.analysis)
-    entity = entity_name or default_entity_name(nl)
+    entity = default_entity_name(nl) if entity_name is None else entity_name
     check_identifier(entity)
     return _chunks(_lines(nl, entity))
 

@@ -100,6 +100,47 @@ def test_reserved_entity_name_fails_cleanly(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_empty_entity_name_fails_cleanly(tmp_path, capsys):
+    """An empty name is given, and illegal: it is not the default."""
+    code = run_cli("--width-a", "2", "--width-b", "2",
+                   "--entity-name", "", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "'' is not a legal VHDL basic identifier" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["--width-a", "20", "--width-b", "20", "--pipeline"],
+    ["--width-a", "8", "--width-b", "8"],
+    ["--width-a", "20", "--width-b", "20", "--pipeline", "--verify", "off"],
+], ids=["random", "exhaustive", "off"])
+def test_cli_job_settles_the_netlist_once(tmp_path, monkeypatch, argv):
+    """Verification and the testbench's pairs share one simulation; only
+    with `--verify off` does the testbench self-check simulate."""
+    from csmulgen import sim
+    settle = sim._settle
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return settle(*args)
+
+    monkeypatch.setattr(sim, "_settle", counted)
+    assert run_cli(*argv, "--out-dir", str(tmp_path)) == 0
+    assert len(calls) == 1
+
+
+def test_more_than_100_tests_verify_the_testbench_pairs(tmp_path, capsys):
+    from csmulgen.sim import random_pairs
+    assert run_cli("--width-a", "20", "--width-b", "20", "--tests", "150",
+                   "--seed", "4", "--out-dir", str(tmp_path)) == 0
+    assert "PASS: 150 random vectors, all exact" in capsys.readouterr().out
+    text = (tmp_path / "mul_20x20_tb.vhd").read_text()
+    words = [int(line.rsplit(":", 1)[1]) for line in text.splitlines()
+             if "-- input vector:" in line]
+    assert list(zip(words[::2], words[1::2])) == random_pairs(20, 20, 150, 4)
+
+
 def test_repeat_runs_are_byte_identical(tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     for d in (a_dir, b_dir):

@@ -100,22 +100,24 @@ def test_simulator_matches_python_product(n, k, data):
     (3, 3, False), (4, 4, False), (5, 7, False), (8, 8, False), (4, 4, True),
 ])
 def test_streamed_pass_matches_step_cycle(n, k, drop, drop_dff, reference_outputs):
-    """Lane t of one streamed pass is clock cycle t: with a new input
-    pair every cycle, the output word agrees with the scalar reference,
-    stepped one clock cycle at a time, at every cycle.  That holds for
-    a netlist with a register dropped too, which `simulate` refuses."""
+    """With a new input pair every cycle, product t of `simulate`, where
+    registers are wires, is the output word of the scalar reference,
+    stepped one clock cycle at a time, in cycle L + t, from cycle L on.
+    A netlist with a register dropped is unbalanced, and refused."""
     import random
-    from csmulgen import sim
+    from csmulgen.netlist import compute_latency
     nl = generate_multiplier(GeneratorConfig(n, k, True))
+    rng = random.Random(n * 16 + k)
+    feed = [(rng.getrandbits(n), rng.getrandbits(k)) for _ in range(40)]
     if drop:
         dffs = [p for p in nl.primitives if p.kind == DFF]
         drop_dff(nl, dffs[len(dffs) // 2])
-    rng = random.Random(n * 16 + k)
-    feed = [(rng.getrandbits(n), rng.getrandbits(k)) for _ in range(40)]
-    got = sim._stream(nl, sim._lane_masks([a for a, _ in feed], n),
-                      sim._lane_masks([b for _, b in feed], k), len(feed), 0)
-    for t, want in enumerate(reference_outputs(nl, feed, len(feed))):
-        assert sim._lane(got, t) == want, f"cycle {t}"
+        with pytest.raises(UnbalancedPathError):
+            simulate(nl, feed)
+        return
+    latency = compute_latency(nl).cycles
+    want = reference_outputs(nl, feed, latency + len(feed))[latency:]
+    assert simulate(nl, feed) == want
 
 
 @pytest.mark.parametrize("n, k, nth", [(4, 4, 0), (4, 4, -1), (5, 7, 0), (5, 7, 7)])
@@ -134,6 +136,19 @@ def test_simulate_matches_reference_on_a_miswired_adder(n, k, nth, reference_out
     got = simulate(nl, feed)
     assert got == reference_outputs(nl, feed, latency + len(feed))[latency:]
     assert got != [a * b for a, b in feed]
+
+
+@pytest.mark.parametrize("n, k", [(4, 4), (5, 7), (3, 9)])
+def test_registers_in_a_netlist_marked_combinational_never_pass(n, k):
+    """Registers are wires in simulation, so a pipelined netlist flagged
+    combinational must be refused: its outputs carry L registers, not 0."""
+    nl = generate_multiplier(GeneratorConfig(n, k, True))
+    nl.pipelined = False
+    checks = [verify_exhaustive, lambda nl: verify_random(nl, 20, seed=1),
+              lambda nl: simulate(nl, [(1, 1), (3, 2)])]
+    for check in checks:
+        with pytest.raises(UnbalancedPathError, match="combinational output bits carry"):
+            check(nl)
 
 
 @pytest.mark.parametrize("width", [1, 8, 512])

@@ -26,8 +26,8 @@ def test_negative_count_is_rejected(caller):
 
 @pytest.mark.parametrize("pair", [(4, 0), (-1, 3), (3, -1)])
 def test_plan_pairs_that_do_not_fit_raise_sim_error(pair):
-    """The range check runs before the independent product: with a
-    negative b, its shift-and-add loop would never end."""
+    """A pair that is negative or wider than its port is refused by the
+    one range check, `sim.check_pairs`, before any simulation or text."""
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
     plan = make_plan(nl, 0, seed=1)
     plan.pairs = [pair]

@@ -100,6 +100,15 @@ def test_custom_entity_name():
     assert "end entity my_mult;" in text
 
 
+def test_empty_entity_name_is_not_the_default():
+    from csmulgen.tbgen import emit_testbench, make_plan
+    nl = generate_multiplier(GeneratorConfig(2, 2, False))
+    with pytest.raises(EmissionError, match="'' is not a legal"):
+        emit_vhdl(nl, entity_name="")
+    with pytest.raises(EmissionError, match="'' is not a legal"):
+        emit_testbench(nl, make_plan(nl, 1, seed=1), entity_name="")
+
+
 def test_wide_output_bits_all_driven():
     nl = generate_multiplier(GeneratorConfig(6, 2, False))
     text = emit_vhdl(nl)
