@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .netlist import (
-    AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, Analysis, LatencyInfo, Netlist,
+    AND2, DFF, FULL_ADDER, HALF_ADDER, KINDS, Analysis, LatencyInfo, Netlist,
     compute_latency,
 )
 
@@ -37,14 +37,12 @@ class MetricsReport:
 def compute_metrics(nl: Netlist, reduction_stages: int,
                     generation_time_ms: float | None = None, *,
                     analysis: Analysis | None = None) -> MetricsReport:
-    """Exact counts from a linear scan of the primitive list.
+    """Exact counts of each primitive kind in the netlist.
 
     The signals figure counts every port bit and internal wire; the
     clock is excluded.  `analysis` is passed on to `compute_latency`.
     """
-    counts = {AND2: 0, HALF_ADDER: 0, FULL_ADDER: 0, DFF: 0, CONST0: 0}
-    for prim in nl.primitives:
-        counts[prim.kind] += 1
+    counts = {kind: nl.kinds.count(code) for code, kind in enumerate(KINDS)}
     return MetricsReport(
         width_a=nl.width_a,
         width_b=nl.width_b,

@@ -12,6 +12,7 @@ output bit sees the identical latency.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 
 from .netlist import AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, Netlist, NetlistError
@@ -60,7 +61,8 @@ class _Builder:
         self.nl = nl
         self.slot = None  # signal id -> window it is produced in
         if nl.pipelined:
-            self.slot = {sig: 0 for sig in nl.input_a + nl.input_b}
+            # Every signal so far (ports and clock) is in window 0.
+            self.slot = array("i", bytes(4 * nl.signal_count))
         self.chains = {}  # signal id -> [its value delayed 1, 2, ... cycles]
 
     def add(self, kind, inputs, window):
@@ -68,8 +70,7 @@ class _Builder:
             return self.nl.add_primitive(kind, inputs)
         outs = self.nl.add_primitive(
             kind, [self.delayed(sig, window - self.slot[sig]) for sig in inputs])
-        for sig in outs:
-            self.slot[sig] = window
+        self.slot.extend([window] * len(outs))
         return outs
 
     def delayed(self, sig, d):
@@ -81,6 +82,7 @@ class _Builder:
         while len(chain) < d:
             (q,) = self.nl.add_primitive(DFF, [chain[-1] if chain else sig])
             chain.append(q)
+            self.slot.append(self.slot[sig] + len(chain))
         return chain[d - 1]
 
     def deskew(self, bits):

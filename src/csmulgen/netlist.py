@@ -2,19 +2,21 @@
 
 Flat single-bit signals and five primitive kinds (two-input AND, half
 adder, full adder, D flip-flop, constant-zero driver).  A signal is its
-int id, below `Netlist.signal_count`.  Primitives are kept in
-dependency order, each after the drivers of its inputs.  `validate` is
-the one walk over a netlist's pins: it runs every structural check,
-that order included, and computes the analysis on the way; `analyze`
-is its out-of-order gate for callers that want only the analysis.  The
-pipeline latency and register balance decided from the analysis live
-here too.  Every other module either builds one of these netlists or
-consumes one.
+int id, below `Netlist.signal_count`.  Primitives are stored flat, a
+kind code and five pin slots each, in dependency order: each comes
+after the drivers of its inputs.  `validate` is the one walk over a
+netlist's pins: it runs every structural check, that order included,
+and computes the analysis on the way; `analyze` is its out-of-order
+gate for callers that want only the analysis.  The pipeline latency
+and register balance decided from the analysis live here too.  Every
+other module either builds one of these netlists or consumes one.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # Primitive kinds.
 AND2 = "and2"
@@ -22,6 +24,11 @@ HALF_ADDER = "ha"
 FULL_ADDER = "fa"
 DFF = "dff"
 CONST0 = "const0"
+
+# A primitive's kind code, its entry in `Netlist.kinds`, is the kind's
+# index here.
+KINDS = (AND2, HALF_ADDER, FULL_ADDER, DFF, CONST0)
+CODE = {kind: code for code, kind in enumerate(KINDS)}
 
 # kind -> (input arity, output arity)
 ARITY = {
@@ -31,6 +38,16 @@ ARITY = {
     DFF: (1, 1),
     CONST0: (0, 1),
 }
+_ARITY_OF = [ARITY[kind] for kind in KINDS]  # kind code -> (inputs, outputs)
+
+# Pin slots per primitive in `Netlist.pins`: three inputs, then two
+# outputs.  A kind uses the first of each as its arity says; the rest
+# hold UNUSED.
+STRIDE = 5
+UNUSED = -1
+# kind -> (code, input arity, output arity, the unused input slots)
+_LAYOUT = {kind: (CODE[kind], n_in, n_out, (UNUSED,) * (3 - n_in))
+           for kind, (n_in, n_out) in ARITY.items()}
 
 # Gate-unit weight of each combinational primitive: a full adder is two
 # gate levels deep, everything else is one.
@@ -49,13 +66,13 @@ class UnbalancedPathError(NetlistError):
     """Paths to one output bit, or to different output bits, differ in register count."""
 
 
-@dataclass(slots=True)
-class Primitive:
-    """One gate instance; inputs and outputs are lists of signal ids."""
+class Primitive(NamedTuple):
+    """One gate instance as `Netlist.primitives` decodes it; inputs and
+    outputs are tuples of signal ids."""
 
     kind: str
-    inputs: list
-    outputs: list
+    inputs: tuple
+    outputs: tuple
 
 
 @dataclass(slots=True)
@@ -63,13 +80,17 @@ class Netlist:
     """A circuit: ports, signals, primitives, optional clock.
 
     Signals are the ids 0 .. signal_count - 1; ports, the clock and
-    primitive pins hold signal ids.  Every primitive comes after the
-    primitives that drive its inputs, so one walk of `primitives` in
-    list order evaluates the circuit; `validate` reports a netlist that
-    breaks this as `out-of-order`, and `analyze` raises OutOfOrderError.
+    primitive pins hold signal ids.  Primitive i is `kinds[i]`, a code
+    into KINDS, with its pins in `pins[STRIDE*i : STRIDE*(i+1)]`; walk
+    both with `it = iter(pins)` and `zip(kinds, it, it, it, it, it)`.
+    Every primitive comes after the primitives that drive its inputs, so
+    one walk in stored order evaluates the circuit; `validate` reports a
+    netlist that breaks this as `out-of-order`, and `analyze` raises
+    OutOfOrderError.
 
     Netlists are treated as immutable once a generator returns them;
-    the mutating helpers below are for construction only.
+    the mutating helpers below are for construction only, and only
+    `add_primitive` appends to the stores.
     """
 
     width_a: int
@@ -78,7 +99,8 @@ class Netlist:
     input_b: list = field(default_factory=list)
     output_p: list = field(default_factory=list)
     clock: int | None = None
-    primitives: list = field(default_factory=list)
+    kinds: bytearray = field(default_factory=bytearray)
+    pins: array = field(default_factory=lambda: array("i"))
     pipelined: bool = False
     signal_count: int = 0
     # Signal ids declared intentionally unconnected (the IR analogue of
@@ -104,15 +126,28 @@ class Netlist:
 
     def add_primitive(self, kind, inputs):
         """Append a primitive, allocating its output signals as the next
-        consecutive ids; returns them."""
-        n_in, n_out = ARITY[kind]
+        consecutive ids; returns them.  The input count must match the
+        kind's arity: the stores cannot hold any other."""
+        code, n_in, n_out, gap = _LAYOUT[kind]
         if len(inputs) != n_in:
             raise NetlistError(f"{kind} expects {n_in} inputs, got {len(inputs)}")
         first = self.signal_count
-        self.signal_count += n_out
-        outputs = list(range(first, first + n_out))
-        self.primitives.append(Primitive(kind=kind, inputs=list(inputs), outputs=outputs))
-        return outputs
+        self.signal_count = first + n_out
+        self.kinds.append(code)
+        outs = (first, first + 1) if n_out == 2 else (first, UNUSED)
+        self.pins.extend((*inputs, *gap, *outs))
+        return outs[:n_out]
+
+    @property
+    def primitives(self):
+        """Read-only view: every primitive decoded from the stores, in
+        stored order, as a tuple of `Primitive`s."""
+        decoded = []
+        it = iter(self.pins)
+        for k, i0, i1, i2, o0, o1 in zip(self.kinds, it, it, it, it, it):
+            n_in, n_out = _ARITY_OF[k]
+            decoded.append(Primitive(KINDS[k], (i0, i1, i2)[:n_in], (o0, o1)[:n_out]))
+        return tuple(decoded)
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,9 +181,9 @@ def validate(nl: Netlist) -> ValidationReport:
     """Run every structural check; all problems become report entries,
     and the report carries the netlist's analysis.
 
-    This is the one walk over the pins of `nl.primitives`.  In list
-    order it checks arities, counts the drivers of each signal (a port
-    bit is its own driver), marks reads, computes the `Analysis` lists
+    This is the one walk over the pins of `nl.kinds`/`nl.pins`.  In
+    stored order it counts the drivers of each signal (a port bit is
+    its own driver), marks reads, computes the `Analysis` lists
     and records every read of a signal that has no driver yet.  Such a
     read is `undriven-input` when nothing ever drives the signal, and
     `out-of-order` when a later primitive does; a loop, through
@@ -176,48 +211,52 @@ def validate(nl: Netlist) -> ValidationReport:
         port[sig] = 1
     drivers = list(port)  # a port bit is its own driver
     read = bytearray(n)
-    dffs = sum(p.kind == DFF for p in nl.primitives)
+    kinds, dff = nl.kinds, CODE[DFF]
+    dffs = kinds.count(dff)
     depth = [0] * n
     reg_min = [0] * n
     reg_max = [0] * n if dffs else reg_min  # all zero without registers
     early = []  # (primitive index, pin, signal) read before any driver
-    weight = DEPTH_WEIGHT.get
-    for idx, prim in enumerate(nl.primitives):
-        ins, outs = prim.inputs, prim.outputs
-        if (len(ins), len(outs)) != ARITY[prim.kind]:
-            err("arity-mismatch",
-                f"primitive {idx} ({prim.kind}) has {len(ins)} inputs "
-                f"and {len(outs)} outputs")
+    weight = [DEPTH_WEIGHT.get(kind, 0) for kind in KINDS]
+    it = iter(nl.pins)
+    for idx, (k, i0, i1, i2, o0, o1) in enumerate(zip(kinds, it, it, it, it, it)):
+        n_in, n_out = _ARITY_OF[k]
+        ins = (i0, i1, i2)[:n_in]
         d = 0
         for pin, s in enumerate(ins):
             if not 0 <= s < n:
-                return unknown(f"primitive {idx} ({prim.kind}) input {pin}", s)
+                return unknown(f"primitive {idx} ({KINDS[k]}) input {pin}", s)
             read[s] = 1
             if not drivers[s]:
                 early.append((idx, pin, s))
             if depth[s] > d:
                 d = depth[s]
-        w = weight(prim.kind)
+        w = weight[k]
         d = d + w if w else 0
-        for out in outs:
-            if not 0 <= out < n:
-                return unknown(f"primitive {idx} ({prim.kind}) output {outs.index(out)}", out)
-            depth[out] = d
-            drivers[out] += 1
+        if not 0 <= o0 < n or n_out == 2 and not 0 <= o1 < n:
+            pin, out = (0, o0) if not 0 <= o0 < n else (1, o1)
+            return unknown(f"primitive {idx} ({KINDS[k]}) output {pin}", out)
+        depth[o0] = d
+        drivers[o0] += 1
+        if n_out == 2:
+            depth[o1] = d
+            drivers[o1] += 1
         if not dffs:
             continue
-        lo, hi = (reg_min[ins[0]], reg_max[ins[0]]) if ins else (0, 0)
+        lo, hi = (reg_min[i0], reg_max[i0]) if ins else (0, 0)
         for s in ins:
             if reg_min[s] < lo:
                 lo = reg_min[s]
             if reg_max[s] > hi:
                 hi = reg_max[s]
-        if prim.kind == DFF:
+        if k == dff:
             lo += 1
             hi += 1
-        for out in outs:
-            reg_min[out] = lo
-            reg_max[out] = hi
+        reg_min[o0] = lo
+        reg_max[o0] = hi
+        if n_out == 2:
+            reg_min[o1] = lo
+            reg_max[o1] = hi
     for bit in nl.output_p:
         read[bit] = 1
 
@@ -229,7 +268,7 @@ def validate(nl: Netlist) -> ValidationReport:
     for idx, pin, s in early:
         if not drivers[s]:
             err("undriven-input",
-                f"primitive {idx} ({nl.primitives[idx].kind}) input {pin} (s{s}) has no driver")
+                f"primitive {idx} ({KINDS[kinds[idx]]}) input {pin} (s{s}) has no driver")
 
     for j, bit in enumerate(nl.output_p):
         if not drivers[bit]:
@@ -249,7 +288,7 @@ def validate(nl: Netlist) -> ValidationReport:
     late = next(((idx, pin, s) for idx, pin, s in early if drivers[s]), None)
     if late:
         idx, pin, s = late
-        err("out-of-order", f"primitive {idx} ({nl.primitives[idx].kind}) input {pin} "
+        err("out-of-order", f"primitive {idx} ({KINDS[kinds[idx]]}) input {pin} "
                             f"(s{s}) is read before its driver")
     else:
         rep.analysis = Analysis(depth=depth, reg_min=reg_min, reg_max=reg_max, netlist=nl)
@@ -338,7 +377,8 @@ def max_stage_depth(nl: Netlist, *, analysis: Analysis | None = None):
     """Largest combinational depth reaching any DFF input or output bit.
     `analysis`, when given, is used instead of analysing `nl` again."""
     an = analysis_for(nl, analysis)
-    ends = [p.inputs[0] for p in nl.primitives if p.kind == DFF] + nl.output_p
+    dff = CODE[DFF]
+    ends = [d for k, d in zip(nl.kinds, nl.pins[::STRIDE]) if k == dff] + nl.output_p
     return max((an.depth[sig] for sig in ends), default=0)
 
 
@@ -358,6 +398,9 @@ def compute_latency(nl: Netlist, *, analysis: Analysis | None = None) -> Latency
     combinational has registers on its output paths.
     `analysis`, when given, is used instead of analysing `nl` again."""
     an = analysis_for(nl, analysis)
+    if not nl.output_p:
+        raise NetlistError(f"the netlist has none of its {nl.width_a + nl.width_b} "
+                           "output bits")
     unbalanced = _unbalanced_registers(an, enumerate(nl.output_p))
     cycles = an.reg_min[nl.output_p[0]]
     if cycles and not nl.pipelined:

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 import random
 
 from .netlist import (
-    AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
+    AND2, CODE, CONST0, DFF, FULL_ADDER, HALF_ADDER,
     Analysis, Netlist, compute_latency,
 )
 
 EXHAUSTIVE_GUARD_BITS = 24
+_AND2, _HALF_ADDER, _FULL_ADDER, _DFF, _CONST0 = (
+    CODE[kind] for kind in (AND2, HALF_ADDER, FULL_ADDER, DFF, CONST0))
 
 
 class SimError(Exception):
@@ -28,28 +30,25 @@ class SimError(Exception):
 
 
 def _settle(nl, values):
-    """Evaluate every primitive of `nl` once, in list order, over all
+    """Evaluate every primitive of `nl` once, in stored order, over all
     lanes at once; a register's output is its input."""
-    for prim in nl.primitives:
-        k = prim.kind
-        ins = prim.inputs
-        if k == DFF:
-            values[prim.outputs[0]] = values[ins[0]]
-        elif k == FULL_ADDER:
-            a, b, c = values[ins[0]], values[ins[1]], values[ins[2]]
-            s_out, c_out = prim.outputs
+    it = iter(nl.pins)
+    for k, i0, i1, i2, o0, o1 in zip(nl.kinds, it, it, it, it, it):
+        if k == _DFF:
+            values[o0] = values[i0]
+        elif k == _FULL_ADDER:
+            a, b, c = values[i0], values[i1], values[i2]
             t = a ^ b
-            values[s_out] = t ^ c
-            values[c_out] = (a & b) | (c & t)
-        elif k == AND2:
-            values[prim.outputs[0]] = values[ins[0]] & values[ins[1]]
-        elif k == HALF_ADDER:
-            a, b = values[ins[0]], values[ins[1]]
-            s_out, c_out = prim.outputs
-            values[s_out] = a ^ b
-            values[c_out] = a & b
-        elif k == CONST0:
-            values[prim.outputs[0]] = 0
+            values[o0] = t ^ c
+            values[o1] = (a & b) | (c & t)
+        elif k == _AND2:
+            values[o0] = values[i0] & values[i1]
+        elif k == _HALF_ADDER:
+            a, b = values[i0], values[i1]
+            values[o0] = a ^ b
+            values[o1] = a & b
+        elif k == _CONST0:
+            values[o0] = 0
 
 
 def _stream(nl, a_masks, b_masks):

@@ -15,7 +15,7 @@ import re
 from itertools import islice
 
 from .netlist import (
-    AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
+    AND2, CODE, CONST0, DFF, FULL_ADDER, HALF_ADDER,
     Netlist, ValidationReport, analysis_for, validate,
 )
 
@@ -38,6 +38,8 @@ INDENT = "  "  # one level of nesting in emitted VHDL and testbench text
 # the design's size, so writing one costs far more than the call does,
 # and a writer holds one chunk at a time, never the whole text.
 CHUNK_LINES = 8192
+_AND2, _HALF_ADDER, _FULL_ADDER, _DFF, _CONST0 = (
+    CODE[kind] for kind in (AND2, HALF_ADDER, FULL_ADDER, DFF, CONST0))
 
 
 class EmissionError(Exception):
@@ -68,12 +70,15 @@ def _signal_text(nl: Netlist):
     if nl.clock is not None:
         text[nl.clock] = "clk"
     ordinal = 0
-    for prim in nl.primitives:
-        if prim.kind == CONST0:
-            text[prim.outputs[0]] = "'0'"
+    it = iter(nl.pins)
+    for k, _, _, _, o0, o1 in zip(nl.kinds, it, it, it, it, it):
+        if k == _CONST0:
+            text[o0] = "'0'"
             continue
-        for out in prim.outputs:
-            text[out] = f"s{ordinal}"
+        text[o0] = f"s{ordinal}"
+        ordinal += 1
+        if k == _HALF_ADDER or k == _FULL_ADDER:
+            text[o1] = f"s{ordinal}"
             ordinal += 1
     return text, ordinal
 
@@ -143,21 +148,21 @@ def _lines(nl: Netlist, entity: str):
     ind2, ind3 = ind * 2, ind * 3
     process_open = f"{ind}process (clk)", f"{ind}begin", f"{ind2}if rising_edge(clk) then"
     process_close = f"{ind2}end if;", f"{ind}end process;"
-    for prim in nl.primitives:
-        kind, ins, outs = prim.kind, prim.inputs, prim.outputs
-        if kind == AND2:
-            yield f"{ind}{t[outs[0]]} <= {t[ins[0]]} and {t[ins[1]]};"
-        elif kind == HALF_ADDER:
-            a, b = t[ins[0]], t[ins[1]]
-            yield f"{ind}{t[outs[0]]} <= {a} xor {b};"
-            yield f"{ind}{t[outs[1]]} <= {a} and {b};"
-        elif kind == FULL_ADDER:
-            a, b, c = t[ins[0]], t[ins[1]], t[ins[2]]
-            yield f"{ind}{t[outs[0]]} <= {a} xor {b} xor {c};"
-            yield f"{ind}{t[outs[1]]} <= ({a} and {b}) or ({a} and {c}) or ({b} and {c});"
-        elif kind == DFF:
+    it = iter(nl.pins)
+    for k, i0, i1, i2, o0, o1 in zip(nl.kinds, it, it, it, it, it):
+        if k == _AND2:
+            yield f"{ind}{t[o0]} <= {t[i0]} and {t[i1]};"
+        elif k == _HALF_ADDER:
+            a, b = t[i0], t[i1]
+            yield f"{ind}{t[o0]} <= {a} xor {b};"
+            yield f"{ind}{t[o1]} <= {a} and {b};"
+        elif k == _FULL_ADDER:
+            a, b, c = t[i0], t[i1], t[i2]
+            yield f"{ind}{t[o0]} <= {a} xor {b} xor {c};"
+            yield f"{ind}{t[o1]} <= ({a} and {b}) or ({a} and {c}) or ({b} and {c});"
+        elif k == _DFF:
             yield from process_open
-            yield f"{ind3}{t[outs[0]]} <= {t[ins[0]]};"
+            yield f"{ind3}{t[o0]} <= {t[i0]};"
             yield from process_close
 
     for j, bit in enumerate(nl.output_p):

@@ -1,29 +1,95 @@
-"""Fixtures shared by the tests: pipeline fault injection, a scalar
-per-cycle reference simulator, and the environment for running the
-package in a subprocess from a checkout."""
+"""Fixtures shared by the tests: fault injection, a scalar per-cycle
+reference simulator, and the environment for running the package in a
+subprocess from a checkout.
+
+The fault injectors write a netlist's `kinds` and `pins` stores
+directly, the one way to change a primitive after `add_primitive`.
+A primitive is named by its index and a pin by its slot in the stride:
+0-2 are inputs, 3-4 outputs.
+"""
 
 import os
 from pathlib import Path
 
 import pytest
 
-from csmulgen.netlist import AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER
+from csmulgen.netlist import AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, STRIDE
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+OUT0 = 3  # slot of a primitive's first output
 
 
-def _drop_dff(nl, dff):
-    """Remove one register, wiring its readers to its input."""
-    d, q = dff.inputs[0], dff.outputs[0]
-    nl.primitives.remove(dff)
-    for prim in nl.primitives:
-        prim.inputs = [d if s == q else s for s in prim.inputs]
-    nl.output_p = [d if s == q else s for s in nl.output_p]
+def _set_pin(nl, idx, slot, sig):
+    """Put signal `sig` on slot `slot` of primitive `idx`."""
+    nl.pins[STRIDE * idx + slot] = sig
+
+
+def _swap_outputs(nl, idx):
+    """Cross the two outputs of the adder at index `idx`."""
+    base = STRIDE * idx + OUT0
+    nl.pins[base], nl.pins[base + 1] = nl.pins[base + 1], nl.pins[base]
+
+
+def _reorder(nl, order):
+    """Store the primitives in `order`, a permutation of their indices:
+    the primitive at new position i is the one at old index order[i]."""
+    kinds, pins = nl.kinds[:], nl.pins[:]
+    for new, old in enumerate(order):
+        nl.kinds[new] = kinds[old]
+        nl.pins[STRIDE * new:STRIDE * (new + 1)] = pins[STRIDE * old:STRIDE * (old + 1)]
+
+
+def _rewire(nl, old, new, skip=None):
+    """Every input pin (but those of primitive `skip`) and output bit
+    that reads signal `old` reads `new` instead."""
+    for i, s in enumerate(nl.pins):
+        if s == old and i % STRIDE < OUT0 and i // STRIDE != skip:
+            nl.pins[i] = new
+    nl.output_p = [new if s == old else s for s in nl.output_p]
+
+
+def _drop_dff(nl, idx):
+    """Remove the register at index `idx`, wiring its readers to its input."""
+    base = STRIDE * idx
+    d, q = nl.pins[base], nl.pins[base + OUT0]
+    del nl.kinds[idx]
+    del nl.pins[base:base + STRIDE]
+    _rewire(nl, q, d)
+
+
+def _double_dff(nl, idx):
+    """Put a second register in series right after the one at index
+    `idx`, reading its output and feeding all its readers."""
+    q_old = nl.pins[STRIDE * idx + OUT0]
+    (q,) = nl.add_primitive(DFF, [q_old])
+    last = len(nl.kinds) - 1
+    _rewire(nl, q_old, q, skip=last)
+    _reorder(nl, [*range(idx + 1), last, *range(idx + 1, last)])
+
+
+@pytest.fixture
+def set_pin():
+    return _set_pin
+
+
+@pytest.fixture
+def swap_outputs():
+    return _swap_outputs
+
+
+@pytest.fixture
+def reorder():
+    return _reorder
 
 
 @pytest.fixture
 def drop_dff():
     return _drop_dff
+
+
+@pytest.fixture
+def double_dff():
+    return _double_dff
 
 
 _GATES = {

@@ -133,7 +133,7 @@ def test_criterion_6_determinism_and_goldens(report, tmp_path):
     report(6, "byte-identical reruns and stable goldens", ok)
 
 
-def test_criterion_7_fault_sensitivity(report):
+def test_criterion_7_fault_sensitivity(report, swap_outputs):
     ok = True
     base = generate_multiplier(GeneratorConfig(4, 4, False))
     fa_positions = [i for i, p in enumerate(base.primitives)
@@ -141,9 +141,7 @@ def test_criterion_7_fault_sensitivity(report):
     ok = ok and len(fa_positions) > 0
     for pos in fa_positions:
         nl = generate_multiplier(GeneratorConfig(4, 4, False))
-        victim = nl.primitives[pos]
-        victim.outputs[0], victim.outputs[1] = \
-            victim.outputs[1], victim.outputs[0]
+        swap_outputs(nl, pos)
         r = verify_exhaustive(nl)
         ok = ok and not r.passed and r.counterexample is not None
         if r.counterexample is not None:

@@ -164,19 +164,10 @@ def test_module_entry_point(tmp_path, src_env):
     assert (tmp_path / "mul_2x3.vhd").exists()
 
 
-def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys):
-    import csmulgen.cli as cli_mod
-    from csmulgen.netlist import FULL_ADDER
-    real = cli_mod.generate_with_annotations
-
-    def sabotaged(cfg):
-        nl, passes = real(cfg)
-        victim = next(p for p in nl.primitives if p.kind == FULL_ADDER)
-        victim.outputs[0], victim.outputs[1] = \
-            victim.outputs[1], victim.outputs[0]
-        return nl, passes
-
-    monkeypatch.setattr(cli_mod, "generate_with_annotations", sabotaged)
+def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys, swap_outputs):
+    from csmulgen.netlist import CODE, FULL_ADDER
+    _generate_sabotaged(monkeypatch, lambda nl: swap_outputs(
+        nl, nl.kinds.index(CODE[FULL_ADDER])))
     code = run_cli("--width-a", "4", "--width-b", "4",
                    "--out-dir", str(tmp_path))
     assert code == 3
@@ -204,30 +195,33 @@ def _bypass_validation(monkeypatch):
         monkeypatch.setattr(module, "validate", lambda nl: ValidationReport())
 
 
-def _reverse_primitives(nl):
-    nl.primitives.reverse()
+def _reversed(reorder):
+    """A defect that stores a netlist's primitives in reverse order."""
+    return lambda nl: reorder(nl, range(len(nl.kinds) - 1, -1, -1))
+
+
+def _first_dff_dropped(drop_dff):
+    """A defect that drops a netlist's first register."""
+    from csmulgen.netlist import CODE, DFF
+    return lambda nl: drop_dff(nl, nl.kinds.index(CODE[DFF]))
 
 
 def test_unbalanced_pipeline_fails_validation(tmp_path, monkeypatch, capsys, drop_dff):
-    from csmulgen.netlist import DFF
-    _generate_sabotaged(monkeypatch, lambda nl: drop_dff(
-        nl, next(p for p in nl.primitives if p.kind == DFF)))
+    _generate_sabotaged(monkeypatch, _first_dff_dropped(drop_dff))
     assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
                    "--out-dir", str(tmp_path)) == 2
     assert "unbalanced-registers" in capsys.readouterr().err
 
 
-def test_out_of_order_netlist_fails_validation(tmp_path, monkeypatch, capsys):
-    _generate_sabotaged(monkeypatch, _reverse_primitives)
+def test_out_of_order_netlist_fails_validation(tmp_path, monkeypatch, capsys, reorder):
+    _generate_sabotaged(monkeypatch, _reversed(reorder))
     assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
                    "--out-dir", str(tmp_path)) == 2
     assert "validation error [out-of-order]" in capsys.readouterr().err
 
 
-def test_unknown_signal_fails_validation(tmp_path, monkeypatch, capsys):
-    def past_the_end(nl):
-        nl.primitives[0].inputs[0] = nl.signal_count
-    _generate_sabotaged(monkeypatch, past_the_end)
+def test_unknown_signal_fails_validation(tmp_path, monkeypatch, capsys, set_pin):
+    _generate_sabotaged(monkeypatch, lambda nl: set_pin(nl, 0, 0, nl.signal_count))
     assert run_cli("--width-a", "4", "--width-b", "4",
                    "--out-dir", str(tmp_path)) == 2
     assert "validation error [unknown-signal]" in capsys.readouterr().err
@@ -236,9 +230,7 @@ def test_unknown_signal_fails_validation(tmp_path, monkeypatch, capsys):
 
 def test_netlist_error_after_validation_exits_2(tmp_path, monkeypatch, capsys,
                                                 drop_dff):
-    from csmulgen.netlist import DFF
-    _generate_sabotaged(monkeypatch, lambda nl: drop_dff(
-        nl, next(p for p in nl.primitives if p.kind == DFF)))
+    _generate_sabotaged(monkeypatch, _first_dff_dropped(drop_dff))
     _bypass_validation(monkeypatch)
     assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
                    "--verify", "off", "--out-dir", str(tmp_path)) == 2
@@ -246,10 +238,11 @@ def test_netlist_error_after_validation_exits_2(tmp_path, monkeypatch, capsys,
     assert not list(tmp_path.glob("*.vhd"))
 
 
-def test_out_of_order_netlist_after_validation_exits_2(tmp_path, monkeypatch, capsys):
+def test_out_of_order_netlist_after_validation_exits_2(tmp_path, monkeypatch, capsys,
+                                                       reorder):
     """With `validate` bypassed, `analyze`'s own order check still
     stops the job with exit 2."""
-    _generate_sabotaged(monkeypatch, _reverse_primitives)
+    _generate_sabotaged(monkeypatch, _reversed(reorder))
     _bypass_validation(monkeypatch)
     assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
                    "--verify", "off", "--out-dir", str(tmp_path)) == 2
@@ -309,17 +302,10 @@ def test_collector_paused_during_job_and_restored(tmp_path, monkeypatch, drop_df
                                                   enabled, argv, stub, code):
     import gc
     import csmulgen.cli as cli_mod
-    from csmulgen.netlist import DFF
     from csmulgen.sim import SimError
 
     if stub == "drop_dff":
-        real = cli_mod.generate_with_annotations
-
-        def sabotaged(cfg):
-            nl, passes = real(cfg)
-            drop_dff(nl, next(p for p in nl.primitives if p.kind == DFF))
-            return nl, passes
-        monkeypatch.setattr(cli_mod, "generate_with_annotations", sabotaged)
+        _generate_sabotaged(monkeypatch, _first_dff_dropped(drop_dff))
     elif stub == "sim_error":
         def broken(nl, count, seed, *, analysis=None):
             raise SimError("simulator refused")

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from csmulgen.netlist import (
@@ -21,24 +23,27 @@ def test_undriven_output_bit_reported():
     assert "undriven-output" in codes
 
 
-def test_multiple_drivers_reported():
+def test_multiple_drivers_reported(set_pin):
     nl = Netlist.create(1, 1)
     (s0,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
     prim2_out = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
     # point the second AND's output at the first one's signal
-    nl.primitives[1].outputs[0] = s0
+    set_pin(nl, 1, 3, s0)
     nl.output_p = [s0, prim2_out[0]]
     codes = [f.code for f in validate(nl).errors]
     assert "multiple-drivers" in codes
 
 
 def test_arity_mismatch_reported():
+    """A kind's arity fixes its pin slots, so `add_primitive` is the one
+    place an input count can be wrong: it refuses one and stores nothing."""
     nl = Netlist.create(1, 1)
-    outs = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
-    nl.primitives[0].inputs.append(nl.input_a[0])
-    nl.output_p = [outs[0], outs[0]]
-    codes = [f.code for f in validate(nl).errors]
-    assert "arity-mismatch" in codes
+    a, b = nl.input_a[0], nl.input_b[0]
+    with pytest.raises(NetlistError, match="and2 expects 2 inputs, got 3"):
+        nl.add_primitive(AND2, [a, b, a])
+    with pytest.raises(NetlistError, match="fa expects 3 inputs, got 2"):
+        nl.add_primitive(FULL_ADDER, [a, b])
+    assert (len(nl.kinds), len(nl.pins), nl.signal_count) == (0, 0, 2)
 
 
 def test_unread_internal_is_warning_not_error():
@@ -62,11 +67,11 @@ def test_terminated_signal_suppresses_warning():
     assert validate(nl).findings == []
 
 
-def test_combinational_cycle_reported():
+def test_combinational_cycle_reported(set_pin):
     nl = Netlist.create(1, 1)
     (s0,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
     (s1,) = nl.add_primitive(AND2, [s0, nl.input_b[0]])
-    nl.primitives[0].inputs[0] = s1  # s0 depends on s1 depends on s0
+    set_pin(nl, 0, 0, s1)  # s0 depends on s1 depends on s0
     nl.output_p = [s0, s1]
     report = validate(nl)
     assert [(f.code, f.message) for f in report.errors] == [
@@ -77,7 +82,7 @@ def test_combinational_cycle_reported():
     assert str(raised.value) == report.errors[0].message
 
 
-def test_reads_before_any_driver_split_into_undriven_and_out_of_order():
+def test_reads_before_any_driver_split_into_undriven_and_out_of_order(set_pin):
     """A read of a signal with no driver yet is `undriven-input` when
     nothing ever drives it, and `out-of-order` when a later primitive does."""
     nl = Netlist.create(1, 1)
@@ -85,7 +90,7 @@ def test_reads_before_any_driver_split_into_undriven_and_out_of_order():
     (s0,) = nl.add_primitive(AND2, [floating, floating])      # both pins undriven
     (s1,) = nl.add_primitive(AND2, [floating, nl.input_a[0]])
     (s2,) = nl.add_primitive(AND2, [s0, s1])
-    nl.primitives[1].inputs[1] = s2                           # pin 1 driven later
+    set_pin(nl, 1, 1, s2)                                     # pin 1 driven later
     nl.output_p = [s2, s1]
     report = validate(nl)
     assert [(f.code, f.message) for f in report.findings] == [
@@ -97,14 +102,14 @@ def test_reads_before_any_driver_split_into_undriven_and_out_of_order():
     assert report.analysis is None
 
 
-def _set_pin(nl, where, sig):
+def _place(nl, where, sig, set_pin):
     """Put `sig` on one port bit or primitive pin of a 2x2 netlist and
     return how `validate` names that place."""
     if where == "input pin":
-        nl.primitives[4].inputs[1] = sig
+        set_pin(nl, 4, 1, sig)
         return "primitive 4 (ha) input 1"
     if where == "output pin":
-        nl.primitives[5].outputs[0] = sig
+        set_pin(nl, 5, 3, sig)
         return "primitive 5 (ha) output 0"
     if where == "input port":
         nl.input_b[1] = sig
@@ -115,12 +120,12 @@ def _set_pin(nl, where, sig):
 
 @pytest.mark.parametrize("sig", [12, -1])
 @pytest.mark.parametrize("where", ["input pin", "output pin", "input port", "output port"])
-def test_signal_id_outside_the_netlist_is_unknown_signal(where, sig):
+def test_signal_id_outside_the_netlist_is_unknown_signal(where, sig, set_pin):
     """An id at or past signal_count, or below 0, is reported and never
     used as an index: a negative index would alias a signal from the end."""
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
     assert nl.signal_count == 12
-    place = _set_pin(nl, where, sig)
+    place = _place(nl, where, sig, set_pin)
     report = validate(nl)
     message = f"{place} (s{sig}) is not one of the 12 signals"
     assert [(f.code, f.message) for f in report.findings] == [("unknown-signal", message)]
@@ -130,19 +135,17 @@ def test_signal_id_outside_the_netlist_is_unknown_signal(where, sig):
     assert type(raised.value) is NetlistError and str(raised.value) == message
 
 
-def test_first_unknown_signal_is_the_one_finding():
+def test_first_unknown_signal_is_the_one_finding(set_pin):
     """Port bits are checked before pins, and pins in primitive order.
-    The first id outside the netlist is the one finding, so an arity
-    mismatch ahead of it is not reported."""
+    The first id outside the netlist is the one finding."""
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
-    nl.primitives[0].inputs.append(nl.input_a[0])
     for where, sig in (("output pin", 99), ("input pin", -1), ("output port", 12)):
-        _set_pin(nl, where, sig)
+        _place(nl, where, sig, set_pin)
     messages = lambda: [f.message for f in validate(nl).findings]
     assert messages() == ["output bit 2 (s12) is not one of the 12 signals"]
     nl.output_p[2] = 10
     assert messages() == ["primitive 4 (ha) input 1 (s-1) is not one of the 12 signals"]
-    nl.primitives[4].inputs[1] = 6
+    set_pin(nl, 4, 1, 6)
     assert messages() == ["primitive 5 (ha) output 0 (s99) is not one of the 12 signals"]
 
 
@@ -179,13 +182,14 @@ def test_full_adder_counts_two_gate_units():
     assert by_id[s] == 3  # and (1) + fa (2)
 
 
-def _dependency_order(nl, rng):
-    """The same primitives in another dependency order: each still comes
-    after the drivers of its inputs, ties broken by `rng`."""
-    driver = {s: i for i, p in enumerate(nl.primitives) for s in p.outputs}
-    waits = [sum(1 for s in p.inputs if s in driver) for p in nl.primitives]
-    readers = [[] for _ in nl.primitives]
-    for i, p in enumerate(nl.primitives):
+def _dependency_order(nl, rng, reorder):
+    """A copy of `nl` with its primitives in another dependency order:
+    each still comes after the drivers of its inputs, ties broken by `rng`."""
+    prims = nl.primitives
+    driver = {s: i for i, p in enumerate(prims) for s in p.outputs}
+    waits = [sum(1 for s in p.inputs if s in driver) for p in prims]
+    readers = [[] for _ in prims]
+    for i, p in enumerate(prims):
         for s in p.inputs:
             if s in driver:
                 readers[driver[s]].append(i)
@@ -193,24 +197,22 @@ def _dependency_order(nl, rng):
     order = []
     while ready:
         i = ready.pop(rng.randrange(len(ready)))
-        order.append(nl.primitives[i])
+        order.append(i)
         for r in readers[i]:
             waits[r] -= 1
             if waits[r] == 0:
                 ready.append(r)
-    assert len(order) == len(nl.primitives)
-    return Netlist(
-        width_a=nl.width_a, width_b=nl.width_b,
-        input_a=nl.input_a, input_b=nl.input_b, output_p=nl.output_p,
-        clock=nl.clock, primitives=order,
-        pipelined=nl.pipelined, signal_count=nl.signal_count, terminated=nl.terminated)
+    assert len(order) == len(prims)
+    shuffled = copy.deepcopy(nl)
+    reorder(shuffled, order)
+    return shuffled
 
 
-def test_levelize_independent_of_insertion_order():
+def test_levelize_independent_of_insertion_order(reorder):
     import random
     nl = generate_multiplier(GeneratorConfig(3, 3, False))
     base = analyze(nl).depth
-    shuffled = _dependency_order(nl, random.Random(0))
+    shuffled = _dependency_order(nl, random.Random(0), reorder)
     assert shuffled.primitives != nl.primitives
     assert analyze(shuffled).depth == base
 
@@ -247,6 +249,31 @@ def test_register_depth_unbalanced_path_error():
         compute_latency(nl, analysis=an)
 
 
+def test_netlist_without_output_bits_raises_netlist_error():
+    """With no output bit there is no latency to read; every caller of
+    `compute_latency` gets a NetlistError naming the missing bits."""
+    from csmulgen.sim import simulate
+    nl = Netlist.create(1, 1)
+    nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
+    for call in (compute_latency, lambda nl: simulate(nl, [(1, 1)])):
+        with pytest.raises(NetlistError, match="^the netlist has none of its 2 output bits$"):
+            call(nl)
+
+
+def test_netlist_retains_under_32_bytes_per_primitive():
+    """Primitives live in flat stores, not one object per gate: a
+    64x64p netlist keeps its kind codes and pins in about 21 B each."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        nl = generate_multiplier(GeneratorConfig(64, 64, True))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / len(nl.primitives) < 32
+
+
 def unbalanced_findings(nl):
     return [f for f in validate(nl).errors if f.code == "unbalanced-registers"]
 
@@ -257,33 +284,27 @@ def test_every_dropped_dff_fails_validation(drop_dff):
     assert positions
     for pos in positions:
         nl = generate_multiplier(GeneratorConfig(4, 4, True))
-        drop_dff(nl, nl.primitives[pos])
+        drop_dff(nl, pos)
         assert unbalanced_findings(nl), f"dropping DFF {pos} went unnoticed"
 
 
-def test_every_duplicated_dff_fails_validation():
+def test_every_duplicated_dff_fails_validation(double_dff):
     base = generate_multiplier(GeneratorConfig(4, 4, True))
     positions = [i for i, p in enumerate(base.primitives) if p.kind == DFF]
     for pos in positions:
         nl = generate_multiplier(GeneratorConfig(4, 4, True))
-        q_old = nl.primitives[pos].outputs[0]
-        (q,) = nl.add_primitive(DFF, [q_old])  # a second register in series
-        second = nl.primitives.pop()
-        for prim in nl.primitives:
-            prim.inputs = [q if s == q_old else s for s in prim.inputs]
-        nl.primitives.insert(pos + 1, second)  # right after the one it doubles
-        nl.output_p = [q if s == q_old else s for s in nl.output_p]
+        double_dff(nl, pos)
         assert unbalanced_findings(nl), f"doubling DFF {pos} went unnoticed"
 
 
-def test_register_loop_is_out_of_order():
+def test_register_loop_is_out_of_order(set_pin):
     nl = Netlist.create(1, 1)
     nl.pipelined = True
     nl.add_clock()
     (s0,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
     (q,) = nl.add_primitive(DFF, [s0])
     s, c = nl.add_primitive(HALF_ADDER, [q, q])
-    nl.primitives[1].inputs[0] = s  # q now feeds back on itself through s
+    set_pin(nl, 1, 0, s)  # q now feeds back on itself through s
     nl.output_p = [s, c]
     assert [(f.code, f.message) for f in validate(nl).errors] == [
         ("out-of-order", f"primitive 1 (dff) input 0 (s{s}) is read before its driver")]
@@ -292,11 +313,11 @@ def test_register_loop_is_out_of_order():
         verify_random(nl, 4, seed=1)
 
 
-def test_analysis_of_shuffled_pipelined_netlist_matches():
+def test_analysis_of_shuffled_pipelined_netlist_matches(reorder):
     import random
     nl = generate_multiplier(GeneratorConfig(5, 7, True))
     base = analyze(nl)
-    shuffled = _dependency_order(nl, random.Random(1))
+    shuffled = _dependency_order(nl, random.Random(1), reorder)
     assert shuffled.primitives != nl.primitives
     again = analyze(shuffled)
     assert (again.depth, again.reg_min, again.reg_max) == \
@@ -305,14 +326,16 @@ def test_analysis_of_shuffled_pipelined_netlist_matches():
     assert validate(shuffled).findings == []
 
 
-def test_shuffled_pipelined_netlist_is_rejected():
+def test_shuffled_pipelined_netlist_is_rejected(reorder):
     """Dependency order is part of the IR: a shuffled netlist fails
     validation, and every library entry point refuses to analyse it
     rather than return a product."""
     import random
     from csmulgen.sim import simulate, verify_exhaustive, verify_pairs, verify_random
     nl = generate_multiplier(GeneratorConfig(5, 7, True))
-    random.Random(1).shuffle(nl.primitives)
+    order = list(range(len(nl.kinds)))
+    random.Random(1).shuffle(order)
+    reorder(nl, order)
     report = validate(nl)
     assert [f.code for f in report.findings] == ["out-of-order"]
     assert report.analysis is None
@@ -325,20 +348,19 @@ def test_shuffled_pipelined_netlist_is_rejected():
             call(nl)
 
 
-def _netlist_with_every_defect():
+def _netlist_with_every_defect(set_pin):
     nl = Netlist.create(2, 2)
     a0, a1 = nl.input_a
     b0, b1 = nl.input_b
     (s_and,) = nl.add_primitive(AND2, [a0, b0])
-    nl.primitives[-1].inputs.append(a1)                    # arity mismatch
     nl.add_primitive(AND2, [a1, b1])                       # unread
     (s_loop,) = nl.add_primitive(AND2, [a0, b1])
-    nl.primitives[-1].inputs[1] = s_loop                   # reads itself: out of order
+    set_pin(nl, 2, 1, s_loop)                              # reads itself: out of order
     nl.add_primitive(AND2, [a1, b0])
-    nl.primitives[-1].outputs[0] = b1                      # drives a port bit
+    set_pin(nl, 3, 3, b1)                                  # drives a port bit
     (s_twice,) = nl.add_primitive(AND2, [a0, b0])
     nl.add_primitive(AND2, [a1, b1])
-    nl.primitives[-1].outputs[0] = s_twice                 # second driver
+    set_pin(nl, 5, 3, s_twice)                             # second driver
     floating = nl.new_signal()
     (s_term,) = nl.add_primitive(AND2, [floating, b0])     # undriven input
     nl.terminated.add(s_term)                              # but read below
@@ -347,12 +369,11 @@ def _netlist_with_every_defect():
     return nl
 
 
-def test_every_defect_gives_exact_findings_in_order():
-    report = validate(_netlist_with_every_defect())
+def test_every_defect_gives_exact_findings_in_order(set_pin):
+    report = validate(_netlist_with_every_defect(set_pin))
     assert not report.is_valid() and report.analysis is None
     findings = [(f.severity, f.code, f.message) for f in report.findings]
     assert findings == [
-        ("error", "arity-mismatch", "primitive 0 (and2) has 3 inputs and 1 outputs"),
         ("error", "multiple-drivers", "port bit s3 is driven by a primitive"),
         ("error", "multiple-drivers", "signal s8 has 2 drivers"),
         ("error", "undriven-input", "primitive 6 (and2) input 0 (s10) has no driver"),
@@ -377,7 +398,7 @@ def test_every_defect_gives_exact_findings_in_order():
 ])
 def test_dropped_dff_gives_exact_findings(drop_dff, which, expected):
     nl = generate_multiplier(GeneratorConfig(4, 4, True))
-    drop_dff(nl, [p for p in nl.primitives if p.kind == DFF][which])
+    drop_dff(nl, [i for i, p in enumerate(nl.primitives) if p.kind == DFF][which])
     assert [(f.severity, f.code, f.message) for f in validate(nl).findings] == expected
     with pytest.raises(UnbalancedPathError) as raised:
         compute_latency(nl)

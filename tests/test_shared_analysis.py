@@ -18,7 +18,7 @@ from csmulgen.cli import main
 from csmulgen.metrics import compute_metrics, render_json
 from csmulgen.mulgen import GeneratorConfig, generate_with_annotations
 from csmulgen.netlist import (
-    AND2, FULL_ADDER, Finding, NetlistError, Netlist, ValidationReport, analyze,
+    AND2, CODE, FULL_ADDER, Finding, NetlistError, Netlist, ValidationReport, analyze,
     compute_latency, validate,
 )
 from csmulgen.sim import verify_exhaustive, verify_random
@@ -31,11 +31,6 @@ FAULT_CASES = [case + (faulty,) for case in CASES for faulty in (False, True)
                if not (faulty and case[:2] == (1, 1))]
 
 
-def _swap_first_fa_outputs(nl):
-    victim = next(p for p in nl.primitives if p.kind == FULL_ADDER)
-    victim.outputs[0], victim.outputs[1] = victim.outputs[1], victim.outputs[0]
-
-
 def _plan_outcome(nl, plan, **kw):
     try:
         return self_check_plan(nl, plan, **kw)
@@ -44,10 +39,10 @@ def _plan_outcome(nl, plan, **kw):
 
 
 @pytest.mark.parametrize("n,k,pipe,faulty", FAULT_CASES)
-def test_shared_analysis_gives_the_same_results(n, k, pipe, faulty):
+def test_shared_analysis_gives_the_same_results(n, k, pipe, faulty, swap_outputs):
     nl, passes = generate_with_annotations(GeneratorConfig(n, k, pipe))
     if faulty:
-        _swap_first_fa_outputs(nl)
+        swap_outputs(nl, nl.kinds.index(CODE[FULL_ADDER]))
     report = validate(nl)
     an = report.analysis
     assert report.is_valid() and an is not None

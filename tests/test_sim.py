@@ -64,11 +64,10 @@ def test_verify_random_different_seeds_allowed():
     assert verify_random(nl, 25, seed=2).passed
 
 
-def test_fault_injection_is_caught():
-    from csmulgen.netlist import FULL_ADDER
+def test_fault_injection_is_caught(swap_outputs):
+    from csmulgen.netlist import CODE, FULL_ADDER
     nl = generate_multiplier(GeneratorConfig(4, 4, False))
-    victim = next(p for p in nl.primitives if p.kind == FULL_ADDER)
-    victim.outputs[0], victim.outputs[1] = victim.outputs[1], victim.outputs[0]
+    swap_outputs(nl, nl.kinds.index(CODE[FULL_ADDER]))
     report = verify_exhaustive(nl)
     assert not report.passed
     assert report.counterexample is not None
@@ -77,11 +76,10 @@ def test_fault_injection_is_caught():
     assert ce["expected"] == ce["a"] * ce["b"]
 
 
-def test_report_text_mentions_counterexample():
-    from csmulgen.netlist import HALF_ADDER
+def test_report_text_mentions_counterexample(swap_outputs):
+    from csmulgen.netlist import CODE, HALF_ADDER
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
-    victim = next(p for p in nl.primitives if p.kind == HALF_ADDER)
-    victim.outputs[0], victim.outputs[1] = victim.outputs[1], victim.outputs[0]
+    swap_outputs(nl, nl.kinds.index(CODE[HALF_ADDER]))
     report = verify_exhaustive(nl)
     assert not report.passed
     assert "expected" in report.to_text().lower()
@@ -110,7 +108,7 @@ def test_streamed_pass_matches_step_cycle(n, k, drop, drop_dff, reference_output
     rng = random.Random(n * 16 + k)
     feed = [(rng.getrandbits(n), rng.getrandbits(k)) for _ in range(40)]
     if drop:
-        dffs = [p for p in nl.primitives if p.kind == DFF]
+        dffs = [i for i, p in enumerate(nl.primitives) if p.kind == DFF]
         drop_dff(nl, dffs[len(dffs) // 2])
         with pytest.raises(UnbalancedPathError):
             simulate(nl, feed)
@@ -121,15 +119,15 @@ def test_streamed_pass_matches_step_cycle(n, k, drop, drop_dff, reference_output
 
 
 @pytest.mark.parametrize("n, k, nth", [(4, 4, 0), (4, 4, -1), (5, 7, 0), (5, 7, 7)])
-def test_simulate_matches_reference_on_a_miswired_adder(n, k, nth, reference_outputs):
+def test_simulate_matches_reference_on_a_miswired_adder(n, k, nth, reference_outputs,
+                                                       swap_outputs):
     """With a full adder's sum and carry swapped, `simulate` still
     returns what the circuit computes: the reference's output words at
     cycles L .. L + len(feed) - 1."""
     import random
     from csmulgen.netlist import FULL_ADDER, compute_latency
     nl = generate_multiplier(GeneratorConfig(n, k, True))
-    victim = [p for p in nl.primitives if p.kind == FULL_ADDER][nth]
-    victim.outputs.reverse()
+    swap_outputs(nl, [i for i, p in enumerate(nl.primitives) if p.kind == FULL_ADDER][nth])
     latency = compute_latency(nl).cycles
     rng = random.Random(nth)
     feed = [(rng.getrandbits(n), rng.getrandbits(k)) for _ in range(30)]
@@ -192,7 +190,7 @@ def test_no_pass_for_any_dropped_register(drop_dff):
     assert count == 69
     for i in range(count):
         nl = generate_multiplier(cfg)
-        drop_dff(nl, [p for p in nl.primitives if p.kind == DFF][i])
+        drop_dff(nl, [j for j, p in enumerate(nl.primitives) if p.kind == DFF][i])
         with pytest.raises(NetlistError):
             verify_exhaustive(nl)
 
@@ -211,7 +209,7 @@ def test_verify_pairs_rejects_operands_wider_than_the_ports(pairs, named):
 def test_output_bits_at_different_register_depths_are_unbalanced(drop_dff):
     """Every output bit balanced, but bit 0 one register short of the rest."""
     nl = generate_multiplier(GeneratorConfig(4, 4, True))
-    drop_dff(nl, next(p for p in nl.primitives
-                      if p.kind == DFF and p.outputs == [nl.output_p[0]]))
+    drop_dff(nl, next(i for i, p in enumerate(nl.primitives)
+                      if p.kind == DFF and p.outputs == (nl.output_p[0],)))
     with pytest.raises(UnbalancedPathError, match=r"\[5, 6\]"):
         verify_random(nl, 4, seed=1)

@@ -1,7 +1,7 @@
 import pytest
 
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
-from csmulgen.netlist import FULL_ADDER, compute_latency
+from csmulgen.netlist import CODE, FULL_ADDER, compute_latency
 from csmulgen.sim import SimError, simulate, verify_random
 from csmulgen.tbgen import PlanError, emit_testbench, make_plan, self_check_plan
 
@@ -42,21 +42,18 @@ def test_self_check_plan_passes_for_generated_design():
     assert self_check_plan(nl, plan)
 
 
-def test_self_check_plan_catches_fault():
-    from csmulgen.netlist import FULL_ADDER
+def test_self_check_plan_catches_fault(swap_outputs):
     nl = generate_multiplier(GeneratorConfig(6, 6, False))
     plan = make_plan(nl, 64, seed=3)
-    victim = next(p for p in nl.primitives if p.kind == FULL_ADDER)
-    victim.outputs[0], victim.outputs[1] = victim.outputs[1], victim.outputs[0]
+    swap_outputs(nl, nl.kinds.index(CODE[FULL_ADDER]))
     with pytest.raises(PlanError):
         self_check_plan(nl, plan)
 
 
-def test_verify_random_and_self_check_name_the_same_failing_pair():
+def test_verify_random_and_self_check_name_the_same_failing_pair(swap_outputs):
     # One seed gives one pair stream, so both stages blame the same pair.
     nl = generate_multiplier(GeneratorConfig(6, 6, False))
-    victim = next(p for p in nl.primitives if p.kind == FULL_ADDER)
-    victim.outputs[0], victim.outputs[1] = victim.outputs[1], victim.outputs[0]
+    swap_outputs(nl, nl.kinds.index(CODE[FULL_ADDER]))
     report = verify_random(nl, 64, 3)
     assert not report.passed
     c = report.counterexample
@@ -127,9 +124,9 @@ def test_testbench_emission_deterministic():
     assert a == b
 
 
-def swap_fa_outputs(nl, nth):
-    victim = [p for p in nl.primitives if p.kind == FULL_ADDER][nth]
-    victim.outputs[0], victim.outputs[1] = victim.outputs[1], victim.outputs[0]
+def fa_index(nl, nth):
+    """Index of the netlist's nth full adder."""
+    return [i for i, p in enumerate(nl.primitives) if p.kind == FULL_ADDER][nth]
 
 
 def first_failure_per_vector(nl, plan):
@@ -139,14 +136,14 @@ def first_failure_per_vector(nl, plan):
 
 
 @pytest.mark.parametrize("n,k,pipe", [(8, 8, True), (5, 11, True), (13, 13, False)])
-def test_lane_parallel_self_check_agrees_with_per_vector_runs(n, k, pipe):
+def test_lane_parallel_self_check_agrees_with_per_vector_runs(n, k, pipe, swap_outputs):
     nl = generate_multiplier(GeneratorConfig(n, k, pipe))
     plan = make_plan(nl, 40, seed=5)
     assert first_failure_per_vector(nl, plan) is None
     assert self_check_plan(nl, plan)
     for nth in (0, 3, -1):
         bad = generate_multiplier(GeneratorConfig(n, k, pipe))
-        swap_fa_outputs(bad, nth)
+        swap_outputs(bad, fa_index(bad, nth))
         idx = first_failure_per_vector(bad, plan)
         assert idx is not None
         got = simulate(bad, [plan.pairs[idx]])[0]
@@ -154,10 +151,10 @@ def test_lane_parallel_self_check_agrees_with_per_vector_runs(n, k, pipe):
             self_check_plan(bad, plan)
 
 
-def test_pipelined_fault_names_first_failing_vector():
+def test_pipelined_fault_names_first_failing_vector(swap_outputs):
     nl = generate_multiplier(GeneratorConfig(6, 6, True))
     plan = make_plan(nl, 64, seed=3)
-    swap_fa_outputs(nl, 0)
+    swap_outputs(nl, fa_index(nl, 0))
     idx = first_failure_per_vector(nl, plan)
     assert idx is not None
     with pytest.raises(PlanError, match=rf"^vector {idx}: "):
