@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .netlist import (
-    AND2, DFF, FULL_ADDER, HALF_ADDER, KINDS, Analysis, LatencyInfo, Netlist,
+    AND2, DFF, FULL_ADDER, HALF_ADDER, KINDS, LatencyInfo, Netlist, ValidationReport,
     compute_latency,
 )
 
@@ -36,11 +36,11 @@ class MetricsReport:
 
 def compute_metrics(nl: Netlist, reduction_stages: int,
                     generation_time_ms: float | None = None, *,
-                    analysis: Analysis | None = None) -> MetricsReport:
+                    report: ValidationReport | None = None) -> MetricsReport:
     """Exact counts of each primitive kind in the netlist.
 
     The signals figure counts every port bit and internal wire; the
-    clock is excluded.  `analysis` is passed on to `compute_latency`.
+    clock is excluded.  `report` is passed on to `compute_latency`.
     """
     counts = {kind: nl.kinds.count(code) for code, kind in enumerate(KINDS)}
     return MetricsReport(
@@ -54,7 +54,7 @@ def compute_metrics(nl: Netlist, reduction_stages: int,
         adders=counts[FULL_ADDER] + counts[HALF_ADDER],
         dffs=counts[DFF],
         reduction_stages=reduction_stages,
-        latency=compute_latency(nl, analysis=analysis),
+        latency=compute_latency(nl, report=report),
         generation_time_ms=generation_time_ms,
     )
 

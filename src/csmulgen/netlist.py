@@ -6,10 +6,10 @@ int id, below `Netlist.signal_count`.  Primitives are stored flat, a
 kind code and five pin slots each, in dependency order: each comes
 after the drivers of its inputs.  `validate` is the one walk over a
 netlist's pins: it runs every structural check, that order included,
-and computes the analysis on the way; `analyze` is its out-of-order
-gate for callers that want only the analysis.  The pipeline latency
-and register balance decided from the analysis live here too.  Every
-other module either builds one of these netlists or consumes one.
+and decides register balance, the pipeline latency and the worst stage
+depth on the way.  Its `ValidationReport` is the one value the later
+stages hand each other; `compute_latency` reads the verdict from it.
+Every other module either builds one of these netlists or consumes one.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ class Netlist:
     both with `it = iter(pins)` and `zip(kinds, it, it, it, it, it)`.
     Every primitive comes after the primitives that drive its inputs, so
     one walk in stored order evaluates the circuit; `validate` reports a
-    netlist that breaks this as `out-of-order`, and `analyze` raises
-    OutOfOrderError.
+    netlist that breaks this as `out-of-order`, and `compute_latency`
+    raises OutOfOrderError.
 
     Netlists are treated as immutable once a generator returns them;
     the mutating helpers below are for construction only, and only
@@ -157,17 +157,30 @@ class Finding:
     message: str
 
 
+@dataclass(frozen=True, slots=True)
+class LatencyInfo:
+    pipelined: bool
+    cycles: int | None = None
+    gate_units: int | None = None
+
+
 @dataclass(slots=True)
 class ValidationReport:
-    """Findings of `validate`, plus the analysis it computed on the way.
+    """Findings of `validate`, and what the later stages read of its walk.
 
-    analysis is None when the netlist is out of order or has an unknown id.
-    Callers pass it on to later stages so that they need not analyse
-    the same netlist again.
+    latency: the verdict `compute_latency` returns: a LatencyInfo, or
+    the NetlistError it raises instead.
+    stage_depth: largest combinational depth, in gate units, at any DFF
+    input or output bit; None when the netlist is out of order or holds
+    an unknown signal id.
+    netlist: the netlist validated.  Callers pass the report on to later
+    stages as `report=`, so that they need not walk the netlist again.
     """
 
     findings: list = field(default_factory=list)
-    analysis: Analysis | None = field(default=None, repr=False, compare=False)
+    latency: LatencyInfo | NetlistError | None = None
+    stage_depth: int | None = None
+    netlist: Netlist | None = field(default=None, repr=False, compare=False)
 
     @property
     def errors(self):
@@ -179,27 +192,39 @@ class ValidationReport:
 
 def validate(nl: Netlist) -> ValidationReport:
     """Run every structural check; all problems become report entries,
-    and the report carries the netlist's analysis.
+    and the report carries the latency verdict and the stage depth.
 
     This is the one walk over the pins of `nl.kinds`/`nl.pins`.  In
     stored order it counts the drivers of each signal (a port bit is
-    its own driver), marks reads, computes the `Analysis` lists
-    and records every read of a signal that has no driver yet.  Such a
-    read is `undriven-input` when nothing ever drives the signal, and
+    its own driver), marks reads, levels every signal and records every
+    read of a signal that has no driver yet.  Such a read is
+    `undriven-input` when nothing ever drives the signal, and
     `out-of-order` when a later primitive does; a loop, through
     registers or not, always has one of the second kind.  The later
     checks read only these lists, in a fixed sequence and each in
     primitive, pin or signal id order, so finding order is
     deterministic.  The checks index by signal id, so the first port bit
     or pin holding an id outside 0 .. signal_count - 1 is the one finding.
+
+    A signal's levels are its combinational depth in gate units (input
+    bits, constants and DFF outputs sit at 0; AND gates and half adders
+    add one unit, full adders two) and the fewest and most registers on
+    any source-to-signal path; they live only for the walk.  One rule
+    decides register balance from them: every output bit sees one
+    register count on all its paths, and all of them the same one.
     """
-    rep = ValidationReport()
+    rep = ValidationReport(netlist=nl)
     err = lambda code, msg: rep.findings.append(Finding("error", code, msg))
     warn = lambda code, msg: rep.findings.append(Finding("warning", code, msg))
 
     n = nl.signal_count
-    unknown = lambda place, s: ValidationReport([Finding(
-        "error", "unknown-signal", f"{place} (s{s}) is not one of the {n} signals")])
+
+    def unknown(place, s):
+        msg = f"{place} (s{s}) is not one of the {n} signals"
+        err("unknown-signal", msg)
+        rep.latency = NetlistError(msg)
+        return rep
+
     clock = [nl.clock] if nl.clock is not None else []
     for name, bits in (("input_a", nl.input_a), ("input_b", nl.input_b),
                        ("clock", clock), ("output", nl.output_p)):
@@ -216,6 +241,7 @@ def validate(nl: Netlist) -> ValidationReport:
     depth = [0] * n
     reg_min = [0] * n
     reg_max = [0] * n if dffs else reg_min  # all zero without registers
+    stage = 0  # deepest DFF input so far
     early = []  # (primitive index, pin, signal) read before any driver
     weight = [DEPTH_WEIGHT.get(kind, 0) for kind in KINDS]
     it = iter(nl.pins)
@@ -252,6 +278,8 @@ def validate(nl: Netlist) -> ValidationReport:
         if k == dff:
             lo += 1
             hi += 1
+            if depth[i0] > stage:
+                stage = depth[i0]
         reg_min[o0] = lo
         reg_max[o0] = hi
         if n_out == 2:
@@ -288,13 +316,40 @@ def validate(nl: Netlist) -> ValidationReport:
     late = next(((idx, pin, s) for idx, pin, s in early if drivers[s]), None)
     if late:
         idx, pin, s = late
-        err("out-of-order", f"primitive {idx} ({KINDS[kinds[idx]]}) input {pin} "
-                            f"(s{s}) is read before its driver")
+        msg = (f"primitive {idx} ({KINDS[kinds[idx]]}) input {pin} (s{s}) "
+               "is read before its driver")
+        err("out-of-order", msg)
+        rep.latency = OutOfOrderError(msg)
     else:
-        rep.analysis = Analysis(depth=depth, reg_min=reg_min, reg_max=reg_max, netlist=nl)
-        for msg in _unbalanced_registers(
-                rep.analysis, [(j, bit) for j, bit in enumerate(nl.output_p) if drivers[bit]]):
+        mixed, depths = [], set()
+        for j, bit in enumerate(nl.output_p):
+            lo, hi = reg_min[bit], reg_max[bit]
+            if lo != hi:
+                mixed.append(f"output bit {j} (s{bit}) mixes paths "
+                             f"with {lo} and {hi} registers")
+            elif drivers[bit]:
+                depths.add(lo)
+        disagree = lambda ds: f"output bits disagree on register depth: {sorted(ds)}"
+        for msg in mixed:
             err("unbalanced-registers", msg)
+        if len(depths) > 1:
+            err("unbalanced-registers", disagree(depths))
+        # The verdict counts an undriven output bit too, at 0 registers.
+        depths = {reg_min[bit] for bit in nl.output_p}
+        cycles = min(depths, default=0)
+        worst = max((depth[bit] for bit in nl.output_p), default=0)
+        rep.stage_depth = max(stage, worst)
+        if not nl.output_p:
+            rep.latency = NetlistError(f"the netlist has none of its "
+                                       f"{nl.width_a + nl.width_b} output bits")
+        elif mixed or len(depths) > 1:
+            rep.latency = UnbalancedPathError(mixed[0] if mixed else disagree(depths))
+        elif cycles and not nl.pipelined:
+            rep.latency = UnbalancedPathError(
+                f"combinational output bits carry {cycles} registers")
+        else:
+            rep.latency = (LatencyInfo(pipelined=True, cycles=cycles) if nl.pipelined
+                           else LatencyInfo(pipelined=False, gate_units=worst))
 
     if nl.pipelined != (dffs > 0) or nl.pipelined != (nl.clock is not None):
         err("clock-consistency",
@@ -308,106 +363,34 @@ def validate(nl: Netlist) -> ValidationReport:
     return rep
 
 
-def _unbalanced_registers(an, bits):
-    """Breaches of the rule that every output bit sees one register count
-    on all its paths, and all of them the same one, as messages.
-
-    bits: (output bit index, signal id) pairs, as from `enumerate(nl.output_p)`.
-    """
-    messages, depths = [], set()
-    for j, bit in bits:
-        lo, hi = an.reg_min[bit], an.reg_max[bit]
-        if lo != hi:
-            messages.append(f"output bit {j} (s{bit}) mixes paths with {lo} and {hi} registers")
-        else:
-            depths.add(lo)
-    if len(depths) > 1:
-        messages.append(f"output bits disagree on register depth: {sorted(depths)}")
-    return messages
-
-
-@dataclass(frozen=True, slots=True)
-class Analysis:
-    """What `validate`'s one walk over a netlist tells every consumer.
-
-    depth: signal id -> combinational depth in gate units.  Input bits,
-    constants and DFF outputs sit at 0; AND gates and half adders add
-    one unit, full adders two.
-    reg_min, reg_max: signal id -> fewest and most registers on any
-    source-to-signal path.  They differ where paths are unbalanced.
-    netlist: the netlist analysed; `analysis_for` checks it.
-    """
-
-    depth: list
-    reg_min: list
-    reg_max: list
-    netlist: Netlist = field(repr=False, compare=False)
-
-
-def analyze(nl: Netlist) -> Analysis:
-    """The analysis `validate` computes: `validate(nl).analysis`.
-
-    This is `validate`'s out-of-order gate: with no analysis it raises
-    OutOfOrderError with the `out-of-order` message, or NetlistError
-    with the `unknown-signal` one.  Other findings do not stop it; a
-    signal no primitive drives reads as a source.
-    """
-    rep = validate(nl)
-    if rep.analysis is None:
-        first = next(f for f in rep.errors if f.code in ("out-of-order", "unknown-signal"))
-        raise (OutOfOrderError if first.code == "out-of-order" else NetlistError)(first.message)
-    return rep.analysis
-
-
-def analysis_for(nl: Netlist, analysis: Analysis | None = None) -> Analysis:
-    """The analysis every stage works from: `analysis` when one is passed
-    in (as from `ValidationReport.analysis`), else a fresh `analyze(nl)`.
-
-    Raises NetlistError when `analysis` was computed from another
-    netlist, so no stage evaluates the wrong graph.
-    """
-    if analysis is None:
-        return analyze(nl)
-    if analysis.netlist is not nl:
+def _report_for(nl: Netlist, report: ValidationReport | None) -> ValidationReport:
+    """The report every stage works from: `report` when one is passed
+    in, else a fresh `validate(nl)`.  Raises NetlistError when `report`
+    is of another netlist, so no stage reads the wrong graph's verdict."""
+    if report is None:
+        return validate(nl)
+    if report.netlist is not nl:
         raise NetlistError("the analysis passed in was computed from a different netlist")
-    return analysis
+    return report
 
 
-def max_stage_depth(nl: Netlist, *, analysis: Analysis | None = None):
-    """Largest combinational depth reaching any DFF input or output bit.
-    `analysis`, when given, is used instead of analysing `nl` again."""
-    an = analysis_for(nl, analysis)
-    dff = CODE[DFF]
-    ends = [d for k, d in zip(nl.kinds, nl.pins[::STRIDE]) if k == dff] + nl.output_p
-    return max((an.depth[sig] for sig in ends), default=0)
+def compute_latency(nl: Netlist, *, report: ValidationReport | None = None) -> LatencyInfo:
+    """The latency verdict `validate` stored on its report.
 
-
-@dataclass(frozen=True, slots=True)
-class LatencyInfo:
-    pipelined: bool
-    cycles: int | None = None
-    gate_units: int | None = None
-
-
-def compute_latency(nl: Netlist, *, analysis: Analysis | None = None) -> LatencyInfo:
-    """Pipelined: common register depth of the output bits.
+    Pipelined: common register depth of the output bits.
     Combinational: worst levelized depth over the output bits.
     Raises UnbalancedPathError, with the first `unbalanced-registers`
     message of `validate`, when the output bits do not share one
     register depth, pipelined or not, and when a netlist marked
-    combinational has registers on its output paths.
-    `analysis`, when given, is used instead of analysing `nl` again."""
-    an = analysis_for(nl, analysis)
-    if not nl.output_p:
-        raise NetlistError(f"the netlist has none of its {nl.width_a + nl.width_b} "
-                           "output bits")
-    unbalanced = _unbalanced_registers(an, enumerate(nl.output_p))
-    cycles = an.reg_min[nl.output_p[0]]
-    if cycles and not nl.pipelined:
-        unbalanced.append(f"combinational output bits carry {cycles} registers")
-    if unbalanced:
-        raise UnbalancedPathError(unbalanced[0])
-    if nl.pipelined:
-        return LatencyInfo(pipelined=True, cycles=cycles)
-    worst = max(an.depth[bit] for bit in nl.output_p)
-    return LatencyInfo(pipelined=False, gate_units=worst)
+    combinational has registers on its output paths; NetlistError when
+    the netlist has no output bits; and OutOfOrderError or NetlistError
+    with the `out-of-order` or `unknown-signal` message when the netlist
+    is out of order or holds an unknown id.  A signal no primitive drives reads as a
+    source.  `report`, when given, is used instead of validating `nl`
+    again.
+    """
+    latency = _report_for(nl, report).latency
+    if isinstance(latency, NetlistError):
+        # A fresh error each time, so the stored one gathers no traceback.
+        raise type(latency)(*latency.args)
+    return latency

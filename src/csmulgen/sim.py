@@ -2,12 +2,13 @@
 
 Values are plain Python integers used as lane vectors: bit t of a
 signal's value is its level for input pair t.  A register is a wire:
-`compute_latency` checks that every output path holds the same number
-L of registers, so the product leaving in cycle t + L is pair t's.
-One pass over the primitives, which a netlist keeps in dependency
-order, gives every pair's product; `simulate` returns them, and the
-verify functions compare them with a*b.  AND/XOR/majority on big
-integers make exhaustive sweeps cheap without any extra machinery.
+the latency verdict of the netlist's `ValidationReport`, which
+simulation and verification take as `report=`, says that every output
+path holds the same number L of registers, so the product leaving in
+cycle t + L is pair t's.  One pass over the primitives, which a netlist keeps in
+dependency order, gives every pair's product; `simulate` returns them,
+and the verify functions compare them with a*b.  AND/XOR/majority on
+big integers make exhaustive sweeps cheap without any extra machinery.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 
 from .netlist import (
     AND2, CODE, CONST0, DFF, FULL_ADDER, HALF_ADDER,
-    Analysis, Netlist, compute_latency,
+    Netlist, ValidationReport, compute_latency,
 )
 
 EXHAUSTIVE_GUARD_BITS = 24
@@ -82,23 +83,23 @@ def check_pairs(nl: Netlist, pairs):
                            f"{nl.width_a}x{nl.width_b} operand ports")
 
 
-def _products(nl, pairs, analysis):
+def _products(nl, pairs, report):
     """Output-bit lane masks of the (a, b) pairs streamed through `nl`:
     lane t holds the product pair t leaves with, L cycles later."""
     check_pairs(nl, pairs)
-    compute_latency(nl, analysis=analysis)
+    compute_latency(nl, report=report)
     a_masks = _lane_masks([a for a, _ in pairs], nl.width_a)
     b_masks = _lane_masks([b for _, b in pairs], nl.width_b)
     return _stream(nl, a_masks, b_masks)
 
 
-def simulate(nl: Netlist, pairs, *, analysis: Analysis | None = None) -> list[int]:
+def simulate(nl: Netlist, pairs, *, report: ValidationReport | None = None) -> list[int]:
     """Products of the (a, b) pairs streamed through `nl`, pair t
     entering in clock cycle t and leaving L cycles later, L being the
     latency (0 when combinational).  One product is
-    `simulate(nl, [(a, b)])[0]`.  Analyses `nl` unless given `analysis`,
-    and raises as `verify_pairs` does."""
-    got = _products(nl, pairs, analysis)
+    `simulate(nl, [(a, b)])[0]`.  Validates `nl` unless given its
+    `report`, and raises as `verify_pairs` does."""
+    got = _products(nl, pairs, report)
     return [_lane(got, t) for t in range(len(pairs))]
 
 
@@ -140,28 +141,29 @@ def _check_lanes(nl, got, pairs, mode, tested_before=0):
 
 
 def verify_pairs(nl: Netlist, pairs, mode: str, *,
-                 analysis: Analysis | None = None) -> VerificationReport:
+                 report: ValidationReport | None = None) -> VerificationReport:
     """Stream the (a, b) pairs through `nl`, pair t entering in clock
     cycle t, and check each product against a*b as it leaves.
 
-    The verify functions take an optional `analysis` of `nl` (as from
-    `ValidationReport.analysis`) and analyse `nl` themselves without one.
-    They raise UnbalancedPathError when any output bit's paths disagree,
-    and OutOfOrderError on a netlist out of order, even with no pairs.
-    A pair that is negative or wider than its port raises SimError.
+    The verify functions take an optional `report`, `validate(nl)`, and
+    validate `nl` themselves without one.  They raise as
+    `compute_latency` does, even with no pairs: UnbalancedPathError when
+    any output bit's paths disagree, and OutOfOrderError on a netlist out
+    of order.  A pair that is negative or wider than its port raises
+    SimError.
     """
-    return (_check_lanes(nl, _products(nl, pairs, analysis), pairs, mode)
+    return (_check_lanes(nl, _products(nl, pairs, report), pairs, mode)
             or VerificationReport(passed=True, tested=len(pairs), mode=mode))
 
 
 def verify_exhaustive(nl: Netlist, *,
-                      analysis: Analysis | None = None) -> VerificationReport:
+                      report: ValidationReport | None = None) -> VerificationReport:
     """Check every input pair against the arbitrary-precision product."""
     n, k = nl.width_a, nl.width_b
     if n + k > EXHAUSTIVE_GUARD_BITS:
         raise SimError(f"exhaustive verification capped at {EXHAUSTIVE_GUARD_BITS} "
                        f"total input bits, got {n + k}")
-    compute_latency(nl, analysis=analysis)
+    compute_latency(nl, report=report)
     total = 1 << (n + k)
     chunk = min(total, 1 << 16)
     tested = 0
@@ -200,7 +202,7 @@ def random_pairs(width_a: int, width_b: int, count: int, seed: int) -> list:
 
 
 def verify_random(nl: Netlist, count: int, seed: int, *,
-                  analysis: Analysis | None = None) -> VerificationReport:
+                  report: ValidationReport | None = None) -> VerificationReport:
     """Check seeded uniform random pairs, exact product equality each."""
     pairs = random_pairs(nl.width_a, nl.width_b, count, seed)
-    return verify_pairs(nl, pairs, "random", analysis=analysis)
+    return verify_pairs(nl, pairs, "random", report=report)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netlist import Analysis, Netlist, compute_latency
+from .netlist import Netlist, ValidationReport, compute_latency, validate
 from .sim import check_pairs, random_pairs, verify_pairs
 from .vhdl import INDENT, check_identifier, default_entity_name
 
@@ -38,31 +38,33 @@ class TestbenchPlan:
 
 
 def make_plan(nl: Netlist, count: int, seed: int, *,
-              analysis: Analysis | None = None) -> TestbenchPlan:
+              report: ValidationReport | None = None) -> TestbenchPlan:
     """`count` seeded pairs from `random_pairs`, and a wait one past the
-    circuit's latency.  `analysis` is passed on to `compute_latency`."""
+    circuit's latency.  `report` is passed on to `compute_latency`."""
     pairs = random_pairs(nl.width_a, nl.width_b, count, seed)
-    latency = compute_latency(nl, analysis=analysis)
+    latency = compute_latency(nl, report=report)
     wait = latency.cycles if nl.pipelined else latency.gate_units
     return TestbenchPlan(pairs=pairs, wait_time=wait + 1)
 
 
 def self_check_plan(nl: Netlist, plan: TestbenchPlan, *,
-                    analysis: Analysis | None = None) -> bool:
+                    report: ValidationReport | None = None) -> bool:
     """Check every product a*b against the gate-level simulator, all
     pairs as lanes of one simulation.  Raises PlanError on any mismatch,
     naming the first failing vector, or when a pipelined plan waits
     fewer cycles than its latency, so its asserts would not see their
     own vector.  A pair that does not fit the ports raises SimError.
-    `analysis` is passed on."""
-    latency = compute_latency(nl, analysis=analysis).cycles or 0
+    Validates `nl` once unless given its `report`."""
+    if report is None:
+        report = validate(nl)
+    latency = compute_latency(nl, report=report).cycles or 0
     if plan.wait_time < latency:
         raise PlanError(f"wait time of {plan.wait_time} cycles is shorter than "
                         f"the latency of {latency} cycles")
-    report = verify_pairs(nl, plan.pairs, "testbench", analysis=analysis)
-    if not report.passed:
-        c = report.counterexample
-        raise PlanError(f"vector {report.tested}: circuit computes {c['got']}, "
+    checked = verify_pairs(nl, plan.pairs, "testbench", report=report)
+    if not checked.passed:
+        c = checked.counterexample
+        raise PlanError(f"vector {checked.tested}: circuit computes {c['got']}, "
                         f"expected {c['expected']} for {c['a']}x{c['b']}")
     return True
 

@@ -16,7 +16,7 @@ from itertools import islice
 
 from .netlist import (
     AND2, CODE, CONST0, DFF, FULL_ADDER, HALF_ADDER,
-    Netlist, ValidationReport, analysis_for, validate,
+    Netlist, ValidationReport, _report_for, validate,
 )
 
 # VHDL-93 reserved words; emitted identifiers must avoid these.
@@ -97,16 +97,16 @@ def iter_vhdl(nl: Netlist, *, entity_name: str | None = None,
 
     `report` is `validate(nl)` when the caller already has it; without
     one the netlist is validated here.  A report with errors is refused,
-    and so is a report of another netlist (NetlistError, through
-    `analysis_for`), and so is an illegal entity name.  These checks run
-    when `iter_vhdl` is called, before any chunk is asked for.
+    and so is a report of another netlist (NetlistError), and so is an
+    illegal entity name.  These checks run when `iter_vhdl` is called,
+    before any chunk is asked for.
     """
     if report is None:
         report = validate(nl)
     if not report.is_valid():
         msgs = "; ".join(f.message for f in report.errors)
         raise EmissionError(f"refusing to emit an invalid netlist: {msgs}")
-    analysis_for(nl, report.analysis)
+    _report_for(nl, report)
     entity = default_entity_name(nl) if entity_name is None else entity_name
     check_identifier(entity)
     return _chunks(_lines(nl, entity))

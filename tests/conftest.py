@@ -1,6 +1,6 @@
 """Fixtures shared by the tests: fault injection, a scalar per-cycle
-reference simulator, and the environment for running the package in a
-subprocess from a checkout.
+reference simulator, a reference for per-signal levels, and the
+environment for running the package in a subprocess from a checkout.
 
 The fault injectors write a netlist's `kinds` and `pins` stores
 directly, the one way to change a primitive after `add_primitive`.
@@ -134,6 +134,51 @@ def _reference_outputs(nl, feed, cycles):
 @pytest.fixture
 def reference_outputs():
     return _reference_outputs
+
+
+_WEIGHT = {AND2: 1, HALF_ADDER: 1, FULL_ADDER: 2}  # gate units; DFF, CONST0 reset
+
+
+def _signal_levels(nl):
+    """(depth, reg_min, reg_max), each a list indexed by signal id:
+    combinational depth in gate units, and the fewest and most
+    registers on any source-to-signal path.  A signal no primitive
+    drives is a source, at 0 on all three.
+
+    An oracle for `validate`'s levels that shares none of its code: it
+    reads `nl.primitives` and resolves each signal after its driver's
+    inputs with an explicit stack, so stored order does not matter.
+    `nl` must hold no loop.
+    """
+    driver = {out: prim for prim in nl.primitives for out in prim.outputs}
+    levels = {}  # signal -> (depth, reg_min, reg_max)
+    for start in driver:
+        stack = [start]
+        while stack:
+            prim = driver[stack[-1]]
+            pending = [s for s in prim.inputs if s in driver and s not in levels]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            ins = [levels.get(s, (0, 0, 0)) for s in prim.inputs]
+            lo = min((r for _, r, _ in ins), default=0)
+            hi = max((r for _, _, r in ins), default=0)
+            if prim.kind == DFF:
+                level = (0, lo + 1, hi + 1)
+            elif prim.kind == CONST0:
+                level = (0, 0, 0)
+            else:
+                level = (max(d for d, _, _ in ins) + _WEIGHT[prim.kind], lo, hi)
+            for out in prim.outputs:
+                levels[out] = level
+    rows = [levels.get(s, (0, 0, 0)) for s in range(nl.signal_count)]
+    return tuple(list(col) for col in zip(*rows)) if rows else ([], [], [])
+
+
+@pytest.fixture
+def signal_levels():
+    return _signal_levels
 
 
 @pytest.fixture

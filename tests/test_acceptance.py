@@ -13,7 +13,7 @@ from csmulgen.mulgen import (
     GeneratorConfig, _Builder, build_partial_products, generate_multiplier, run_reduction,
 )
 from csmulgen.netlist import (
-    AND2, DFF, FULL_ADDER, Netlist, analyze, compute_latency, max_stage_depth, validate,
+    AND2, DFF, FULL_ADDER, Netlist, compute_latency, validate,
 )
 from csmulgen.sim import simulate, verify_exhaustive, verify_random
 from csmulgen import tbgen
@@ -77,13 +77,13 @@ def test_criterion_3_structural_invariants(report):
     report(3, "structural invariants over 1..16 grid", ok)
 
 
-def test_criterion_4_pipeline_properties(report):
+def test_criterion_4_pipeline_properties(report, signal_levels):
     ok = True
     for n, k in ((4, 4), (8, 8), (13, 63), (16, 16)):
         nl = generate_multiplier(GeneratorConfig(n, k, True))
-        an = analyze(nl)
-        ok = ok and all(an.reg_min[bit] == an.reg_max[bit] for bit in nl.output_p)
-        depths = {an.reg_min[bit] for bit in nl.output_p}
+        _, reg_min, reg_max = signal_levels(nl)
+        ok = ok and all(reg_min[bit] == reg_max[bit] for bit in nl.output_p)
+        depths = {reg_min[bit] for bit in nl.output_p}
         ok = ok and len(depths) == 1
         latency = depths.pop()
         ok = ok and compute_latency(nl).cycles == latency
@@ -95,7 +95,7 @@ def test_criterion_4_pipeline_properties(report):
         feed = [(x, (x * 5 + 1) % (1 << k)) for x in feed]
         ok = ok and simulate(nl, feed) == [x * y for x, y in feed]
 
-        ok = ok and max_stage_depth(nl) <= 2
+        ok = ok and validate(nl).stage_depth <= 2
     report(4, "pipeline latency, streaming and stage depth", ok)
 
 

@@ -187,12 +187,18 @@ def _generate_sabotaged(monkeypatch, defect):
 
 
 def _bypass_validation(monkeypatch):
-    """Let any defect past the CLI's and the emitter's `validate`."""
+    """Let any defect past the findings of the CLI's and the emitter's
+    `validate`; the report keeps its latency verdict."""
     import csmulgen.cli as cli_mod
     import csmulgen.vhdl as vhdl_mod
-    from csmulgen.netlist import ValidationReport
+    from csmulgen.netlist import validate
+
+    def without_findings(nl):
+        report = validate(nl)
+        report.findings.clear()
+        return report
     for module in (cli_mod, vhdl_mod):
-        monkeypatch.setattr(module, "validate", lambda nl: ValidationReport())
+        monkeypatch.setattr(module, "validate", without_findings)
 
 
 def _reversed(reorder):
@@ -240,8 +246,8 @@ def test_netlist_error_after_validation_exits_2(tmp_path, monkeypatch, capsys,
 
 def test_out_of_order_netlist_after_validation_exits_2(tmp_path, monkeypatch, capsys,
                                                        reorder):
-    """With `validate` bypassed, `analyze`'s own order check still
-    stops the job with exit 2."""
+    """With `validate`'s findings dropped, the out-of-order verdict its
+    report carries still stops the job with exit 2."""
     _generate_sabotaged(monkeypatch, _reversed(reorder))
     _bypass_validation(monkeypatch)
     assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline",
@@ -254,7 +260,7 @@ def test_sim_error_after_validation_exits_3(tmp_path, monkeypatch, capsys):
     import csmulgen.cli as cli_mod
     from csmulgen.sim import SimError
 
-    def broken(nl, count, seed, *, analysis=None):
+    def broken(nl, count, seed, *, report=None):
         raise SimError("simulator refused")
 
     monkeypatch.setattr(cli_mod, "verify_random", broken)
@@ -263,7 +269,8 @@ def test_sim_error_after_validation_exits_3(tmp_path, monkeypatch, capsys):
     assert "simulator refused" in capsys.readouterr().err
 
 
-def test_miswired_skew_chain_fails_verification(tmp_path, monkeypatch, capsys):
+def test_miswired_skew_chain_fails_verification(tmp_path, monkeypatch, capsys,
+                                                 signal_levels):
     """Cross the last output-deskew registers of product bits 0 and 1.
     Both sit at the same register depth and the netlist stays in
     dependency order, so validate finds nothing; only simulation can
@@ -272,14 +279,14 @@ def test_miswired_skew_chain_fails_verification(tmp_path, monkeypatch, capsys):
     unchanged."""
     import csmulgen.cli as cli_mod
     from csmulgen.mulgen import GeneratorConfig, generate_with_annotations
-    from csmulgen.netlist import DFF, analyze, validate
+    from csmulgen.netlist import DFF, validate
 
     nl, passes = generate_with_annotations(GeneratorConfig(4, 4, True))
     q1, q2 = nl.output_p[:2]
     dff_outputs = {p.outputs[0] for p in nl.primitives if p.kind == DFF}
     assert {q1, q2} <= dff_outputs
-    an = analyze(nl)
-    assert an.reg_min[q1] == an.reg_min[q2] == 6
+    reg_min = signal_levels(nl)[1]
+    assert reg_min[q1] == reg_min[q2] == 6
     nl.output_p[:2] = [q2, q1]
     assert validate(nl).findings == []
 
@@ -307,7 +314,7 @@ def test_collector_paused_during_job_and_restored(tmp_path, monkeypatch, drop_df
     if stub == "drop_dff":
         _generate_sabotaged(monkeypatch, _first_dff_dropped(drop_dff))
     elif stub == "sim_error":
-        def broken(nl, count, seed, *, analysis=None):
+        def broken(nl, count, seed, *, report=None):
             raise SimError("simulator refused")
         monkeypatch.setattr(cli_mod, "verify_random", broken)
     during = []  # collector state seen by the job itself

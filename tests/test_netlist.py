@@ -3,9 +3,9 @@ import copy
 import pytest
 
 from csmulgen.netlist import (
-    AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER,
-    Netlist, NetlistError, OutOfOrderError, UnbalancedPathError,
-    analyze, compute_latency, max_stage_depth, validate,
+    AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, KINDS,
+    LatencyInfo, Netlist, NetlistError, OutOfOrderError, UnbalancedPathError,
+    compute_latency, validate,
 )
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
 
@@ -76,9 +76,9 @@ def test_combinational_cycle_reported(set_pin):
     report = validate(nl)
     assert [(f.code, f.message) for f in report.errors] == [
         ("out-of-order", f"primitive 0 (and2) input 0 (s{s1}) is read before its driver")]
-    assert report.analysis is None
+    assert report.stage_depth is None
     with pytest.raises(OutOfOrderError) as raised:
-        analyze(nl)
+        compute_latency(nl)
     assert str(raised.value) == report.errors[0].message
 
 
@@ -99,7 +99,7 @@ def test_reads_before_any_driver_split_into_undriven_and_out_of_order(set_pin):
         ("undriven-input", f"primitive 1 (and2) input 0 (s{floating}) has no driver"),
         ("out-of-order", f"primitive 1 (and2) input 1 (s{s2}) is read before its driver"),
     ]
-    assert report.analysis is None
+    assert report.stage_depth is None
 
 
 def _place(nl, where, sig, set_pin):
@@ -129,9 +129,9 @@ def test_signal_id_outside_the_netlist_is_unknown_signal(where, sig, set_pin):
     report = validate(nl)
     message = f"{place} (s{sig}) is not one of the 12 signals"
     assert [(f.code, f.message) for f in report.findings] == [("unknown-signal", message)]
-    assert report.analysis is None
+    assert report.stage_depth is None
     with pytest.raises(NetlistError) as raised:
-        analyze(nl)
+        compute_latency(nl)
     assert type(raised.value) is NetlistError and str(raised.value) == message
 
 
@@ -159,27 +159,30 @@ def test_validation_order_is_deterministic():
     assert build().findings == build().findings
 
 
-def test_levelize_1x1():
+def test_levelize_1x1(signal_levels):
     nl = generate_multiplier(GeneratorConfig(1, 1, False))
-    by_id = analyze(nl).depth
+    by_id = signal_levels(nl)[0]
     assert by_id[nl.output_p[0]] == 1  # single AND gate
     assert by_id[nl.output_p[1]] == 0  # constant
+    assert compute_latency(nl).gate_units == validate(nl).stage_depth == 1
 
 
-def test_levelize_2x2_max_depth_three():
+def test_levelize_2x2_max_depth_three(signal_levels):
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
-    by_id = analyze(nl).depth
+    by_id = signal_levels(nl)[0]
     assert max(by_id[b] for b in nl.output_p) == 3
+    assert compute_latency(nl).gate_units == validate(nl).stage_depth == 3
 
 
-def test_full_adder_counts_two_gate_units():
+def test_full_adder_counts_two_gate_units(signal_levels):
     nl = Netlist.create(2, 1)
     (a,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
     (b,) = nl.add_primitive(AND2, [nl.input_a[1], nl.input_b[0]])
     s, c = nl.add_primitive(FULL_ADDER, [a, b, nl.input_a[0]])
     nl.output_p = [s, c, a]
-    by_id = analyze(nl).depth
+    by_id = signal_levels(nl)[0]
     assert by_id[s] == 3  # and (1) + fa (2)
+    assert compute_latency(nl).gate_units == validate(nl).stage_depth == 3
 
 
 def _dependency_order(nl, rng, reorder):
@@ -208,34 +211,37 @@ def _dependency_order(nl, rng, reorder):
     return shuffled
 
 
-def test_levelize_independent_of_insertion_order(reorder):
+def test_levelize_independent_of_insertion_order(reorder, signal_levels):
     import random
     nl = generate_multiplier(GeneratorConfig(3, 3, False))
-    base = analyze(nl).depth
+    base = validate(nl)
     shuffled = _dependency_order(nl, random.Random(0), reorder)
     assert shuffled.primitives != nl.primitives
-    assert analyze(shuffled).depth == base
+    again = validate(shuffled)
+    assert (again.latency, again.stage_depth) == (base.latency, base.stage_depth)
+    assert base.latency.gate_units == max(signal_levels(nl)[0][b] for b in nl.output_p)
 
 
 def test_pipelined_8x8_stage_depth_at_most_two():
     nl = generate_multiplier(GeneratorConfig(8, 8, True))
-    assert max_stage_depth(nl) <= 2
+    assert validate(nl).stage_depth <= 2
 
 
-def test_register_depth_uniform_on_pipelined():
+def test_register_depth_uniform_on_pipelined(signal_levels):
     nl = generate_multiplier(GeneratorConfig(4, 4, True))
-    an = analyze(nl)
-    assert all(an.reg_min[bit] == an.reg_max[bit] for bit in nl.output_p)
-    assert len({an.reg_min[bit] for bit in nl.output_p}) == 1
+    _, reg_min, reg_max = signal_levels(nl)
+    assert all(reg_min[bit] == reg_max[bit] for bit in nl.output_p)
+    assert {reg_min[bit] for bit in nl.output_p} == {compute_latency(nl).cycles}
 
 
-def test_register_depth_zero_when_not_pipelined():
+def test_register_depth_zero_when_not_pipelined(signal_levels):
     nl = generate_multiplier(GeneratorConfig(4, 4, False))
-    an = analyze(nl)
-    assert all(an.reg_min[bit] == an.reg_max[bit] == 0 for bit in nl.output_p)
+    _, reg_min, reg_max = signal_levels(nl)
+    assert all(reg_min[bit] == reg_max[bit] == 0 for bit in nl.output_p)
+    assert compute_latency(nl).cycles is None
 
 
-def test_register_depth_unbalanced_path_error():
+def test_register_depth_unbalanced_path_error(signal_levels):
     nl = Netlist.create(1, 1)
     nl.pipelined = True
     nl.add_clock()
@@ -243,10 +249,10 @@ def test_register_depth_unbalanced_path_error():
     (q,) = nl.add_primitive(DFF, [nl.input_a[0]])
     s, c = nl.add_primitive(HALF_ADDER, [s0, q])  # mixes 0- and 1-register paths
     nl.output_p = [s, c]
-    an = analyze(nl)
-    assert an.reg_min[s] != an.reg_max[s]
+    _, reg_min, reg_max = signal_levels(nl)
+    assert reg_min[s] != reg_max[s]
     with pytest.raises(UnbalancedPathError):
-        compute_latency(nl, analysis=an)
+        compute_latency(nl, report=validate(nl))
 
 
 def test_netlist_without_output_bits_raises_netlist_error():
@@ -272,6 +278,98 @@ def test_netlist_retains_under_32_bytes_per_primitive():
     finally:
         tracemalloc.stop()
     assert retained / len(nl.primitives) < 32
+
+
+def test_report_keeps_no_per_signal_list():
+    """A signal's levels are locals of `validate`'s walk: a 64x64p
+    report keeps its findings and verdict, not lists over every signal."""
+    import tracemalloc
+    nl = generate_multiplier(GeneratorConfig(64, 64, True))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = validate(nl)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.is_valid() and report.latency.cycles > 0
+    assert retained < 4096
+
+
+def _expected_verdict(nl, levels):
+    """The latency verdict by its rules, from reference levels: a
+    LatencyInfo, or the (class, message) of the error it must raise."""
+    depth, reg_min, reg_max = levels
+    bits = nl.output_p
+    if not bits:
+        return NetlistError, (f"the netlist has none of its "
+                              f"{nl.width_a + nl.width_b} output bits")
+    for j, b in enumerate(bits):
+        if reg_min[b] != reg_max[b]:
+            return UnbalancedPathError, (f"output bit {j} (s{b}) mixes paths with "
+                                         f"{reg_min[b]} and {reg_max[b]} registers")
+    cycles = sorted({reg_min[b] for b in bits})
+    if len(cycles) > 1:
+        return UnbalancedPathError, f"output bits disagree on register depth: {cycles}"
+    if cycles[0] and not nl.pipelined:
+        return UnbalancedPathError, f"combinational output bits carry {cycles[0]} registers"
+    if nl.pipelined:
+        return LatencyInfo(pipelined=True, cycles=cycles[0])
+    return LatencyInfo(pipelined=False, gate_units=max(depth[b] for b in bits))
+
+
+def _variants(n, k, pipe, drop_dff, double_dff, swap_outputs):
+    """The generated netlist, then one fault of each kind it can take:
+    its top output bit left undriven, its middle adder's outputs
+    swapped, its first register dropped, its last register doubled, and
+    its pipelined flag cleared."""
+    make = lambda: generate_multiplier(GeneratorConfig(n, k, pipe))
+    nl = make()
+    yield "as generated", nl
+    adders = [i for i, c in enumerate(nl.kinds) if KINDS[c] in (HALF_ADDER, FULL_ADDER)]
+    dffs = [i for i, c in enumerate(nl.kinds) if KINDS[c] == DFF]
+    faults = [("undriven bit", lambda nl: nl.output_p.__setitem__(-1, nl.new_signal()))]
+    if adders:
+        middle = adders[len(adders) // 2]
+        faults.append(("swapped adder", lambda nl: swap_outputs(nl, middle)))
+    if dffs:
+        faults += [("dropped dff", lambda nl: drop_dff(nl, dffs[0])),
+                   ("doubled dff", lambda nl: double_dff(nl, dffs[-1])),
+                   ("flag cleared", lambda nl: setattr(nl, "pipelined", False))]
+    for name, fault in faults:
+        nl = make()
+        fault(nl)
+        yield name, nl
+
+
+@pytest.mark.parametrize("pipe", [False, True])
+def test_report_verdict_and_stage_depth_match_the_reference(
+        pipe, signal_levels, drop_dff, double_dff, swap_outputs):
+    """Widths 1..8 and 13x5, each as generated and with each fault: the
+    stored verdict, what `compute_latency` returns or raises, and the
+    stage depth all equal what the reference levels give."""
+    shapes = [(n, k) for n in range(1, 9) for k in range(1, 9)] + [(13, 5)]
+    seen = set()
+    for n, k in shapes:
+        for name, nl in _variants(n, k, pipe, drop_dff, double_dff, swap_outputs):
+            levels = signal_levels(nl)
+            want = _expected_verdict(nl, levels)
+            report = validate(nl)
+            got = report.latency
+            try:
+                outcome = compute_latency(nl)
+            except NetlistError as exc:
+                outcome = type(exc), str(exc)
+            if isinstance(got, Exception):
+                got = type(got), str(got)
+            assert got == outcome == want, (n, k, pipe, name)
+            depth = levels[0]
+            ends = [p.inputs[0] for p in nl.primitives if p.kind == DFF] + nl.output_p
+            assert report.stage_depth == max(depth[s] for s in ends), (n, k, pipe, name)
+            seen.add("ok" if isinstance(want, LatencyInfo) else
+                     next(w for w in ("mixes", "disagree", "carry") if w in want[1]))
+    # Every branch of the verdict was reached.
+    assert seen == ({"ok", "mixes", "disagree", "carry"} if pipe else {"ok"})
 
 
 def unbalanced_findings(nl):
@@ -313,17 +411,17 @@ def test_register_loop_is_out_of_order(set_pin):
         verify_random(nl, 4, seed=1)
 
 
-def test_analysis_of_shuffled_pipelined_netlist_matches(reorder):
+def test_analysis_of_shuffled_pipelined_netlist_matches(reorder, signal_levels):
     import random
     nl = generate_multiplier(GeneratorConfig(5, 7, True))
-    base = analyze(nl)
+    base = validate(nl)
     shuffled = _dependency_order(nl, random.Random(1), reorder)
     assert shuffled.primitives != nl.primitives
-    again = analyze(shuffled)
-    assert (again.depth, again.reg_min, again.reg_max) == \
-        (base.depth, base.reg_min, base.reg_max)
-    assert len(set(base.reg_min[b] for b in nl.output_p)) == 1
-    assert validate(shuffled).findings == []
+    again = validate(shuffled)
+    assert (again.latency, again.stage_depth) == (base.latency, base.stage_depth)
+    reg_min = signal_levels(nl)[1]
+    assert {reg_min[b] for b in nl.output_p} == {base.latency.cycles}
+    assert again.findings == []
 
 
 def test_shuffled_pipelined_netlist_is_rejected(reorder):
@@ -338,8 +436,8 @@ def test_shuffled_pipelined_netlist_is_rejected(reorder):
     reorder(nl, order)
     report = validate(nl)
     assert [f.code for f in report.findings] == ["out-of-order"]
-    assert report.analysis is None
-    for call in (analyze, compute_latency, verify_exhaustive,
+    assert report.stage_depth is None
+    for call in (compute_latency, verify_exhaustive,
                  lambda nl: verify_random(nl, 4, seed=1),
                  lambda nl: simulate(nl, [(3, 5)]),
                  lambda nl: simulate(nl, []),
@@ -371,7 +469,7 @@ def _netlist_with_every_defect(set_pin):
 
 def test_every_defect_gives_exact_findings_in_order(set_pin):
     report = validate(_netlist_with_every_defect(set_pin))
-    assert not report.is_valid() and report.analysis is None
+    assert not report.is_valid() and report.stage_depth is None
     findings = [(f.severity, f.code, f.message) for f in report.findings]
     assert findings == [
         ("error", "multiple-drivers", "port bit s3 is driven by a primitive"),

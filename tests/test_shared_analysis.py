@@ -1,8 +1,8 @@
-"""One validation per CLI job, whose analysis every stage shares.
+"""One validation per CLI job, whose report every stage shares.
 
-Each stage that takes `analysis=` (or `report=`, for `emit_vhdl` and
-`iter_vhdl`) must give exactly what it gives when it analyses the
-netlist itself, and must refuse an analysis of a different netlist.
+Each stage takes the `ValidationReport` as `report=`, and must give
+exactly what it gives when it validates the netlist itself, and must
+refuse a report of a different netlist.
 """
 
 from collections import Counter
@@ -18,10 +18,10 @@ from csmulgen.cli import main
 from csmulgen.metrics import compute_metrics, render_json
 from csmulgen.mulgen import GeneratorConfig, generate_with_annotations
 from csmulgen.netlist import (
-    AND2, CODE, FULL_ADDER, Finding, NetlistError, Netlist, ValidationReport, analyze,
+    AND2, CODE, FULL_ADDER, Finding, NetlistError, Netlist, ValidationReport,
     compute_latency, validate,
 )
-from csmulgen.sim import verify_exhaustive, verify_random
+from csmulgen.sim import simulate, verify_exhaustive, verify_pairs, verify_random
 from csmulgen.tbgen import PlanError, make_plan, self_check_plan
 from csmulgen.vhdl import EmissionError, emit_vhdl, iter_vhdl
 
@@ -44,20 +44,19 @@ def test_shared_analysis_gives_the_same_results(n, k, pipe, faulty, swap_outputs
     if faulty:
         swap_outputs(nl, nl.kinds.index(CODE[FULL_ADDER]))
     report = validate(nl)
-    an = report.analysis
-    assert report.is_valid() and an is not None
+    assert report.is_valid()
 
     if n + k <= 16:
-        assert verify_exhaustive(nl) == verify_exhaustive(nl, analysis=an)
+        assert verify_exhaustive(nl) == verify_exhaustive(nl, report=report)
     want = verify_random(nl, 60, 7)
     assert want.passed != faulty
-    assert want == verify_random(nl, 60, 7, analysis=an)
-    assert compute_latency(nl) == compute_latency(nl, analysis=an)
+    assert want == verify_random(nl, 60, 7, report=report)
+    assert compute_latency(nl) == compute_latency(nl, report=report)
     plan = make_plan(nl, 30, 5)
-    assert plan == make_plan(nl, 30, 5, analysis=an)
-    assert _plan_outcome(nl, plan) == _plan_outcome(nl, plan, analysis=an)
+    assert plan == make_plan(nl, 30, 5, report=report)
+    assert _plan_outcome(nl, plan) == _plan_outcome(nl, plan, report=report)
     assert (render_json(compute_metrics(nl, passes))
-            == render_json(compute_metrics(nl, passes, analysis=an)))
+            == render_json(compute_metrics(nl, passes, report=report)))
     assert emit_vhdl(nl) == emit_vhdl(nl, report=report)
 
 
@@ -77,16 +76,18 @@ def test_emit_refuses_a_report_with_errors():
 
 
 STAGES = {
-    "verify_random": lambda nl, passes, an: verify_random(nl, 5, 1, analysis=an),
-    "verify_exhaustive": lambda nl, passes, an: verify_exhaustive(nl, analysis=an),
-    "compute_latency": lambda nl, passes, an: compute_latency(nl, analysis=an),
-    "make_plan": lambda nl, passes, an: make_plan(nl, 5, 1, analysis=an),
-    "self_check_plan": lambda nl, passes, an: self_check_plan(
-        nl, make_plan(nl, 5, 1), analysis=an),
-    "compute_metrics": lambda nl, passes, an: compute_metrics(nl, passes, analysis=an),
-    "emit_vhdl": lambda nl, passes, an: emit_vhdl(nl, report=ValidationReport(analysis=an)),
+    "simulate": lambda nl, passes, rep: simulate(nl, [(1, 2)], report=rep),
+    "verify_pairs": lambda nl, passes, rep: verify_pairs(nl, [(1, 2)], "x", report=rep),
+    "verify_random": lambda nl, passes, rep: verify_random(nl, 5, 1, report=rep),
+    "verify_exhaustive": lambda nl, passes, rep: verify_exhaustive(nl, report=rep),
+    "compute_latency": lambda nl, passes, rep: compute_latency(nl, report=rep),
+    "make_plan": lambda nl, passes, rep: make_plan(nl, 5, 1, report=rep),
+    "self_check_plan": lambda nl, passes, rep: self_check_plan(
+        nl, make_plan(nl, 5, 1), report=rep),
+    "compute_metrics": lambda nl, passes, rep: compute_metrics(nl, passes, report=rep),
+    "emit_vhdl": lambda nl, passes, rep: emit_vhdl(nl, report=rep),
     # Called, not consumed: the check runs before the first chunk.
-    "iter_vhdl": lambda nl, passes, an: iter_vhdl(nl, report=ValidationReport(analysis=an)),
+    "iter_vhdl": lambda nl, passes, rep: iter_vhdl(nl, report=rep),
 }
 
 
@@ -96,8 +97,8 @@ def test_analysis_of_another_netlist_is_rejected(stage):
     nl, passes = generate_with_annotations(cfg)
     twin, _ = generate_with_annotations(cfg)  # same structure, different object
     with pytest.raises(NetlistError, match="different netlist"):
-        STAGES[stage](nl, passes, analyze(twin))
-    STAGES[stage](nl, passes, analyze(nl))
+        STAGES[stage](nl, passes, validate(twin))
+    STAGES[stage](nl, passes, validate(nl))
 
 
 @pytest.mark.parametrize("argv", [
@@ -107,9 +108,9 @@ def test_analysis_of_another_netlist_is_rejected(stage):
     ["--width-a", "13", "--width-b", "13"],
 ])
 def test_cli_job_analyses_and_validates_once(argv, tmp_path, monkeypatch):
-    """A CLI job walks its netlist once: one `validate`, and no `analyze`.
-    `validate` is also counted as `analyze` looks it up in `netlist`, so
-    a stage that analysed the netlist itself would add to both counts."""
+    """A CLI job walks its netlist once: one `validate`.  It is also
+    counted as `compute_latency` looks it up in `netlist`, so a stage
+    that validated the netlist itself would add to the count."""
     calls = Counter()
 
     def counted(name, fn):
@@ -119,12 +120,9 @@ def test_cli_job_analyses_and_validates_once(argv, tmp_path, monkeypatch):
         return wrapper
 
     # Wrap the name in every module that may import it; raising=False
-    # covers modules that no longer do.
-    real_analyze, real_validate = netlist_mod.analyze, netlist_mod.validate
-    for module in (netlist_mod, mulgen_mod, sim_mod):
-        monkeypatch.setattr(module, "analyze", counted("analyze", real_analyze),
-                            raising=False)
-    for module in (netlist_mod, cli_mod, vhdl_mod):
+    # covers modules that do not.
+    real_validate = netlist_mod.validate
+    for module in (netlist_mod, cli_mod, vhdl_mod, mulgen_mod, sim_mod):
         monkeypatch.setattr(module, "validate", counted("validate", real_validate),
                             raising=False)
     assert main(argv + ["--tests", "10", "--out-dir", str(tmp_path)]) == 0

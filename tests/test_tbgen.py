@@ -42,6 +42,23 @@ def test_self_check_plan_passes_for_generated_design():
     assert self_check_plan(nl, plan)
 
 
+def test_self_check_plan_without_a_report_validates_once(monkeypatch):
+    """Its latency check and its simulation share one `validate`."""
+    import csmulgen.netlist as netlist_mod
+    import csmulgen.tbgen as tbgen_mod
+    nl = generate_multiplier(GeneratorConfig(6, 6, True))
+    plan = make_plan(nl, 30, seed=3)
+    real, calls = netlist_mod.validate, []
+
+    def counted(netlist):
+        calls.append(netlist is nl)
+        return real(netlist)
+    for module in (netlist_mod, tbgen_mod):
+        monkeypatch.setattr(module, "validate", counted, raising=False)
+    assert self_check_plan(nl, plan)
+    assert calls == [True]
+
+
 def test_self_check_plan_catches_fault(swap_outputs):
     nl = generate_multiplier(GeneratorConfig(6, 6, False))
     plan = make_plan(nl, 64, seed=3)
