@@ -8,7 +8,6 @@ validation errors, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
 import time
 from pathlib import Path
@@ -172,28 +171,12 @@ def _verify_and_write(args, cfg, nl, passes, gen_ms, report) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one CLI job with the cyclic garbage collector paused.
-
-    While it builds a pipelined netlist, the generator keeps one list
-    per delayed signal for the skew and deskew chains (about 200,000 at
-    256x256p, millions at 1024x1024p), and the collector would rescan
-    them as they grow: a default 1024x1024p job ran about 7% slower
-    with it on.  Nothing a job builds holds a reference cycle, so
-    reference counting frees it all.  The collector's previous state is
-    restored on the way out.
-    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return run(args)
-    finally:
-        if was_enabled:
-            gc.enable()
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -29,6 +29,9 @@ CONST0 = "const0"
 # index here.
 KINDS = (AND2, HALF_ADDER, FULL_ADDER, DFF, CONST0)
 CODE = {kind: code for code, kind in enumerate(KINDS)}
+# The codes by name, for the loops that dispatch on them.
+_AND2, _HALF_ADDER, _FULL_ADDER, _DFF, _CONST0 = (
+    CODE[kind] for kind in (AND2, HALF_ADDER, FULL_ADDER, DFF, CONST0))
 
 # kind -> (input arity, output arity)
 ARITY = {
@@ -236,7 +239,7 @@ def validate(nl: Netlist) -> ValidationReport:
         port[sig] = 1
     drivers = list(port)  # a port bit is its own driver
     read = bytearray(n)
-    kinds, dff = nl.kinds, CODE[DFF]
+    kinds, dff = nl.kinds, _DFF
     dffs = kinds.count(dff)
     depth = [0] * n
     reg_min = [0] * n
@@ -370,7 +373,7 @@ def _report_for(nl: Netlist, report: ValidationReport | None) -> ValidationRepor
     if report is None:
         return validate(nl)
     if report.netlist is not nl:
-        raise NetlistError("the analysis passed in was computed from a different netlist")
+        raise NetlistError("the report passed in was computed from a different netlist")
     return report
 
 

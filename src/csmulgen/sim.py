@@ -17,13 +17,11 @@ from dataclasses import dataclass
 import random
 
 from .netlist import (
-    AND2, CODE, CONST0, DFF, FULL_ADDER, HALF_ADDER,
+    _AND2, _CONST0, _DFF, _FULL_ADDER, _HALF_ADDER,
     Netlist, ValidationReport, compute_latency,
 )
 
 EXHAUSTIVE_GUARD_BITS = 24
-_AND2, _HALF_ADDER, _FULL_ADDER, _DFF, _CONST0 = (
-    CODE[kind] for kind in (AND2, HALF_ADDER, FULL_ADDER, DFF, CONST0))
 
 
 class SimError(Exception):

@@ -18,7 +18,7 @@ from .netlist import Netlist, ValidationReport, compute_latency, validate
 from .sim import check_pairs, random_pairs, verify_pairs
 from .vhdl import INDENT, check_identifier, default_entity_name
 
-DEFAULT_CLOCK_PERIOD = 10  # time units per clock cycle, pipelined only
+CLOCK_PERIOD = 10  # time units per clock cycle, pipelined only
 
 # integer'image works on 32-bit signed integers only; wider products are
 # compared as bit-string literals and reported in hex.
@@ -120,7 +120,7 @@ def emit_testbench(nl: Netlist, plan: TestbenchPlan, *,
     lines.append(f"{ind}{ind}port map ({', '.join(port_map)});")
     lines.append("")
     if nl.pipelined:
-        half = DEFAULT_CLOCK_PERIOD // 2
+        half = CLOCK_PERIOD // 2
         lines.append(f"{ind}clocking : process")
         lines.append(f"{ind}begin")
         lines.append(f"{ind}{ind}while not done loop")
@@ -154,7 +154,7 @@ def _vector_block(nl, a, b, ind, wide):
     lines.append(f"{ind}{ind}-- input vector: {b}")
     lines.append(f'{ind}{ind}sy <= "{b:0{nl.width_b}b}";')
     if nl.pipelined:
-        lines.append(f"{ind}{ind}wait for waittime * {DEFAULT_CLOCK_PERIOD} ns;")
+        lines.append(f"{ind}{ind}wait for waittime * {CLOCK_PERIOD} ns;")
     else:
         lines.append(f"{ind}{ind}wait for waittime * 1 ns;")
     lines.append(f"{ind}{ind}-- output: {expected}")

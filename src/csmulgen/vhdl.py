@@ -15,7 +15,7 @@ import re
 from itertools import islice
 
 from .netlist import (
-    AND2, CODE, CONST0, DFF, FULL_ADDER, HALF_ADDER,
+    _AND2, _CONST0, _DFF, _FULL_ADDER, _HALF_ADDER,
     Netlist, ValidationReport, _report_for, validate,
 )
 
@@ -38,8 +38,6 @@ INDENT = "  "  # one level of nesting in emitted VHDL and testbench text
 # the design's size, so writing one costs far more than the call does,
 # and a writer holds one chunk at a time, never the whole text.
 CHUNK_LINES = 8192
-_AND2, _HALF_ADDER, _FULL_ADDER, _DFF, _CONST0 = (
-    CODE[kind] for kind in (AND2, HALF_ADDER, FULL_ADDER, DFF, CONST0))
 
 
 class EmissionError(Exception):

@@ -296,40 +296,3 @@ def test_miswired_skew_chain_fails_verification(tmp_path, monkeypatch, capsys,
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "PASS" not in out
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("argv, stub, code", [
-    (["--width-a", "4", "--width-b", "4"], None, 0),
-    (["--width-a", "0", "--width-b", "4"], None, 1),
-    (["--width-a", "4", "--width-b", "4", "--pipeline"], "drop_dff", 2),
-    (["--width-a", "4", "--width-b", "4", "--verify", "random"], "sim_error", 3),
-])
-def test_collector_paused_during_job_and_restored(tmp_path, monkeypatch, drop_dff,
-                                                  enabled, argv, stub, code):
-    import gc
-    import csmulgen.cli as cli_mod
-    from csmulgen.sim import SimError
-
-    if stub == "drop_dff":
-        _generate_sabotaged(monkeypatch, _first_dff_dropped(drop_dff))
-    elif stub == "sim_error":
-        def broken(nl, count, seed, *, report=None):
-            raise SimError("simulator refused")
-        monkeypatch.setattr(cli_mod, "verify_random", broken)
-    during = []  # collector state seen by the job itself
-    real_run = cli_mod.run
-
-    def watched(args):
-        during.append(gc.isenabled())
-        return real_run(args)
-    monkeypatch.setattr(cli_mod, "run", watched)
-
-    was_enabled = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        assert run_cli(*argv, "--out-dir", str(tmp_path)) == code
-        assert gc.isenabled() == enabled
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
-    assert during == [False]

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import inspect
 import sys
@@ -10,7 +11,8 @@ from csmulgen.mulgen import (
     generate_multiplier, generate_with_annotations, run_reduction,
 )
 from csmulgen.netlist import (
-    AND2, DFF, FULL_ADDER, HALF_ADDER, Netlist, compute_latency, validate,
+    AND2, CODE, DFF, FULL_ADDER, HALF_ADDER, Netlist, NetlistError, compute_latency,
+    validate,
 )
 from csmulgen.sim import simulate, verify_exhaustive
 from csmulgen.vhdl import emit_vhdl
@@ -120,6 +122,52 @@ def test_long_register_chains_need_no_deep_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert compute_latency(nl).cycles > 100
+
+
+def test_delays_of_one_signal_share_one_chain():
+    nl = Netlist.create(2, 2)
+    nl.pipelined = True
+    nl.add_clock()
+    builder = _Builder(nl)
+    (sig,) = builder.add(AND2, [nl.input_a[0], nl.input_b[0]], 0)
+
+    def dffs():
+        return nl.kinds.count(CODE[DFF])
+
+    assert builder.delayed(sig, 0) == sig and dffs() == 0
+    q3 = builder.delayed(sig, 3)
+    assert dffs() == 3
+    q5 = builder.delayed(sig, 5)
+    assert dffs() == 5
+    assert builder.delayed(sig, 3) == q3
+    assert builder.delayed(q3, 2) == q5
+    assert dffs() == 5
+    assert [builder.slot[q] for q in (sig, q3, q5)] == [0, 3, 5]
+    with pytest.raises(NetlistError, match="negative pipeline delay"):
+        builder.delayed(sig, -1)
+
+
+def test_pipelined_build_keeps_no_tracked_object_per_delayed_signal(monkeypatch):
+    # 32x32p delays thousands of signals.  The builder's chains are flat
+    # arrays, so while it is alive the objects the cyclic collector
+    # tracks grow by a few per build, not by one per delayed signal.
+    import csmulgen.mulgen as mulgen
+    kept = []
+
+    class KeptBuilder(mulgen._Builder):
+        def __init__(self, nl):
+            super().__init__(nl)
+            kept.append(self)
+
+    monkeypatch.setattr(mulgen, "_Builder", KeptBuilder)
+    gc.collect()
+    before = len(gc.get_objects())
+    nl, _ = generate_with_annotations(GeneratorConfig(32, 32, True))
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert len(kept) == 1
+    assert nl.kinds.count(CODE[DFF]) > 7000
+    assert grown < 50
 
 
 def test_annotations_consistent_with_netlist():
