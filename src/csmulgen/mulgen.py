@@ -6,8 +6,9 @@ most two pending bits, and a ripple-carry final adder.  A pipelined
 build places registers as it adds the primitives: one register boundary
 per reduction iteration and one per final-adder column, with skew
 chains on inputs read across boundaries and deskew chains so every
-output bit sees the identical latency.  The chains are links in one
-flat successor array, not a Python object per delayed signal.
+output bit sees the identical latency.  Every signal read across a
+register boundary has exactly one reader, so each chain belongs to that
+one reader and no chain is shared.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 from array import array
 from dataclasses import dataclass
 
-from .netlist import AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, UNUSED, Netlist, NetlistError
+from .netlist import AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, Netlist, NetlistError
 
 DEFAULT_MAX_WIDTH = 1024
 MAX_WIDTH_ENV = "CSMULGEN_MAX_WIDTH"
@@ -54,21 +55,20 @@ class _Builder:
     Window 0 holds the partial-product ANDs and constants, window i+1 the
     adders of reduction iteration i, then each final-adder column the
     next window.  In a pipelined netlist a primitive in window w reads a
-    signal produced in window v through w - v DFFs; every reader of the
-    signal shares one chain.  Two arrays indexed by signal id hold the
-    pipelined state: `slot`, the window a signal is produced in, and
-    `successor`, the output of the DFF that delays it by one cycle
-    (UNUSED until a reader needs one).  A chain is the run of links from
-    a signal.  A combinational netlist ignores windows.
+    signal produced in window v through a chain of w - v DFFs of its own.
+    No chain is shared: a column bit feeds one adder or one output bit,
+    and port bits are read only in window 0, so every signal read across
+    a window boundary has exactly one reader.  The one pipelined state is
+    `slot`, an array indexed by signal id holding the window a signal is
+    produced in.  A combinational netlist ignores windows.
     """
 
     def __init__(self, nl: Netlist):
         self.nl = nl
-        self.slot = self.successor = None
+        self.slot = None
         if nl.pipelined:
             # Every signal so far (ports and clock) is in window 0.
             self.slot = array("i", bytes(4 * nl.signal_count))
-            self.successor = array("i", [UNUSED]) * nl.signal_count
 
     def add(self, kind, inputs, window):
         if self.slot is None:
@@ -76,23 +76,15 @@ class _Builder:
         outs = self.nl.add_primitive(
             kind, [self.delayed(sig, window - self.slot[sig]) for sig in inputs])
         self.slot.extend([window] * len(outs))
-        self.successor.extend([UNUSED] * len(outs))
         return outs
 
     def delayed(self, sig, d):
-        """`sig` delayed d cycles: follow its chain's links, then add a
-        DFF for each link still missing."""
+        """`sig` delayed d cycles through d fresh DFFs."""
         if d < 0:
             raise NetlistError("negative pipeline delay; window assignment bug")
-        successor, slot = self.successor, self.slot
-        while d and successor[sig] != UNUSED:
-            sig = successor[sig]
-            d -= 1
         for _ in range(d):
             (q,) = self.nl.add_primitive(DFF, [sig])
-            successor[sig] = q
-            successor.append(UNUSED)
-            slot.append(slot[sig] + 1)
+            self.slot.append(self.slot[sig] + 1)
             sig = q
         return sig
 

@@ -32,7 +32,7 @@ sra srl subtype then to transport type unaffected units until use
 variable wait when while with xnor xor
 """.split())
 
-_IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 INDENT = "  "  # one level of nesting in emitted VHDL and testbench text
 # Lines per chunk of design text.  A chunk is a few hundred kB whatever
 # the design's size, so writing one costs far more than the call does,
@@ -50,7 +50,7 @@ def default_entity_name(nl: Netlist) -> str:
 
 
 def check_identifier(name: str):
-    if not _IDENT_RE.match(name) or name.lower() in RESERVED_WORDS or "__" in name \
+    if not _IDENT_RE.fullmatch(name) or name.lower() in RESERVED_WORDS or "__" in name \
             or name.endswith("_"):
         raise EmissionError(f"{name!r} is not a legal VHDL basic identifier")
 

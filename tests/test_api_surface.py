@@ -5,7 +5,8 @@ used somewhere in the package outside its own definition, or by a
 demo.  Re-exports in `__init__.py` do not count as uses.  Every public
 method or property of a class there must likewise be read as an
 attribute outside its own body.  Dataclass fields are not checked:
-`asdict` reads them by reflection.
+`asdict` reads them by reflection.  Every name a module there other
+than `__init__.py` imports must be read in that module.
 """
 
 import ast
@@ -106,3 +107,18 @@ def test_every_public_method_is_read_outside_its_own_body(trees, demo_trees):
 def test_every_exported_name_resolves():
     missing = [name for name in csmulgen.__all__ if not hasattr(csmulgen, name)]
     assert missing == []
+
+
+def test_every_imported_name_is_read_in_its_module(trees):
+    unread = []
+    for module, tree in trees.items():
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{module}: {name}" for name in sorted(imported - read)]
+    assert unread == []

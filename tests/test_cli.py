@@ -92,9 +92,10 @@ def test_entity_name_override(tmp_path):
     assert "tiny_mult_tb" in text
 
 
-def test_reserved_entity_name_fails_cleanly(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["signal", "abc\n"])
+def test_reserved_entity_name_fails_cleanly(tmp_path, capsys, name):
     code = run_cli("--width-a", "2", "--width-b", "2",
-                   "--entity-name", "signal", "--out-dir", str(tmp_path))
+                   "--entity-name", name, "--out-dir", str(tmp_path))
     assert code == 1
     assert "error" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -11,8 +11,8 @@ from csmulgen.mulgen import (
     generate_multiplier, generate_with_annotations, run_reduction,
 )
 from csmulgen.netlist import (
-    AND2, CODE, DFF, FULL_ADDER, HALF_ADDER, Netlist, NetlistError, compute_latency,
-    validate,
+    AND2, CODE, DFF, FULL_ADDER, HALF_ADDER, STRIDE, UNUSED, Netlist, NetlistError,
+    compute_latency, validate,
 )
 from csmulgen.sim import simulate, verify_exhaustive
 from csmulgen.vhdl import emit_vhdl
@@ -124,32 +124,55 @@ def test_long_register_chains_need_no_deep_recursion():
     assert compute_latency(nl).cycles > 100
 
 
-def test_delays_of_one_signal_share_one_chain():
+def test_each_delay_adds_a_fresh_chain():
     nl = Netlist.create(2, 2)
     nl.pipelined = True
     nl.add_clock()
     builder = _Builder(nl)
     (sig,) = builder.add(AND2, [nl.input_a[0], nl.input_b[0]], 0)
 
-    def dffs():
-        return nl.kinds.count(CODE[DFF])
+    def assert_new_chain(first, q):
+        """Primitives `first` on are DFFs, each reading the one before,
+        from `sig` to `q`."""
+        assert set(nl.kinds[first:]) == {CODE[DFF]}
+        ins = [nl.pins[STRIDE * i] for i in range(first, len(nl.kinds))]
+        outs = [nl.pins[STRIDE * i + 3] for i in range(first, len(nl.kinds))]
+        assert ins == [sig] + outs[:-1] and outs[-1] == q
 
-    assert builder.delayed(sig, 0) == sig and dffs() == 0
+    assert builder.delayed(sig, 0) == sig and len(nl.kinds) == 1
     q3 = builder.delayed(sig, 3)
-    assert dffs() == 3
+    assert len(nl.kinds) == 1 + 3
+    assert_new_chain(1, q3)
+    assert builder.slot[q3] == builder.slot[sig] + 3
     q5 = builder.delayed(sig, 5)
-    assert dffs() == 5
-    assert builder.delayed(sig, 3) == q3
-    assert builder.delayed(q3, 2) == q5
-    assert dffs() == 5
-    assert [builder.slot[q] for q in (sig, q3, q5)] == [0, 3, 5]
+    assert len(nl.kinds) == 4 + 5
+    assert_new_chain(4, q5)
     with pytest.raises(NetlistError, match="negative pipeline delay"):
         builder.delayed(sig, -1)
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 9) for k in range(1, 9)]
+                         + [(13, 5), (17, 33), (2, 40), (40, 2)])
+def test_every_signal_a_dff_reads_has_one_reader(n, k):
+    # The builder gives every delayed signal a chain of its own.  That
+    # wastes no DFF only while each such signal has one reader; a second
+    # reader would make sharing a chain worth it again.
+    nl = generate_multiplier(GeneratorConfig(n, k, True))
+    readers = [0] * nl.signal_count
+    for i in range(len(nl.kinds)):
+        for s in nl.pins[STRIDE * i:STRIDE * i + 3]:
+            if s != UNUSED:
+                readers[s] += 1
+    for s in nl.output_p:
+        readers[s] += 1
+    delayed = [nl.pins[STRIDE * i] for i, code in enumerate(nl.kinds) if code == CODE[DFF]]
+    assert delayed
+    assert [s for s in delayed if readers[s] != 1] == []
+
+
 def test_pipelined_build_keeps_no_tracked_object_per_delayed_signal(monkeypatch):
-    # 32x32p delays thousands of signals.  The builder's chains are flat
-    # arrays, so while it is alive the objects the cyclic collector
+    # 32x32p delays thousands of signals.  The builder's pipelined state
+    # is a flat array, so while it is alive the objects the cyclic collector
     # tracks grow by a few per build, not by one per delayed signal.
     import csmulgen.mulgen as mulgen
     kept = []

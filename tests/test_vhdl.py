@@ -28,7 +28,7 @@ def test_name_signals_ports_and_ordinals():
 
 def test_identifier_rules():
     check_identifier("mul_4x4")
-    for bad in ("signal", "2abc", "a__b", "trailing_", "", "a-b"):
+    for bad in ("signal", "2abc", "a__b", "trailing_", "", "a-b", "abc\n"):
         with pytest.raises(EmissionError):
             check_identifier(bad)
 
