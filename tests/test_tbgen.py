@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
@@ -132,6 +134,19 @@ def test_pipelined_testbench_has_clock():
     text = emit_testbench(nl, make_plan(nl, 4, seed=1))
     assert "clk" in text
     assert "10 ns" in text
+
+
+def test_testbench_grid_digest():
+    # One sha256 over the testbench text of every n, k in 1..8 in both
+    # modes, plus 15x16 and 16x16, which sit on either side of
+    # INTEGER_REPORT_BITS: integer reports below it, hex reports above.
+    h = hashlib.sha256()
+    widths = [(n, k) for n in range(1, 9) for k in range(1, 9)] + [(15, 16), (16, 16)]
+    for n, k in widths:
+        for pipelined in (False, True):
+            nl = generate_multiplier(GeneratorConfig(n, k, pipelined))
+            h.update(emit_testbench(nl, make_plan(nl, 5, seed=1)).encode("utf-8"))
+    assert h.hexdigest() == "28d9d11a4972ef3ea1091d4b3dfdce6b0a9e1d687dbf6bb8d760a13a0b8dbf5b"
 
 
 def test_testbench_emission_deterministic():
