@@ -2,14 +2,15 @@
 
 Writes mul_8x8.vhd and mul_8x8_tb.vhd into ./demo_out.  The testbench
 applies seeded random vectors and asserts each product; every expected
-value is re-derived arithmetically and cross-checked in the built-in
-simulator before anything is written.
+value is re-derived arithmetically, and the same seeded vectors are
+cross-checked in the built-in simulator before anything is written.
 """
 
 import pathlib
 
-from csmulgen import GeneratorConfig, generate_multiplier
+from csmulgen import GeneratorConfig, generate_multiplier, verify_random
 from csmulgen import tbgen
+from csmulgen.sim import random_pairs
 from csmulgen.vhdl import emit_vhdl
 
 out = pathlib.Path("demo_out")
@@ -18,16 +19,18 @@ out.mkdir(exist_ok=True)
 nl = generate_multiplier(GeneratorConfig(8, 8, pipelined=False))
 design = emit_vhdl(nl)
 
-plan = tbgen.make_plan(nl, count=20, seed=6400)
-tbgen.self_check_plan(nl, plan)
-bench = tbgen.emit_testbench(nl, plan)
+pairs = random_pairs(8, 8, count=20, seed=6400)
+check = verify_random(nl, count=20, seed=6400)
+if not check.passed:
+    raise SystemExit(check.to_text())
+bench = tbgen.emit_testbench(nl, pairs)
 
 (out / "mul_8x8.vhd").write_text(design, newline="\n")
 (out / "mul_8x8_tb.vhd").write_text(bench, newline="\n")
 
 print(f"wrote {out / 'mul_8x8.vhd'} ({len(design.splitlines())} lines)")
 print(f"wrote {out / 'mul_8x8_tb.vhd'} ({len(bench.splitlines())} lines)")
-a, b = plan.pairs[0]
+a, b = pairs[0]
 print(f"first vector: {a} * {b} = {a * b}")
 print("first stimulus block of the testbench:")
 lines = bench.splitlines()

@@ -12,16 +12,16 @@ from .mulgen import (
 from .metrics import MetricsReport, compute_metrics, render_json
 from .netlist import LatencyInfo, Netlist, ValidationReport, compute_latency, validate
 from .sim import VerificationReport, simulate, verify_exhaustive, verify_random
-from .tbgen import TestbenchPlan, emit_testbench, make_plan
+from .tbgen import emit_testbench
 from .vhdl import emit_vhdl
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError", "GeneratorConfig", "LatencyInfo", "MetricsReport",
-    "Netlist", "TestbenchPlan", "ValidationReport", "VerificationReport",
+    "Netlist", "ValidationReport", "VerificationReport",
     "compute_latency", "compute_metrics", "emit_testbench", "emit_vhdl",
     "generate_multiplier", "generate_with_annotations",
-    "make_plan", "render_json", "simulate", "validate",
+    "render_json", "simulate", "validate",
     "verify_exhaustive", "verify_random",
 ]

@@ -18,7 +18,9 @@ from .mulgen import (
     CapacityError, GeneratorConfig, generate_with_annotations, max_width_ceiling,
 )
 from .netlist import NetlistError, validate
-from .sim import EXHAUSTIVE_GUARD_BITS, SimError, verify_exhaustive, verify_random
+from .sim import (
+    EXHAUSTIVE_GUARD_BITS, SimError, random_pairs, verify_exhaustive, verify_random,
+)
 from .vhdl import EmissionError, check_identifier, default_entity_name, iter_vhdl
 
 EXIT_OK = 0
@@ -63,11 +65,9 @@ def run(args) -> int:
         max_width_ceiling()  # a malformed variable fails before any work
         if args.entity_name is not None:
             check_identifier(args.entity_name)
+        cfg = GeneratorConfig(args.width_a, args.width_b, args.pipeline)
     except (ValueError, EmissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.width_a < 1 or args.width_b < 1:
-        print("error: operand widths must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     if args.tests < 0:
         print("error: --tests must be >= 0", file=sys.stderr)
@@ -77,7 +77,6 @@ def run(args) -> int:
               f"{EXHAUSTIVE_GUARD_BITS} total input bits", file=sys.stderr)
         return EXIT_USAGE
 
-    cfg = GeneratorConfig(args.width_a, args.width_b, args.pipeline)
     print(f"generating {cfg.width_a}x{cfg.width_b} "
           f"{'pipelined' if cfg.pipelined else 'combinational'} multiplier ...")
     t0 = time.perf_counter()
@@ -108,37 +107,38 @@ def run(args) -> int:
 def _verify_and_write(args, cfg, nl, passes, gen_ms, report) -> int:
     """Everything after validation: simulate, emit, write.
 
-    One simulation checks the netlist: the testbench's pairs are among
-    those verified (a prefix in random mode, which checks
-    `max(DEFAULT_TESTS, --tests)` pairs of the same seeded stream), so
-    `self_check_plan` runs only with `--verify off`.  Every stage takes
-    the report `validate` made instead of validating again: the netlist
-    does not change after generation.  `iter_vhdl` checks when called
-    but renders only as the write block consumes it, chunk by chunk: no
-    file is written before the check passes, and the whole design text
-    is never held in memory.
+    One simulation checks the netlist, and the testbench's pairs are
+    among those it checks: all pairs when exhaustive, a prefix in random
+    mode, which checks `max(DEFAULT_TESTS, --tests)` pairs of the same
+    seeded stream, and exactly those pairs, silently unless one fails,
+    with `--verify off`.  Every stage takes the report `validate` made
+    instead of validating again: the netlist does not change after
+    generation.  `iter_vhdl` checks when called but renders only as the
+    write block consumes it, chunk by chunk: no file is written before
+    the check passes, and the whole design text is never held in memory.
     """
     mode = args.verify
     if mode == "auto":
         mode = ("exhaustive"
                 if cfg.width_a + cfg.width_b <= AUTO_EXHAUSTIVE_BITS else "random")
-    if mode != "off":
+    if mode == "off":
+        vrep = verify_random(nl, args.tests, args.seed, report=report)
+    else:
         print(f"verifying ({mode}) ...")
         vrep = (verify_exhaustive(nl, report=report) if mode == "exhaustive"
                 else verify_random(nl, max(DEFAULT_TESTS, args.tests), args.seed,
                                    report=report))
+    if mode != "off" or not vrep.passed:
         print(vrep.to_text())
-        if not vrep.passed:
-            return EXIT_VERIFICATION
+    if not vrep.passed:
+        return EXIT_VERIFICATION
 
     entity = default_entity_name(nl) if args.entity_name is None else args.entity_name
+    pairs = random_pairs(cfg.width_a, cfg.width_b, args.tests, args.seed)
     try:
         design_chunks = iter_vhdl(nl, entity_name=entity, report=report)
-        plan = tbgen.make_plan(nl, args.tests, args.seed, report=report)
-        if mode == "off":
-            tbgen.self_check_plan(nl, plan, report=report)
-        tb_text = tbgen.emit_testbench(nl, plan, entity_name=entity)
-    except (EmissionError, tbgen.PlanError) as exc:
+        tb_text = tbgen.emit_testbench(nl, pairs, entity_name=entity, report=report)
+    except EmissionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 

@@ -1,21 +1,18 @@
 """Self-checking randomized VHDL testbench generation.
 
-A plan is seeded random (a, b) operand pairs plus a wait.  Each pair
-gets a wait-for-latency stimulus step and paired assert statements on
-a*b: a severity-error report naming inputs/expected/got, and the
-inverted assert printing a success note.  The CLI's verification
-simulates `max(100, --tests)` pairs from the same seeded stream, so a
-plan's pairs are among those it has just checked; `self_check_plan`
-simulates a plan itself where nothing else did, so emitted testbenches
-are known-passing.
+A testbench is its (a, b) operand pairs: each pair gets a stimulus
+step, a wait one past the circuit's latency, and paired assert
+statements on a*b: a severity-error report naming inputs/expected/got,
+and the inverted assert printing a success note.  The CLI draws the
+pairs with `sim.random_pairs` and simulates them before any file is
+written (every `--verify` mode checks them), so an emitted testbench
+is known-passing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .netlist import Netlist, ValidationReport, compute_latency, validate
-from .sim import check_pairs, random_pairs, verify_pairs
+from .netlist import Netlist, ValidationReport, compute_latency
+from .sim import check_pairs
 from .vhdl import INDENT, check_identifier, default_entity_name
 
 CLOCK_PERIOD = 10  # time units per clock cycle, pipelined only
@@ -25,59 +22,20 @@ CLOCK_PERIOD = 10  # time units per clock cycle, pipelined only
 INTEGER_REPORT_BITS = 31
 
 
-class PlanError(Exception):
-    pass
-
-
-@dataclass(slots=True)
-class TestbenchPlan:
-    """(a, b) pairs in stimulus order, and the wait before each assert."""
-
-    pairs: list
-    wait_time: int
-
-
-def make_plan(nl: Netlist, count: int, seed: int, *,
-              report: ValidationReport | None = None) -> TestbenchPlan:
-    """`count` seeded pairs from `random_pairs`, and a wait one past the
-    circuit's latency.  `report` is passed on to `compute_latency`."""
-    pairs = random_pairs(nl.width_a, nl.width_b, count, seed)
-    latency = compute_latency(nl, report=report)
-    wait = latency.cycles if nl.pipelined else latency.gate_units
-    return TestbenchPlan(pairs=pairs, wait_time=wait + 1)
-
-
-def self_check_plan(nl: Netlist, plan: TestbenchPlan, *,
-                    report: ValidationReport | None = None) -> bool:
-    """Check every product a*b against the gate-level simulator, all
-    pairs as lanes of one simulation.  Raises PlanError on any mismatch,
-    naming the first failing vector, or when a pipelined plan waits
-    fewer cycles than its latency, so its asserts would not see their
-    own vector.  A pair that does not fit the ports raises SimError.
-    Validates `nl` once unless given its `report`."""
-    if report is None:
-        report = validate(nl)
-    latency = compute_latency(nl, report=report).cycles or 0
-    if plan.wait_time < latency:
-        raise PlanError(f"wait time of {plan.wait_time} cycles is shorter than "
-                        f"the latency of {latency} cycles")
-    checked = verify_pairs(nl, plan.pairs, "testbench", report=report)
-    if not checked.passed:
-        c = checked.counterexample
-        raise PlanError(f"vector {checked.tested}: circuit computes {c['got']}, "
-                        f"expected {c['expected']} for {c['a']}x{c['b']}")
-    return True
-
-
-def emit_testbench(nl: Netlist, plan: TestbenchPlan, *,
-                   entity_name: str | None = None) -> str:
-    """Render the self-checking testbench as one VHDL design unit for the
-    entity `entity_name`, or else `default_entity_name(nl)`.  A pair
-    that does not fit the ports raises SimError."""
-    check_pairs(nl, plan.pairs)
+def emit_testbench(nl: Netlist, pairs, *, entity_name: str | None = None,
+                   report: ValidationReport | None = None) -> str:
+    """Render the self-checking testbench for `pairs`, in stimulus order,
+    as one VHDL design unit for the entity `entity_name`, or else
+    `default_entity_name(nl)`.  Each assert waits one past the latency,
+    in cycles when pipelined and gate units otherwise, that
+    `compute_latency` reads from `report`.  A pair that does not fit the
+    ports raises SimError."""
+    check_pairs(nl, pairs)
 
     entity = default_entity_name(nl) if entity_name is None else entity_name
     check_identifier(entity)
+    latency = compute_latency(nl, report=report)
+    wait = (latency.cycles if nl.pipelined else latency.gate_units) + 1
     tb = f"{entity}_tb"
     ind = INDENT
     n, k = nl.width_a, nl.width_b
@@ -97,7 +55,7 @@ def emit_testbench(nl: Netlist, plan: TestbenchPlan, *,
     if nl.pipelined:
         lines.append(f"{ind}signal clk : std_logic := '0';")
         lines.append(f"{ind}signal done : boolean := false;")
-    lines.append(f"{ind}constant waittime : integer := {plan.wait_time};")
+    lines.append(f"{ind}constant waittime : integer := {wait};")
     if not wide:
         lines.append(f"{ind}function vec2int(v : std_logic_vector) return integer is")
         lines.append(f"{ind}{ind}variable r : integer := 0;")
@@ -135,7 +93,7 @@ def emit_testbench(nl: Netlist, plan: TestbenchPlan, *,
 
     lines.append(f"{ind}stimulus : process")
     lines.append(f"{ind}begin")
-    for a, b in plan.pairs:
+    for a, b in pairs:
         lines.extend(_vector_block(nl, a, b, ind, wide))
     if nl.pipelined:
         lines.append(f"{ind}{ind}done <= true;")

@@ -15,7 +15,7 @@ from csmulgen.mulgen import (
 from csmulgen.netlist import (
     AND2, DFF, FULL_ADDER, Netlist, compute_latency, validate,
 )
-from csmulgen.sim import simulate, verify_exhaustive, verify_random
+from csmulgen.sim import random_pairs, simulate, verify_exhaustive, verify_random
 from csmulgen import tbgen
 from csmulgen.vhdl import emit_vhdl
 from csmulgen.cli import main as cli_main
@@ -103,15 +103,15 @@ def test_criterion_5_testbench_integrity(report):
     ok = True
     for n, k, pipe in ((8, 8, False), (8, 8, True), (5, 11, True)):
         nl = generate_multiplier(GeneratorConfig(n, k, pipe))
-        plan = tbgen.make_plan(nl, 50, seed=2)
-        ok = ok and tbgen.self_check_plan(nl, plan)
-        text = tbgen.emit_testbench(nl, plan)
+        pairs = random_pairs(n, k, 50, seed=2)
+        ok = ok and verify_random(nl, 50, seed=2).passed
+        text = tbgen.emit_testbench(nl, pairs)
         outputs = [ln.split(": ")[1] for ln in text.splitlines() if "-- output: " in ln]
-        ok = ok and outputs == [str(a * b) for a, b in plan.pairs]
+        ok = ok and outputs == [str(a * b) for a, b in pairs]
     nl = generate_multiplier(GeneratorConfig(8, 8, False))
-    plan = tbgen.make_plan(nl, 10, seed=6400)
-    ok = ok and plan.pairs[0] == (53, 23)
-    text = tbgen.emit_testbench(nl, plan)
+    pairs = random_pairs(8, 8, 10, seed=6400)
+    ok = ok and pairs[0] == (53, 23)
+    text = tbgen.emit_testbench(nl, pairs)
     ok = ok and '"00110101"' in text and '"00010111"' in text
     ok = ok and "1219" in text
     report(5, "testbench expected values and 53x23 exemplar", ok)

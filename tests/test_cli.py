@@ -38,7 +38,10 @@ def test_metrics_file_is_valid_json(tmp_path):
 def test_usage_error_on_bad_width(tmp_path, capsys):
     assert run_cli("--width-a", "0", "--width-b", "4",
                    "--out-dir", str(tmp_path)) == 1
-    assert "error" in capsys.readouterr().err
+    out = capsys.readouterr()
+    assert out.err == "error: operand widths must be >= 1\n"
+    assert "generating" not in out.out
+    assert not list(tmp_path.iterdir())
 
 
 def test_usage_error_on_negative_tests(tmp_path, capsys):
@@ -77,10 +80,24 @@ def test_bad_capacity_env_is_a_usage_error(tmp_path, monkeypatch, capsys, raw):
     assert not list(tmp_path.iterdir())
 
 
-def test_verify_off_skips_simulation(tmp_path, capsys):
+def test_verify_off_prints_no_verification(tmp_path, capsys):
+    """With `--verify off` the testbench's pairs are still simulated, but
+    a passing check prints nothing."""
     assert run_cli("--width-a", "4", "--width-b", "4", "--verify", "off",
                    "--out-dir", str(tmp_path)) == 0
-    assert "verifying" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "verifying" not in out
+    assert "PASS" not in out
+    assert (tmp_path / "mul_4x4_tb.vhd").exists()
+
+
+def test_verify_off_without_vectors(tmp_path, capsys):
+    """`--tests 0` checks no pairs and writes a testbench without asserts."""
+    assert run_cli("--width-a", "4", "--width-b", "4", "--pipeline", "--verify", "off",
+                   "--tests", "0", "--out-dir", str(tmp_path)) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    text = (tmp_path / "mul_4x4_p_tb.vhd").read_text()
+    assert "constant waittime" in text and "assert" not in text
 
 
 def test_entity_name_override(tmp_path):
@@ -116,8 +133,8 @@ def test_empty_entity_name_fails_cleanly(tmp_path, capsys):
     ["--width-a", "20", "--width-b", "20", "--pipeline", "--verify", "off"],
 ], ids=["random", "exhaustive", "off"])
 def test_cli_job_settles_the_netlist_once(tmp_path, monkeypatch, argv):
-    """Verification and the testbench's pairs share one simulation; only
-    with `--verify off` does the testbench self-check simulate."""
+    """Verification and the testbench's pairs share one simulation; with
+    `--verify off` that simulation checks the testbench's pairs alone."""
     from csmulgen import sim
     settle = sim._settle
     calls = []
@@ -165,13 +182,28 @@ def test_module_entry_point(tmp_path, src_env):
     assert (tmp_path / "mul_2x3.vhd").exists()
 
 
-def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys, swap_outputs):
+@pytest.mark.parametrize("mode", ["auto", "random", "exhaustive", "off"])
+def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys, swap_outputs,
+                                        mode):
+    """Every mode, `off` included, simulates the testbench's pairs at
+    least, names the first wrong product and writes nothing."""
     from csmulgen.netlist import CODE, FULL_ADDER
-    _generate_sabotaged(monkeypatch, lambda nl: swap_outputs(
-        nl, nl.kinds.index(CODE[FULL_ADDER])))
-    code = run_cli("--width-a", "4", "--width-b", "4",
+    from csmulgen.sim import verify_exhaustive, verify_random
+    nets = []
+
+    def defect(nl):
+        swap_outputs(nl, nl.kinds.index(CODE[FULL_ADDER]))
+        nets.append(nl)
+    _generate_sabotaged(monkeypatch, defect)
+    code = run_cli("--width-a", "4", "--width-b", "4", "--verify", mode,
                    "--out-dir", str(tmp_path))
     assert code == 3
+    (nl,) = nets
+    want = (verify_exhaustive(nl) if mode in ("auto", "exhaustive")
+            else verify_random(nl, 100, 1))
+    c = want.counterexample
+    assert f"FAIL: {c['a']} x {c['b']} expected {c['expected']}" in capsys.readouterr().out
+    assert not list(tmp_path.iterdir())
 
 
 def _generate_sabotaged(monkeypatch, defect):

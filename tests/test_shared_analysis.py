@@ -13,6 +13,7 @@ import csmulgen.cli as cli_mod
 import csmulgen.mulgen as mulgen_mod
 import csmulgen.netlist as netlist_mod
 import csmulgen.sim as sim_mod
+import csmulgen.tbgen as tbgen_mod
 import csmulgen.vhdl as vhdl_mod
 from csmulgen.cli import main
 from csmulgen.metrics import compute_metrics, render_json
@@ -21,21 +22,16 @@ from csmulgen.netlist import (
     AND2, CODE, FULL_ADDER, Finding, NetlistError, Netlist, ValidationReport,
     compute_latency, validate,
 )
-from csmulgen.sim import simulate, verify_exhaustive, verify_pairs, verify_random
-from csmulgen.tbgen import PlanError, make_plan, self_check_plan
+from csmulgen.sim import (
+    random_pairs, simulate, verify_exhaustive, verify_pairs, verify_random,
+)
+from csmulgen.tbgen import emit_testbench
 from csmulgen.vhdl import EmissionError, emit_vhdl, iter_vhdl
 
 CASES = [(1, 1, False), (3, 7, False), (8, 8, True), (13, 13, False), (5, 11, True)]
 # Each case as generated, and (where it has a full adder) with one broken.
 FAULT_CASES = [case + (faulty,) for case in CASES for faulty in (False, True)
                if not (faulty and case[:2] == (1, 1))]
-
-
-def _plan_outcome(nl, plan, **kw):
-    try:
-        return self_check_plan(nl, plan, **kw)
-    except PlanError as exc:
-        return str(exc)
 
 
 @pytest.mark.parametrize("n,k,pipe,faulty", FAULT_CASES)
@@ -52,9 +48,8 @@ def test_shared_analysis_gives_the_same_results(n, k, pipe, faulty, swap_outputs
     assert want.passed != faulty
     assert want == verify_random(nl, 60, 7, report=report)
     assert compute_latency(nl) == compute_latency(nl, report=report)
-    plan = make_plan(nl, 30, 5)
-    assert plan == make_plan(nl, 30, 5, report=report)
-    assert _plan_outcome(nl, plan) == _plan_outcome(nl, plan, report=report)
+    pairs = random_pairs(n, k, 30, 5)
+    assert emit_testbench(nl, pairs) == emit_testbench(nl, pairs, report=report)
     assert (render_json(compute_metrics(nl, passes))
             == render_json(compute_metrics(nl, passes, report=report)))
     assert emit_vhdl(nl) == emit_vhdl(nl, report=report)
@@ -81,9 +76,7 @@ STAGES = {
     "verify_random": lambda nl, passes, rep: verify_random(nl, 5, 1, report=rep),
     "verify_exhaustive": lambda nl, passes, rep: verify_exhaustive(nl, report=rep),
     "compute_latency": lambda nl, passes, rep: compute_latency(nl, report=rep),
-    "make_plan": lambda nl, passes, rep: make_plan(nl, 5, 1, report=rep),
-    "self_check_plan": lambda nl, passes, rep: self_check_plan(
-        nl, make_plan(nl, 5, 1), report=rep),
+    "emit_testbench": lambda nl, passes, rep: emit_testbench(nl, [(1, 2)], report=rep),
     "compute_metrics": lambda nl, passes, rep: compute_metrics(nl, passes, report=rep),
     "emit_vhdl": lambda nl, passes, rep: emit_vhdl(nl, report=rep),
     # Called, not consumed: the check runs before the first chunk.
@@ -106,6 +99,7 @@ def test_analysis_of_another_netlist_is_rejected(stage):
     ["--width-a", "9", "--width-b", "9", "--verify", "exhaustive"],
     ["--width-a", "5", "--width-b", "11", "--pipeline"],
     ["--width-a", "13", "--width-b", "13"],
+    ["--width-a", "5", "--width-b", "11", "--pipeline", "--verify", "off"],
 ])
 def test_cli_job_analyses_and_validates_once(argv, tmp_path, monkeypatch):
     """A CLI job walks its netlist once: one `validate`.  It is also
@@ -122,7 +116,7 @@ def test_cli_job_analyses_and_validates_once(argv, tmp_path, monkeypatch):
     # Wrap the name in every module that may import it; raising=False
     # covers modules that do not.
     real_validate = netlist_mod.validate
-    for module in (netlist_mod, cli_mod, vhdl_mod, mulgen_mod, sim_mod):
+    for module in (netlist_mod, cli_mod, vhdl_mod, mulgen_mod, sim_mod, tbgen_mod):
         monkeypatch.setattr(module, "validate", counted("validate", real_validate),
                             raising=False)
     assert main(argv + ["--tests", "10", "--out-dir", str(tmp_path)]) == 0

@@ -101,12 +101,12 @@ def test_custom_entity_name():
 
 
 def test_empty_entity_name_is_not_the_default():
-    from csmulgen.tbgen import emit_testbench, make_plan
+    from csmulgen.tbgen import emit_testbench
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
     with pytest.raises(EmissionError, match="'' is not a legal"):
         emit_vhdl(nl, entity_name="")
     with pytest.raises(EmissionError, match="'' is not a legal"):
-        emit_testbench(nl, make_plan(nl, 1, seed=1), entity_name="")
+        emit_testbench(nl, [(1, 2)], entity_name="")
 
 
 def test_wide_output_bits_all_driven():
