@@ -1,8 +1,9 @@
 """Build a small multiplier netlist and watch it multiply.
 
-Generates a combinational 4x4 design, prints its composition, then
-checks a handful of products against Python's own arithmetic and runs
-the full exhaustive sweep.
+Generates a combinational 4x4 design, validates it and prints its
+composition, then checks a handful of products against Python's own
+arithmetic and runs the full exhaustive sweep.  Every stage after
+validation takes the validation report.
 """
 
 from csmulgen import (
@@ -15,12 +16,12 @@ nl = generate_multiplier(cfg)
 
 print(f"4x4 multiplier: {len(nl.primitives)} primitives, "
       f"{nl.signal_count} signals")
-print(f"validation findings: {len(validate(nl).findings)}")
-print(f"critical path: {compute_latency(nl).gate_units} gate units")
+report = validate(nl)
+print(f"validation findings: {len(report.findings)}")
+print(f"critical path: {compute_latency(report).gate_units} gate units")
 
 pairs = [(0, 0), (3, 5), (15, 15), (9, 11)]
-for (a, b), product in zip(pairs, simulate(nl, pairs)):
+for (a, b), product in zip(pairs, simulate(report, pairs)):
     print(f"  {a:2d} * {b:2d} = {product}")
 
-report = verify_exhaustive(nl)
-print(report.to_text())
+print(verify_exhaustive(report).to_text())

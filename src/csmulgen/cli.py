@@ -95,7 +95,7 @@ def run(args) -> int:
         return EXIT_VALIDATION
 
     try:
-        return _verify_and_write(args, cfg, nl, passes, gen_ms, report)
+        return _verify_and_write(args, report, passes, gen_ms)
     except NetlistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -104,7 +104,7 @@ def run(args) -> int:
         return EXIT_VERIFICATION
 
 
-def _verify_and_write(args, cfg, nl, passes, gen_ms, report) -> int:
+def _verify_and_write(args, report, passes, gen_ms) -> int:
     """Everything after validation: simulate, emit, write.
 
     One simulation checks the netlist, and the testbench's pairs are
@@ -112,38 +112,37 @@ def _verify_and_write(args, cfg, nl, passes, gen_ms, report) -> int:
     mode, which checks `max(DEFAULT_TESTS, --tests)` pairs of the same
     seeded stream, and exactly those pairs, silently unless one fails,
     with `--verify off`.  Every stage takes the report `validate` made
-    instead of validating again: the netlist does not change after
+    and reads the netlist from it: the netlist does not change after
     generation.  `iter_vhdl` checks when called but renders only as the
     write block consumes it, chunk by chunk: no file is written before
     the check passes, and the whole design text is never held in memory.
     """
+    nl = report.netlist
     mode = args.verify
     if mode == "auto":
         mode = ("exhaustive"
-                if cfg.width_a + cfg.width_b <= AUTO_EXHAUSTIVE_BITS else "random")
+                if nl.width_a + nl.width_b <= AUTO_EXHAUSTIVE_BITS else "random")
     if mode == "off":
-        vrep = verify_random(nl, args.tests, args.seed, report=report)
+        vrep = verify_random(report, args.tests, args.seed)
     else:
         print(f"verifying ({mode}) ...")
-        vrep = (verify_exhaustive(nl, report=report) if mode == "exhaustive"
-                else verify_random(nl, max(DEFAULT_TESTS, args.tests), args.seed,
-                                   report=report))
+        vrep = (verify_exhaustive(report) if mode == "exhaustive"
+                else verify_random(report, max(DEFAULT_TESTS, args.tests), args.seed))
     if mode != "off" or not vrep.passed:
         print(vrep.to_text())
     if not vrep.passed:
         return EXIT_VERIFICATION
 
     entity = default_entity_name(nl) if args.entity_name is None else args.entity_name
-    pairs = random_pairs(cfg.width_a, cfg.width_b, args.tests, args.seed)
+    pairs = random_pairs(nl.width_a, nl.width_b, args.tests, args.seed)
     try:
-        design_chunks = iter_vhdl(nl, entity_name=entity, report=report)
-        tb_text = tbgen.emit_testbench(nl, pairs, entity_name=entity, report=report)
+        design_chunks = iter_vhdl(report, entity_name=entity)
+        tb_text = tbgen.emit_testbench(report, pairs, entity_name=entity)
     except EmissionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
 
-    mrep = metrics_mod.compute_metrics(nl, passes, generation_time_ms=round(gen_ms, 3),
-                                       report=report)
+    mrep = metrics_mod.compute_metrics(report, passes, generation_time_ms=round(gen_ms, 3))
     out_dir = args.out_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

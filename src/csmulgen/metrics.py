@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .netlist import (
-    AND2, DFF, FULL_ADDER, HALF_ADDER, KINDS, LatencyInfo, Netlist, ValidationReport,
+    AND2, DFF, FULL_ADDER, HALF_ADDER, KINDS, LatencyInfo, ValidationReport,
     compute_latency,
 )
 
@@ -34,14 +34,15 @@ class MetricsReport:
     generation_time_ms: float | None = None
 
 
-def compute_metrics(nl: Netlist, reduction_stages: int,
-                    generation_time_ms: float | None = None, *,
-                    report: ValidationReport | None = None) -> MetricsReport:
-    """Exact counts of each primitive kind in the netlist.
+def compute_metrics(report: ValidationReport, reduction_stages: int,
+                    generation_time_ms: float | None = None) -> MetricsReport:
+    """Exact counts of each primitive kind in the netlist of `report`,
+    `validate(nl)`, and the latency `compute_latency` reads from it.
 
     The signals figure counts every port bit and internal wire; the
-    clock is excluded.  `report` is passed on to `compute_latency`.
+    clock is excluded.
     """
+    nl = report.netlist
     counts = {kind: nl.kinds.count(code) for code, kind in enumerate(KINDS)}
     return MetricsReport(
         width_a=nl.width_a,
@@ -54,7 +55,7 @@ def compute_metrics(nl: Netlist, reduction_stages: int,
         adders=counts[FULL_ADDER] + counts[HALF_ADDER],
         dffs=counts[DFF],
         reduction_stages=reduction_stages,
-        latency=compute_latency(nl, report=report),
+        latency=compute_latency(report),
         generation_time_ms=generation_time_ms,
     )
 

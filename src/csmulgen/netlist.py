@@ -7,8 +7,8 @@ kind code and five pin slots each, in dependency order: each comes
 after the drivers of its inputs.  `validate` is the one walk over a
 netlist's pins: it runs every structural check, that order included,
 and decides register balance, the pipeline latency and the worst stage
-depth on the way.  Its `ValidationReport` is the one value the later
-stages hand each other; `compute_latency` reads the verdict from it.
+depth on the way.  Its `ValidationReport` is what every later stage
+takes: each reads the netlist from it, and `compute_latency` the verdict.
 Every other module either builds one of these netlists or consumes one.
 """
 
@@ -129,16 +129,25 @@ class Netlist:
 
     def add_primitive(self, kind, inputs):
         """Append a primitive, allocating its output signals as the next
-        consecutive ids; returns them.  The input count must match the
-        kind's arity: the stores cannot hold any other."""
-        code, n_in, n_out, gap = _LAYOUT[kind]
+        consecutive ids; returns them.  The kind must be one of KINDS and
+        the input count must match its arity: the stores cannot hold any
+        other.  An input the pin store cannot hold (not an int, or out of
+        its range) raises NetlistError and leaves the netlist as it was."""
+        try:
+            code, n_in, n_out, gap = _LAYOUT[kind]
+        except KeyError:
+            raise NetlistError(f"unknown primitive kind {kind!r}") from None
         if len(inputs) != n_in:
             raise NetlistError(f"{kind} expects {n_in} inputs, got {len(inputs)}")
         first = self.signal_count
-        self.signal_count = first + n_out
-        self.kinds.append(code)
         outs = (first, first + 1) if n_out == 2 else (first, UNUSED)
-        self.pins.extend((*inputs, *gap, *outs))
+        try:
+            self.pins.extend((*inputs, *gap, *outs))
+        except (TypeError, OverflowError) as exc:
+            del self.pins[STRIDE * len(self.kinds):]  # the stores stay in step
+            raise NetlistError(f"{kind} inputs cannot be stored: {exc}") from None
+        self.kinds.append(code)
+        self.signal_count = first + n_out
         return outs[:n_out]
 
     @property
@@ -171,19 +180,19 @@ class LatencyInfo:
 class ValidationReport:
     """Findings of `validate`, and what the later stages read of its walk.
 
+    netlist: the netlist validated.  Every later stage takes the report
+    and reads the netlist from here, so none walks it again.
     latency: the verdict `compute_latency` returns: a LatencyInfo, or
     the NetlistError it raises instead.
     stage_depth: largest combinational depth, in gate units, at any DFF
     input or output bit; None when the netlist is out of order or holds
     an unknown signal id.
-    netlist: the netlist validated.  Callers pass the report on to later
-    stages as `report=`, so that they need not walk the netlist again.
     """
 
+    netlist: Netlist = field(repr=False, compare=False)
     findings: list = field(default_factory=list)
     latency: LatencyInfo | NetlistError | None = None
     stage_depth: int | None = None
-    netlist: Netlist | None = field(default=None, repr=False, compare=False)
 
     @property
     def errors(self):
@@ -366,18 +375,7 @@ def validate(nl: Netlist) -> ValidationReport:
     return rep
 
 
-def _report_for(nl: Netlist, report: ValidationReport | None) -> ValidationReport:
-    """The report every stage works from: `report` when one is passed
-    in, else a fresh `validate(nl)`.  Raises NetlistError when `report`
-    is of another netlist, so no stage reads the wrong graph's verdict."""
-    if report is None:
-        return validate(nl)
-    if report.netlist is not nl:
-        raise NetlistError("the report passed in was computed from a different netlist")
-    return report
-
-
-def compute_latency(nl: Netlist, *, report: ValidationReport | None = None) -> LatencyInfo:
+def compute_latency(report: ValidationReport) -> LatencyInfo:
     """The latency verdict `validate` stored on its report.
 
     Pipelined: common register depth of the output bits.
@@ -388,11 +386,10 @@ def compute_latency(nl: Netlist, *, report: ValidationReport | None = None) -> L
     combinational has registers on its output paths; NetlistError when
     the netlist has no output bits; and OutOfOrderError or NetlistError
     with the `out-of-order` or `unknown-signal` message when the netlist
-    is out of order or holds an unknown id.  A signal no primitive drives reads as a
-    source.  `report`, when given, is used instead of validating `nl`
-    again.
+    is out of order or holds an unknown id.  A signal no primitive drives
+    reads as a source.
     """
-    latency = _report_for(nl, report).latency
+    latency = report.latency
     if isinstance(latency, NetlistError):
         # A fresh error each time, so the stored one gathers no traceback.
         raise type(latency)(*latency.args)

@@ -1,11 +1,11 @@
 """Gate-level netlist evaluation and product verification.
 
 Values are plain Python integers used as lane vectors: bit t of a
-signal's value is its level for input pair t.  A register is a wire:
-the latency verdict of the netlist's `ValidationReport`, which
-simulation and verification take as `report=`, says that every output
-path holds the same number L of registers, so the product leaving in
-cycle t + L is pair t's.  One pass over the primitives, which a netlist keeps in
+signal's value is its level for input pair t.  Simulation and
+verification take the netlist's `ValidationReport`.  A register is a
+wire: the report's latency verdict says that every output path holds
+the same number L of registers, so the product leaving in cycle t + L
+is pair t's.  One pass over the primitives, which a netlist keeps in
 dependency order, gives every pair's product; `simulate` returns them,
 and the verify functions compare them with a*b.  AND/XOR/majority on
 big integers make exhaustive sweeps cheap without any extra machinery.
@@ -81,23 +81,25 @@ def check_pairs(nl: Netlist, pairs):
                            f"{nl.width_a}x{nl.width_b} operand ports")
 
 
-def _products(nl, pairs, report):
-    """Output-bit lane masks of the (a, b) pairs streamed through `nl`:
-    lane t holds the product pair t leaves with, L cycles later."""
+def _products(report, pairs):
+    """Output-bit lane masks of the (a, b) pairs streamed through the
+    report's netlist: lane t holds the product pair t leaves with, L
+    cycles later."""
+    nl = report.netlist
     check_pairs(nl, pairs)
-    compute_latency(nl, report=report)
+    compute_latency(report)
     a_masks = _lane_masks([a for a, _ in pairs], nl.width_a)
     b_masks = _lane_masks([b for _, b in pairs], nl.width_b)
     return _stream(nl, a_masks, b_masks)
 
 
-def simulate(nl: Netlist, pairs, *, report: ValidationReport | None = None) -> list[int]:
-    """Products of the (a, b) pairs streamed through `nl`, pair t
-    entering in clock cycle t and leaving L cycles later, L being the
-    latency (0 when combinational).  One product is
-    `simulate(nl, [(a, b)])[0]`.  Validates `nl` unless given its
-    `report`, and raises as `verify_pairs` does."""
-    got = _products(nl, pairs, report)
+def simulate(report: ValidationReport, pairs) -> list[int]:
+    """Products of the (a, b) pairs streamed through the netlist of
+    `report`, `validate(nl)`, pair t entering in clock cycle t and
+    leaving L cycles later, L being the latency (0 when combinational).
+    One product is `simulate(report, [(a, b)])[0]`.  Raises as
+    `verify_pairs` does."""
+    got = _products(report, pairs)
     return [_lane(got, t) for t in range(len(pairs))]
 
 
@@ -138,30 +140,29 @@ def _check_lanes(nl, got, pairs, mode, tested_before=0):
                         "got": _lane(got, lane)})
 
 
-def verify_pairs(nl: Netlist, pairs, mode: str, *,
-                 report: ValidationReport | None = None) -> VerificationReport:
-    """Stream the (a, b) pairs through `nl`, pair t entering in clock
-    cycle t, and check each product against a*b as it leaves.
+def verify_pairs(report: ValidationReport, pairs, mode: str) -> VerificationReport:
+    """Stream the (a, b) pairs through the netlist of `report`,
+    `validate(nl)`, pair t entering in clock cycle t, and check each
+    product against a*b as it leaves.
 
-    The verify functions take an optional `report`, `validate(nl)`, and
-    validate `nl` themselves without one.  They raise as
-    `compute_latency` does, even with no pairs: UnbalancedPathError when
-    any output bit's paths disagree, and OutOfOrderError on a netlist out
-    of order.  A pair that is negative or wider than its port raises
-    SimError.
+    The verify functions raise as `compute_latency` does, even with no
+    pairs: UnbalancedPathError when any output bit's paths disagree, and
+    OutOfOrderError on a netlist out of order.  A pair that is negative
+    or wider than its port raises SimError.
     """
-    return (_check_lanes(nl, _products(nl, pairs, report), pairs, mode)
+    got = _products(report, pairs)
+    return (_check_lanes(report.netlist, got, pairs, mode)
             or VerificationReport(passed=True, tested=len(pairs), mode=mode))
 
 
-def verify_exhaustive(nl: Netlist, *,
-                      report: ValidationReport | None = None) -> VerificationReport:
+def verify_exhaustive(report: ValidationReport) -> VerificationReport:
     """Check every input pair against the arbitrary-precision product."""
+    nl = report.netlist
     n, k = nl.width_a, nl.width_b
     if n + k > EXHAUSTIVE_GUARD_BITS:
         raise SimError(f"exhaustive verification capped at {EXHAUSTIVE_GUARD_BITS} "
                        f"total input bits, got {n + k}")
-    compute_latency(nl, report=report)
+    compute_latency(report)
     total = 1 << (n + k)
     chunk = min(total, 1 << 16)
     tested = 0
@@ -199,8 +200,8 @@ def random_pairs(width_a: int, width_b: int, count: int, seed: int) -> list:
     return [(rng.getrandbits(width_a), rng.getrandbits(width_b)) for _ in range(count)]
 
 
-def verify_random(nl: Netlist, count: int, seed: int, *,
-                  report: ValidationReport | None = None) -> VerificationReport:
+def verify_random(report: ValidationReport, count: int, seed: int) -> VerificationReport:
     """Check seeded uniform random pairs, exact product equality each."""
+    nl = report.netlist
     pairs = random_pairs(nl.width_a, nl.width_b, count, seed)
-    return verify_pairs(nl, pairs, "random", report=report)
+    return verify_pairs(report, pairs, "random")

@@ -11,7 +11,7 @@ is known-passing.
 
 from __future__ import annotations
 
-from .netlist import Netlist, ValidationReport, compute_latency
+from .netlist import ValidationReport, compute_latency
 from .sim import check_pairs
 from .vhdl import INDENT, check_identifier, default_entity_name
 
@@ -22,19 +22,20 @@ CLOCK_PERIOD = 10  # time units per clock cycle, pipelined only
 INTEGER_REPORT_BITS = 31
 
 
-def emit_testbench(nl: Netlist, pairs, *, entity_name: str | None = None,
-                   report: ValidationReport | None = None) -> str:
+def emit_testbench(report: ValidationReport, pairs, *,
+                   entity_name: str | None = None) -> str:
     """Render the self-checking testbench for `pairs`, in stimulus order,
-    as one VHDL design unit for the entity `entity_name`, or else
-    `default_entity_name(nl)`.  Each assert waits one past the latency,
-    in cycles when pipelined and gate units otherwise, that
-    `compute_latency` reads from `report`.  A pair that does not fit the
-    ports raises SimError."""
+    for the netlist of `report`, `validate(nl)`, as one VHDL design unit
+    for the entity `entity_name`, or else `default_entity_name(nl)`.
+    Each assert waits one past the latency, in cycles when pipelined and
+    gate units otherwise, that `compute_latency` reads from `report`.
+    A pair that does not fit the ports raises SimError."""
+    nl = report.netlist
     check_pairs(nl, pairs)
 
     entity = default_entity_name(nl) if entity_name is None else entity_name
     check_identifier(entity)
-    latency = compute_latency(nl, report=report)
+    latency = compute_latency(report)
     wait = (latency.cycles if nl.pipelined else latency.gate_units) + 1
     tb = f"{entity}_tb"
     ind = INDENT

@@ -15,8 +15,7 @@ import re
 from itertools import islice
 
 from .netlist import (
-    _AND2, _CONST0, _DFF, _FULL_ADDER, _HALF_ADDER,
-    Netlist, ValidationReport, _report_for, validate,
+    _AND2, _CONST0, _DFF, _FULL_ADDER, _HALF_ADDER, Netlist, ValidationReport,
 )
 
 # VHDL-93 reserved words; emitted identifiers must avoid these.
@@ -81,30 +80,25 @@ def _signal_text(nl: Netlist):
     return text, ordinal
 
 
-def emit_vhdl(nl: Netlist, *, entity_name: str | None = None,
-              report: ValidationReport | None = None) -> str:
+def emit_vhdl(report: ValidationReport, *, entity_name: str | None = None) -> str:
     """The whole design text: the join of `iter_vhdl`'s chunks."""
-    return "".join(iter_vhdl(nl, entity_name=entity_name, report=report))
+    return "".join(iter_vhdl(report, entity_name=entity_name))
 
 
-def iter_vhdl(nl: Netlist, *, entity_name: str | None = None,
-              report: ValidationReport | None = None):
-    """Render the netlist as one synthesizable VHDL design unit, named
-    `entity_name` or else `default_entity_name(nl)`, as an iterator of
-    text chunks of at most CHUNK_LINES lines, each ending in a newline.
+def iter_vhdl(report: ValidationReport, *, entity_name: str | None = None):
+    """Render the netlist of `report`, `validate(nl)`, as one
+    synthesizable VHDL design unit, named `entity_name` or else
+    `default_entity_name(nl)`, as an iterator of text chunks of at most
+    CHUNK_LINES lines, each ending in a newline.
 
-    `report` is `validate(nl)` when the caller already has it; without
-    one the netlist is validated here.  A report with errors is refused,
-    and so is a report of another netlist (NetlistError), and so is an
-    illegal entity name.  These checks run when `iter_vhdl` is called,
-    before any chunk is asked for.
+    A report with errors is refused, and so is an illegal entity name.
+    These checks run when `iter_vhdl` is called, before any chunk is
+    asked for.
     """
-    if report is None:
-        report = validate(nl)
     if not report.is_valid():
         msgs = "; ".join(f.message for f in report.errors)
         raise EmissionError(f"refusing to emit an invalid netlist: {msgs}")
-    _report_for(nl, report)
+    nl = report.netlist
     entity = default_entity_name(nl) if entity_name is None else entity_name
     check_identifier(entity)
     return _chunks(_lines(nl, entity))

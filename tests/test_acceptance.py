@@ -40,7 +40,7 @@ def test_criterion_1_exhaustive_small_grid(report):
         for k in range(1, 7):
             for pipe in (False, True):
                 nl = generate_multiplier(GeneratorConfig(n, k, pipe))
-                r = verify_exhaustive(nl)
+                r = verify_exhaustive(validate(nl))
                 ok = ok and r.passed and r.tested == 2 ** (n + k)
     report(1, "exhaustive 1..6 grid, both modes", ok)
 
@@ -50,10 +50,10 @@ def test_criterion_2_random_at_scale(report):
     for n in (8, 16, 32, 64):
         for k in (8, 16, 32, 64):
             nl = generate_multiplier(GeneratorConfig(n, k, False))
-            r = verify_random(nl, 100, seed=n * 100 + k)
+            r = verify_random(validate(nl), 100, seed=n * 100 + k)
             ok = ok and r.passed and r.tested == 100
     big = generate_multiplier(GeneratorConfig(512, 512, False))
-    big_report = verify_random(big, 3, seed=1)
+    big_report = verify_random(validate(big), 3, seed=1)
     ok = ok and big_report.passed
     report(2, "100 random pairs at scale plus 512x512", ok)
 
@@ -86,16 +86,17 @@ def test_criterion_4_pipeline_properties(report, signal_levels):
         depths = {reg_min[bit] for bit in nl.output_p}
         ok = ok and len(depths) == 1
         latency = depths.pop()
-        ok = ok and compute_latency(nl).cycles == latency
+        rep = validate(nl)
+        ok = ok and compute_latency(rep).cycles == latency
 
         a, b = (1 << n) - 1, (1 << k) - 1
-        ok = ok and simulate(nl, [(a, b)] * (latency + 1)) == [a * b] * (latency + 1)
+        ok = ok and simulate(rep, [(a, b)] * (latency + 1)) == [a * b] * (latency + 1)
 
         feed = [(i * 7 + 3) % (1 << n) for i in range(latency + 5)]
         feed = [(x, (x * 5 + 1) % (1 << k)) for x in feed]
-        ok = ok and simulate(nl, feed) == [x * y for x, y in feed]
+        ok = ok and simulate(rep, feed) == [x * y for x, y in feed]
 
-        ok = ok and validate(nl).stage_depth <= 2
+        ok = ok and rep.stage_depth <= 2
     report(4, "pipeline latency, streaming and stage depth", ok)
 
 
@@ -104,14 +105,15 @@ def test_criterion_5_testbench_integrity(report):
     for n, k, pipe in ((8, 8, False), (8, 8, True), (5, 11, True)):
         nl = generate_multiplier(GeneratorConfig(n, k, pipe))
         pairs = random_pairs(n, k, 50, seed=2)
-        ok = ok and verify_random(nl, 50, seed=2).passed
-        text = tbgen.emit_testbench(nl, pairs)
+        rep = validate(nl)
+        ok = ok and verify_random(rep, 50, seed=2).passed
+        text = tbgen.emit_testbench(rep, pairs)
         outputs = [ln.split(": ")[1] for ln in text.splitlines() if "-- output: " in ln]
         ok = ok and outputs == [str(a * b) for a, b in pairs]
     nl = generate_multiplier(GeneratorConfig(8, 8, False))
     pairs = random_pairs(8, 8, 10, seed=6400)
     ok = ok and pairs[0] == (53, 23)
-    text = tbgen.emit_testbench(nl, pairs)
+    text = tbgen.emit_testbench(validate(nl), pairs)
     ok = ok and '"00110101"' in text and '"00010111"' in text
     ok = ok and "1219" in text
     report(5, "testbench expected values and 53x23 exemplar", ok)
@@ -126,9 +128,9 @@ def test_criterion_6_determinism_and_goldens(report, tmp_path):
     for name in ("mul_8x8_p.vhd", "mul_8x8_p_tb.vhd"):
         ok = ok and ((tmp_path / "a" / name).read_bytes()
                      == (tmp_path / "b" / name).read_bytes())
-    ok = ok and (emit_vhdl(generate_multiplier(GeneratorConfig(2, 2, False)))
+    ok = ok and (emit_vhdl(validate(generate_multiplier(GeneratorConfig(2, 2, False))))
                  == (GOLDENS / "mul_2x2.vhd").read_text())
-    ok = ok and (emit_vhdl(generate_multiplier(GeneratorConfig(8, 8, True)))
+    ok = ok and (emit_vhdl(validate(generate_multiplier(GeneratorConfig(8, 8, True))))
                  == (GOLDENS / "mul_8x8_p.vhd").read_text())
     report(6, "byte-identical reruns and stable goldens", ok)
 
@@ -142,7 +144,7 @@ def test_criterion_7_fault_sensitivity(report, swap_outputs):
     for pos in fa_positions:
         nl = generate_multiplier(GeneratorConfig(4, 4, False))
         swap_outputs(nl, pos)
-        r = verify_exhaustive(nl)
+        r = verify_exhaustive(validate(nl))
         ok = ok and not r.passed and r.counterexample is not None
         if r.counterexample is not None:
             ce = r.counterexample

@@ -187,7 +187,7 @@ def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys, swap_outp
                                         mode):
     """Every mode, `off` included, simulates the testbench's pairs at
     least, names the first wrong product and writes nothing."""
-    from csmulgen.netlist import CODE, FULL_ADDER
+    from csmulgen.netlist import CODE, FULL_ADDER, validate
     from csmulgen.sim import verify_exhaustive, verify_random
     nets = []
 
@@ -199,8 +199,9 @@ def test_verification_failure_exit_code(tmp_path, monkeypatch, capsys, swap_outp
                    "--out-dir", str(tmp_path))
     assert code == 3
     (nl,) = nets
-    want = (verify_exhaustive(nl) if mode in ("auto", "exhaustive")
-            else verify_random(nl, 100, 1))
+    report = validate(nl)
+    want = (verify_exhaustive(report) if mode in ("auto", "exhaustive")
+            else verify_random(report, 100, 1))
     c = want.counterexample
     assert f"FAIL: {c['a']} x {c['b']} expected {c['expected']}" in capsys.readouterr().out
     assert not list(tmp_path.iterdir())
@@ -220,18 +221,16 @@ def _generate_sabotaged(monkeypatch, defect):
 
 
 def _bypass_validation(monkeypatch):
-    """Let any defect past the findings of the CLI's and the emitter's
-    `validate`; the report keeps its latency verdict."""
+    """Let any defect past the findings of the CLI's one `validate`;
+    the report keeps its latency verdict."""
     import csmulgen.cli as cli_mod
-    import csmulgen.vhdl as vhdl_mod
     from csmulgen.netlist import validate
 
     def without_findings(nl):
         report = validate(nl)
         report.findings.clear()
         return report
-    for module in (cli_mod, vhdl_mod):
-        monkeypatch.setattr(module, "validate", without_findings)
+    monkeypatch.setattr(cli_mod, "validate", without_findings)
 
 
 def _reversed(reorder):
@@ -293,7 +292,7 @@ def test_sim_error_after_validation_exits_3(tmp_path, monkeypatch, capsys):
     import csmulgen.cli as cli_mod
     from csmulgen.sim import SimError
 
-    def broken(nl, count, seed, *, report=None):
+    def broken(report, count, seed):
         raise SimError("simulator refused")
 
     monkeypatch.setattr(cli_mod, "verify_random", broken)

@@ -3,12 +3,12 @@ import json
 
 from csmulgen.metrics import compute_metrics, render_json
 from csmulgen.mulgen import GeneratorConfig, generate_with_annotations
-from csmulgen.netlist import AND2, DFF, FULL_ADDER, HALF_ADDER
+from csmulgen.netlist import AND2, DFF, FULL_ADDER, HALF_ADDER, validate
 
 
 def metrics_for(n, k, pipe, **kw):
     nl, passes = generate_with_annotations(GeneratorConfig(n, k, pipe))
-    return nl, compute_metrics(nl, passes, **kw)
+    return nl, compute_metrics(validate(nl), passes, **kw)
 
 
 def test_2x2_counts():

@@ -54,7 +54,7 @@ def test_design_grid_digest():
         for k in range(1, 17):
             for pipelined in (False, True):
                 nl = generate_multiplier(GeneratorConfig(n, k, pipelined))
-                h.update(emit_vhdl(nl).encode("utf-8"))
+                h.update(emit_vhdl(validate(nl)).encode("utf-8"))
     assert h.hexdigest() == "2ed4da8dfa78732ea6cb33120e8fcddc9b7c2c3c86a256a90cafafab0cb35516"
 
 
@@ -63,12 +63,12 @@ def test_2x2_structure():
     assert count(nl, AND2) == 4
     assert count(nl, HALF_ADDER) == 2
     assert count(nl, FULL_ADDER) == 0
-    assert compute_latency(nl).gate_units == 3
+    assert compute_latency(validate(nl)).gate_units == 3
 
 
 def test_2x2_pipelined_latency():
     nl = generate_multiplier(GeneratorConfig(2, 2, True))
-    info = compute_latency(nl)
+    info = compute_latency(validate(nl))
     assert info.pipelined and info.cycles == 2
 
 
@@ -77,7 +77,7 @@ def test_dot_count_conservation_per_column_weight():
     # able to represent every product; checked indirectly by exhaustive
     # simulation at a size where that is cheap
     nl = generate_multiplier(GeneratorConfig(5, 3, False))
-    report = verify_exhaustive(nl)
+    report = verify_exhaustive(validate(nl))
     assert report.passed and report.tested == 2 ** 8
 
 
@@ -95,9 +95,9 @@ def test_combinational_netlist_has_no_dffs():
 
 def test_pipelined_preserves_function():
     cfg = GeneratorConfig(4, 4, True)
-    nl = generate_multiplier(cfg)
+    report = validate(generate_multiplier(cfg))
     for a, b in [(0, 0), (15, 15), (9, 11), (3, 14)]:
-        assert simulate(nl, [(a, b)]) == [a * b]
+        assert simulate(report, [(a, b)]) == [a * b]
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (1, 5), (5, 1), (3, 7), (8, 8)])
@@ -121,7 +121,7 @@ def test_long_register_chains_need_no_deep_recursion():
         nl = generate_multiplier(GeneratorConfig(2, 150, True))
     finally:
         sys.setrecursionlimit(limit)
-    assert compute_latency(nl).cycles > 100
+    assert compute_latency(validate(nl)).cycles > 100
 
 
 def test_each_delay_adds_a_fresh_chain():
@@ -238,7 +238,7 @@ def test_product_matches_oracle(n, k, a, b):
     a &= (1 << n) - 1
     b &= (1 << k) - 1
     nl = generate_multiplier(GeneratorConfig(n, k, False))
-    assert simulate(nl, [(a, b)]) == [a * b]
+    assert simulate(validate(nl), [(a, b)]) == [a * b]
 
 
 @settings(max_examples=10, deadline=None)

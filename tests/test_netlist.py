@@ -4,7 +4,7 @@ import pytest
 
 from csmulgen.netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, KINDS,
-    LatencyInfo, Netlist, NetlistError, OutOfOrderError, UnbalancedPathError,
+    LatencyInfo, Netlist, NetlistError, OutOfOrderError, Primitive, UnbalancedPathError,
     compute_latency, validate,
 )
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
@@ -46,6 +46,29 @@ def test_arity_mismatch_reported():
     assert (len(nl.kinds), len(nl.pins), nl.signal_count) == (0, 0, 2)
 
 
+def test_unknown_kind_is_refused():
+    nl = Netlist.create(1, 1)
+    with pytest.raises(NetlistError, match="^unknown primitive kind 'xor'$"):
+        nl.add_primitive("xor", [nl.input_a[0], nl.input_b[0]])
+    assert (len(nl.kinds), len(nl.pins), nl.signal_count) == (0, 0, 2)
+
+
+@pytest.mark.parametrize("bad", [None, 2 ** 40], ids=["not-an-int", "out-of-range"])
+def test_unstorable_input_leaves_the_netlist_as_it_was(bad):
+    """An input the pin store cannot hold is refused before the kind is
+    stored or an output allocated, so the next primitive is stored whole."""
+    nl = Netlist.create(1, 1)
+    a, b = nl.input_a[0], nl.input_b[0]
+    (s,) = nl.add_primitive(AND2, [a, b])
+    with pytest.raises(NetlistError, match="^and2 inputs cannot be stored"):
+        nl.add_primitive(AND2, [a, bad])
+    assert (list(nl.kinds), len(nl.pins), nl.signal_count) == ([0], 5, 3)
+    (t,) = nl.add_primitive(AND2, [s, b])
+    assert nl.primitives[-1] == Primitive(AND2, (s, b), (t,)) and t == 3
+    nl.output_p = [s, t]
+    assert validate(nl).findings == []
+
+
 def test_unread_internal_is_warning_not_error():
     nl = Netlist.create(1, 1)
     (s0,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
@@ -78,7 +101,7 @@ def test_combinational_cycle_reported(set_pin):
         ("out-of-order", f"primitive 0 (and2) input 0 (s{s1}) is read before its driver")]
     assert report.stage_depth is None
     with pytest.raises(OutOfOrderError) as raised:
-        compute_latency(nl)
+        compute_latency(report)
     assert str(raised.value) == report.errors[0].message
 
 
@@ -131,7 +154,7 @@ def test_signal_id_outside_the_netlist_is_unknown_signal(where, sig, set_pin):
     assert [(f.code, f.message) for f in report.findings] == [("unknown-signal", message)]
     assert report.stage_depth is None
     with pytest.raises(NetlistError) as raised:
-        compute_latency(nl)
+        compute_latency(report)
     assert type(raised.value) is NetlistError and str(raised.value) == message
 
 
@@ -164,14 +187,16 @@ def test_levelize_1x1(signal_levels):
     by_id = signal_levels(nl)[0]
     assert by_id[nl.output_p[0]] == 1  # single AND gate
     assert by_id[nl.output_p[1]] == 0  # constant
-    assert compute_latency(nl).gate_units == validate(nl).stage_depth == 1
+    report = validate(nl)
+    assert compute_latency(report).gate_units == report.stage_depth == 1
 
 
 def test_levelize_2x2_max_depth_three(signal_levels):
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
     by_id = signal_levels(nl)[0]
     assert max(by_id[b] for b in nl.output_p) == 3
-    assert compute_latency(nl).gate_units == validate(nl).stage_depth == 3
+    report = validate(nl)
+    assert compute_latency(report).gate_units == report.stage_depth == 3
 
 
 def test_full_adder_counts_two_gate_units(signal_levels):
@@ -182,7 +207,8 @@ def test_full_adder_counts_two_gate_units(signal_levels):
     nl.output_p = [s, c, a]
     by_id = signal_levels(nl)[0]
     assert by_id[s] == 3  # and (1) + fa (2)
-    assert compute_latency(nl).gate_units == validate(nl).stage_depth == 3
+    report = validate(nl)
+    assert compute_latency(report).gate_units == report.stage_depth == 3
 
 
 def _dependency_order(nl, rng, reorder):
@@ -231,14 +257,14 @@ def test_register_depth_uniform_on_pipelined(signal_levels):
     nl = generate_multiplier(GeneratorConfig(4, 4, True))
     _, reg_min, reg_max = signal_levels(nl)
     assert all(reg_min[bit] == reg_max[bit] for bit in nl.output_p)
-    assert {reg_min[bit] for bit in nl.output_p} == {compute_latency(nl).cycles}
+    assert {reg_min[bit] for bit in nl.output_p} == {compute_latency(validate(nl)).cycles}
 
 
 def test_register_depth_zero_when_not_pipelined(signal_levels):
     nl = generate_multiplier(GeneratorConfig(4, 4, False))
     _, reg_min, reg_max = signal_levels(nl)
     assert all(reg_min[bit] == reg_max[bit] == 0 for bit in nl.output_p)
-    assert compute_latency(nl).cycles is None
+    assert compute_latency(validate(nl)).cycles is None
 
 
 def test_register_depth_unbalanced_path_error(signal_levels):
@@ -252,7 +278,7 @@ def test_register_depth_unbalanced_path_error(signal_levels):
     _, reg_min, reg_max = signal_levels(nl)
     assert reg_min[s] != reg_max[s]
     with pytest.raises(UnbalancedPathError):
-        compute_latency(nl, report=validate(nl))
+        compute_latency(validate(nl))
 
 
 def test_netlist_without_output_bits_raises_netlist_error():
@@ -261,9 +287,10 @@ def test_netlist_without_output_bits_raises_netlist_error():
     from csmulgen.sim import simulate
     nl = Netlist.create(1, 1)
     nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
-    for call in (compute_latency, lambda nl: simulate(nl, [(1, 1)])):
+    report = validate(nl)
+    for call in (compute_latency, lambda rep: simulate(rep, [(1, 1)])):
         with pytest.raises(NetlistError, match="^the netlist has none of its 2 output bits$"):
-            call(nl)
+            call(report)
 
 
 def test_netlist_retains_under_32_bytes_per_primitive():
@@ -357,7 +384,7 @@ def test_report_verdict_and_stage_depth_match_the_reference(
             report = validate(nl)
             got = report.latency
             try:
-                outcome = compute_latency(nl)
+                outcome = compute_latency(report)
             except NetlistError as exc:
                 outcome = type(exc), str(exc)
             if isinstance(got, Exception):
@@ -408,7 +435,7 @@ def test_register_loop_is_out_of_order(set_pin):
         ("out-of-order", f"primitive 1 (dff) input 0 (s{s}) is read before its driver")]
     from csmulgen.sim import verify_random
     with pytest.raises(NetlistError):
-        verify_random(nl, 4, seed=1)
+        verify_random(validate(nl), 4, seed=1)
 
 
 def test_analysis_of_shuffled_pipelined_netlist_matches(reorder, signal_levels):
@@ -438,12 +465,12 @@ def test_shuffled_pipelined_netlist_is_rejected(reorder):
     assert [f.code for f in report.findings] == ["out-of-order"]
     assert report.stage_depth is None
     for call in (compute_latency, verify_exhaustive,
-                 lambda nl: verify_random(nl, 4, seed=1),
-                 lambda nl: simulate(nl, [(3, 5)]),
-                 lambda nl: simulate(nl, []),
-                 lambda nl: verify_pairs(nl, [], "x")):
+                 lambda rep: verify_random(rep, 4, seed=1),
+                 lambda rep: simulate(rep, [(3, 5)]),
+                 lambda rep: simulate(rep, []),
+                 lambda rep: verify_pairs(rep, [], "x")):
         with pytest.raises(OutOfOrderError):
-            call(nl)
+            call(report)
 
 
 def _netlist_with_every_defect(set_pin):
@@ -499,5 +526,5 @@ def test_dropped_dff_gives_exact_findings(drop_dff, which, expected):
     drop_dff(nl, [i for i, p in enumerate(nl.primitives) if p.kind == DFF][which])
     assert [(f.severity, f.code, f.message) for f in validate(nl).findings] == expected
     with pytest.raises(UnbalancedPathError) as raised:
-        compute_latency(nl)
+        compute_latency(validate(nl))
     assert str(raised.value) == expected[0][2]

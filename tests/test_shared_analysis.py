@@ -1,8 +1,8 @@
-"""One validation per CLI job, whose report every stage shares.
+"""One validation per CLI job, whose report every stage takes.
 
-Each stage takes the `ValidationReport` as `report=`, and must give
-exactly what it gives when it validates the netlist itself, and must
-refuse a report of a different netlist.
+Each stage takes the `ValidationReport` of `validate(nl)` and reads the
+netlist and its latency verdict from it, so a CLI job validates its
+netlist once.
 """
 
 from collections import Counter
@@ -16,16 +16,11 @@ import csmulgen.sim as sim_mod
 import csmulgen.tbgen as tbgen_mod
 import csmulgen.vhdl as vhdl_mod
 from csmulgen.cli import main
-from csmulgen.metrics import compute_metrics, render_json
 from csmulgen.mulgen import GeneratorConfig, generate_with_annotations
 from csmulgen.netlist import (
-    AND2, CODE, FULL_ADDER, Finding, NetlistError, Netlist, ValidationReport,
-    compute_latency, validate,
+    AND2, CODE, FULL_ADDER, Finding, Netlist, ValidationReport, validate,
 )
-from csmulgen.sim import (
-    random_pairs, simulate, verify_exhaustive, verify_pairs, verify_random,
-)
-from csmulgen.tbgen import emit_testbench
+from csmulgen.sim import verify_exhaustive, verify_random
 from csmulgen.vhdl import EmissionError, emit_vhdl, iter_vhdl
 
 CASES = [(1, 1, False), (3, 7, False), (8, 8, True), (13, 13, False), (5, 11, True)]
@@ -36,62 +31,32 @@ FAULT_CASES = [case + (faulty,) for case in CASES for faulty in (False, True)
 
 @pytest.mark.parametrize("n,k,pipe,faulty", FAULT_CASES)
 def test_shared_analysis_gives_the_same_results(n, k, pipe, faulty, swap_outputs):
-    nl, passes = generate_with_annotations(GeneratorConfig(n, k, pipe))
+    """Verification on the report fails a broken design and passes a
+    good one, exhaustively and on random pairs alike."""
+    nl, _ = generate_with_annotations(GeneratorConfig(n, k, pipe))
     if faulty:
         swap_outputs(nl, nl.kinds.index(CODE[FULL_ADDER]))
     report = validate(nl)
     assert report.is_valid()
 
     if n + k <= 16:
-        assert verify_exhaustive(nl) == verify_exhaustive(nl, report=report)
-    want = verify_random(nl, 60, 7)
-    assert want.passed != faulty
-    assert want == verify_random(nl, 60, 7, report=report)
-    assert compute_latency(nl) == compute_latency(nl, report=report)
-    pairs = random_pairs(n, k, 30, 5)
-    assert emit_testbench(nl, pairs) == emit_testbench(nl, pairs, report=report)
-    assert (render_json(compute_metrics(nl, passes))
-            == render_json(compute_metrics(nl, passes, report=report)))
-    assert emit_vhdl(nl) == emit_vhdl(nl, report=report)
+        assert verify_exhaustive(report).passed != faulty
+    assert verify_random(report, 60, 7).passed != faulty
 
 
 def test_emit_refuses_a_report_with_errors():
     nl, _ = generate_with_annotations(GeneratorConfig(2, 2, False))
-    report = ValidationReport(findings=[Finding("error", "test", "handed-in defect")])
+    report = ValidationReport(nl, findings=[Finding("error", "test", "handed-in defect")])
     with pytest.raises(EmissionError, match="handed-in defect"):
-        emit_vhdl(nl, report=report)
+        emit_vhdl(report)
     with pytest.raises(EmissionError, match="handed-in defect"):
-        iter_vhdl(nl, report=report)  # when called, before any chunk
+        iter_vhdl(report)  # when called, before any chunk
 
     bad = Netlist.create(1, 1)
     (s,) = bad.add_primitive(AND2, [bad.input_a[0], bad.input_b[0]])
     bad.output_p = [s, bad.new_signal()]  # undriven output bit
     with pytest.raises(EmissionError, match="no driver"):
-        emit_vhdl(bad, report=validate(bad))
-
-
-STAGES = {
-    "simulate": lambda nl, passes, rep: simulate(nl, [(1, 2)], report=rep),
-    "verify_pairs": lambda nl, passes, rep: verify_pairs(nl, [(1, 2)], "x", report=rep),
-    "verify_random": lambda nl, passes, rep: verify_random(nl, 5, 1, report=rep),
-    "verify_exhaustive": lambda nl, passes, rep: verify_exhaustive(nl, report=rep),
-    "compute_latency": lambda nl, passes, rep: compute_latency(nl, report=rep),
-    "emit_testbench": lambda nl, passes, rep: emit_testbench(nl, [(1, 2)], report=rep),
-    "compute_metrics": lambda nl, passes, rep: compute_metrics(nl, passes, report=rep),
-    "emit_vhdl": lambda nl, passes, rep: emit_vhdl(nl, report=rep),
-    # Called, not consumed: the check runs before the first chunk.
-    "iter_vhdl": lambda nl, passes, rep: iter_vhdl(nl, report=rep),
-}
-
-
-@pytest.mark.parametrize("stage", sorted(STAGES))
-def test_analysis_of_another_netlist_is_rejected(stage):
-    cfg = GeneratorConfig(4, 4, True)
-    nl, passes = generate_with_annotations(cfg)
-    twin, _ = generate_with_annotations(cfg)  # same structure, different object
-    with pytest.raises(NetlistError, match="different netlist"):
-        STAGES[stage](nl, passes, validate(twin))
-    STAGES[stage](nl, passes, validate(nl))
+        emit_vhdl(validate(bad))
 
 
 @pytest.mark.parametrize("argv", [
@@ -102,9 +67,9 @@ def test_analysis_of_another_netlist_is_rejected(stage):
     ["--width-a", "5", "--width-b", "11", "--pipeline", "--verify", "off"],
 ])
 def test_cli_job_analyses_and_validates_once(argv, tmp_path, monkeypatch):
-    """A CLI job walks its netlist once: one `validate`.  It is also
-    counted as `compute_latency` looks it up in `netlist`, so a stage
-    that validated the netlist itself would add to the count."""
+    """A CLI job walks its netlist once: one `validate`.  It is counted
+    under its name in every module, `netlist` included, so a stage that
+    validated the netlist itself would add to the count."""
     calls = Counter()
 
     def counted(name, fn):

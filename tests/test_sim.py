@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
-from csmulgen.netlist import DFF, UnbalancedPathError
+from csmulgen.netlist import DFF, UnbalancedPathError, validate
 from csmulgen.sim import (
     SimError, VerificationReport,
     simulate, verify_exhaustive, verify_pairs, verify_random,
@@ -11,10 +11,10 @@ from csmulgen.sim import (
 
 def test_initial_state_settles_2x2_all_pairs():
     """One vector from reset is the one-lane case of `simulate`."""
-    nl = generate_multiplier(GeneratorConfig(2, 2, False))
+    report = validate(generate_multiplier(GeneratorConfig(2, 2, False)))
     for a in range(4):
         for b in range(4):
-            assert simulate(nl, [(a, b)]) == [a * b]
+            assert simulate(report, [(a, b)]) == [a * b]
 
 
 def test_pipelined_output_appears_after_latency_cycles(reference_outputs):
@@ -22,21 +22,22 @@ def test_pipelined_output_appears_after_latency_cycles(reference_outputs):
     the reference sees only the reset value before that."""
     from csmulgen.netlist import compute_latency
     nl = generate_multiplier(GeneratorConfig(4, 4, True))
-    latency = compute_latency(nl).cycles
+    report = validate(nl)
+    latency = compute_latency(report).cycles
     held = [(13, 11)] * (latency + 1)
-    assert simulate(nl, held) == [13 * 11] * (latency + 1)
+    assert simulate(report, held) == [13 * 11] * (latency + 1)
     assert reference_outputs(nl, held, latency + 1) == [0] * latency + [13 * 11]
 
 
 def test_pipeline_streams_one_result_per_cycle():
     nl = generate_multiplier(GeneratorConfig(4, 4, True))
     feed = [(3, 5), (15, 15), (0, 9), (7, 7), (12, 1), (6, 13)]
-    assert simulate(nl, feed) == [a * b for a, b in feed]
+    assert simulate(validate(nl), feed) == [a * b for a, b in feed]
 
 
 def test_verify_exhaustive_4x4():
     nl = generate_multiplier(GeneratorConfig(4, 4, False))
-    report = verify_exhaustive(nl)
+    report = verify_exhaustive(validate(nl))
     assert report.passed
     assert report.tested == 256
     assert report.mode == "exhaustive"
@@ -45,14 +46,15 @@ def test_verify_exhaustive_4x4():
 
 def test_verify_exhaustive_pipelined_4x4():
     nl = generate_multiplier(GeneratorConfig(4, 4, True))
-    report = verify_exhaustive(nl)
+    report = verify_exhaustive(validate(nl))
     assert report.passed and report.tested == 256
 
 
 def test_verify_random_is_seed_deterministic():
     nl = generate_multiplier(GeneratorConfig(12, 12, False))
-    r1 = verify_random(nl, 50, seed=7)
-    r2 = verify_random(nl, 50, seed=7)
+    report = validate(nl)
+    r1 = verify_random(report, 50, seed=7)
+    r2 = verify_random(report, 50, seed=7)
     assert r1.passed and r2.passed
     assert r1.tested == r2.tested == 50
     assert r1 == r2
@@ -60,15 +62,16 @@ def test_verify_random_is_seed_deterministic():
 
 def test_verify_random_different_seeds_allowed():
     nl = generate_multiplier(GeneratorConfig(10, 6, True))
-    assert verify_random(nl, 25, seed=1).passed
-    assert verify_random(nl, 25, seed=2).passed
+    report = validate(nl)
+    assert verify_random(report, 25, seed=1).passed
+    assert verify_random(report, 25, seed=2).passed
 
 
 def test_fault_injection_is_caught(swap_outputs):
     from csmulgen.netlist import CODE, FULL_ADDER
     nl = generate_multiplier(GeneratorConfig(4, 4, False))
     swap_outputs(nl, nl.kinds.index(CODE[FULL_ADDER]))
-    report = verify_exhaustive(nl)
+    report = verify_exhaustive(validate(nl))
     assert not report.passed
     assert report.counterexample is not None
     ce = report.counterexample
@@ -80,7 +83,7 @@ def test_report_text_mentions_counterexample(swap_outputs):
     from csmulgen.netlist import CODE, HALF_ADDER
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
     swap_outputs(nl, nl.kinds.index(CODE[HALF_ADDER]))
-    report = verify_exhaustive(nl)
+    report = verify_exhaustive(validate(nl))
     assert not report.passed
     assert "expected" in report.to_text().lower()
 
@@ -91,7 +94,7 @@ def test_simulator_matches_python_product(n, k, data):
     a = data.draw(st.integers(0, 2 ** n - 1))
     b = data.draw(st.integers(0, 2 ** k - 1))
     nl = generate_multiplier(GeneratorConfig(n, k, False))
-    assert simulate(nl, [(a, b)]) == [a * b]
+    assert simulate(validate(nl), [(a, b)]) == [a * b]
 
 
 @pytest.mark.parametrize("n, k, drop", [
@@ -111,11 +114,12 @@ def test_streamed_pass_matches_step_cycle(n, k, drop, drop_dff, reference_output
         dffs = [i for i, p in enumerate(nl.primitives) if p.kind == DFF]
         drop_dff(nl, dffs[len(dffs) // 2])
         with pytest.raises(UnbalancedPathError):
-            simulate(nl, feed)
+            simulate(validate(nl), feed)
         return
-    latency = compute_latency(nl).cycles
+    report = validate(nl)
+    latency = compute_latency(report).cycles
     want = reference_outputs(nl, feed, latency + len(feed))[latency:]
-    assert simulate(nl, feed) == want
+    assert simulate(report, feed) == want
 
 
 @pytest.mark.parametrize("n, k, nth", [(4, 4, 0), (4, 4, -1), (5, 7, 0), (5, 7, 7)])
@@ -128,10 +132,11 @@ def test_simulate_matches_reference_on_a_miswired_adder(n, k, nth, reference_out
     from csmulgen.netlist import FULL_ADDER, compute_latency
     nl = generate_multiplier(GeneratorConfig(n, k, True))
     swap_outputs(nl, [i for i, p in enumerate(nl.primitives) if p.kind == FULL_ADDER][nth])
-    latency = compute_latency(nl).cycles
+    report = validate(nl)
+    latency = compute_latency(report).cycles
     rng = random.Random(nth)
     feed = [(rng.getrandbits(n), rng.getrandbits(k)) for _ in range(30)]
-    got = simulate(nl, feed)
+    got = simulate(report, feed)
     assert got == reference_outputs(nl, feed, latency + len(feed))[latency:]
     assert got != [a * b for a, b in feed]
 
@@ -142,11 +147,12 @@ def test_registers_in_a_netlist_marked_combinational_never_pass(n, k):
     combinational must be refused: its outputs carry L registers, not 0."""
     nl = generate_multiplier(GeneratorConfig(n, k, True))
     nl.pipelined = False
-    checks = [verify_exhaustive, lambda nl: verify_random(nl, 20, seed=1),
-              lambda nl: simulate(nl, [(1, 1), (3, 2)])]
+    report = validate(nl)
+    checks = [verify_exhaustive, lambda rep: verify_random(rep, 20, seed=1),
+              lambda rep: simulate(rep, [(1, 1), (3, 2)])]
     for check in checks:
         with pytest.raises(UnbalancedPathError, match="combinational output bits carry"):
-            check(nl)
+            check(report)
 
 
 @pytest.mark.parametrize("width", [1, 8, 512])
@@ -162,8 +168,9 @@ def test_lane_masks_match_a_per_bit_loop(width):
 
 def test_empty_pair_list_passes_after_analysis():
     nl = generate_multiplier(GeneratorConfig(5, 7, True))
-    assert simulate(nl, []) == []
-    assert verify_pairs(nl, [], "x") == VerificationReport(passed=True, tested=0, mode="x")
+    report = validate(nl)
+    assert simulate(report, []) == []
+    assert verify_pairs(report, [], "x") == VerificationReport(passed=True, tested=0, mode="x")
 
 
 def test_verify_random_settles_the_netlist_once(monkeypatch):
@@ -177,7 +184,7 @@ def test_verify_random_settles_the_netlist_once(monkeypatch):
 
     monkeypatch.setattr(sim, "_settle", counted)
     nl = generate_multiplier(GeneratorConfig(16, 16, True))
-    assert verify_random(nl, 20, seed=1).passed
+    assert verify_random(validate(nl), 20, seed=1).passed
     assert len(calls) == 1
 
 
@@ -192,7 +199,7 @@ def test_no_pass_for_any_dropped_register(drop_dff):
         nl = generate_multiplier(cfg)
         drop_dff(nl, [j for j, p in enumerate(nl.primitives) if p.kind == DFF][i])
         with pytest.raises(NetlistError):
-            verify_exhaustive(nl)
+            verify_exhaustive(validate(nl))
 
 
 @pytest.mark.parametrize("pairs, named", [
@@ -203,7 +210,7 @@ def test_no_pass_for_any_dropped_register(drop_dff):
 def test_verify_pairs_rejects_operands_wider_than_the_ports(pairs, named):
     nl = generate_multiplier(GeneratorConfig(4, 4, False))
     with pytest.raises(SimError, match=named):
-        verify_pairs(nl, pairs, "x")
+        verify_pairs(validate(nl), pairs, "x")
 
 
 def test_output_bits_at_different_register_depths_are_unbalanced(drop_dff):
@@ -212,4 +219,4 @@ def test_output_bits_at_different_register_depths_are_unbalanced(drop_dff):
     drop_dff(nl, next(i for i, p in enumerate(nl.primitives)
                       if p.kind == DFF and p.outputs == (nl.output_p[0],)))
     with pytest.raises(UnbalancedPathError, match=r"\[5, 6\]"):
-        verify_random(nl, 4, seed=1)
+        verify_random(validate(nl), 4, seed=1)

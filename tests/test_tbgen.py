@@ -4,7 +4,7 @@ import pytest
 
 from csmulgen.cli import main
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier, generate_with_annotations
-from csmulgen.netlist import CODE, FULL_ADDER, compute_latency
+from csmulgen.netlist import CODE, FULL_ADDER, compute_latency, validate
 from csmulgen.sim import SimError, random_pairs, simulate, verify_pairs, verify_random
 from csmulgen.tbgen import emit_testbench
 
@@ -19,22 +19,22 @@ def test_seed_6400_first_vector():
 
 
 @pytest.mark.parametrize("caller", [
-    lambda nl, count, seed: random_pairs(nl.width_a, nl.width_b, count, seed),
+    lambda report, count, seed: random_pairs(4, 4, count, seed),
     verify_random,
 ], ids=["random_pairs", "verify_random"])
 def test_negative_count_is_rejected(caller):
-    nl = generate_multiplier(GeneratorConfig(4, 4, False))
+    report = validate(generate_multiplier(GeneratorConfig(4, 4, False)))
     with pytest.raises(ValueError, match="count must be >= 0"):
-        caller(nl, -3, 1)
+        caller(report, -3, 1)
 
 
 @pytest.mark.parametrize("pair", [(4, 0), (-1, 3), (3, -1)])
 def test_plan_pairs_that_do_not_fit_raise_sim_error(pair):
     """A pair that is negative or wider than its port is refused by the
     one range check, `sim.check_pairs`, before any simulation or text."""
-    nl = generate_multiplier(GeneratorConfig(2, 2, False))
-    for stage in (lambda pairs: verify_pairs(nl, pairs, "testbench"),
-                  lambda pairs: emit_testbench(nl, pairs)):
+    report = validate(generate_multiplier(GeneratorConfig(2, 2, False)))
+    for stage in (lambda pairs: verify_pairs(report, pairs, "testbench"),
+                  lambda pairs: emit_testbench(report, pairs)):
         with pytest.raises(SimError, match=rf"^pair {pair[0]} x {pair[1]} does not fit"):
             stage([pair])
 
@@ -47,7 +47,7 @@ def test_verify_random_and_self_check_name_the_same_failing_pair(tmp_path, monke
     nl, passes = generate_with_annotations(GeneratorConfig(6, 6, False))
     swap_outputs(nl, nl.kinds.index(CODE[FULL_ADDER]))
     monkeypatch.setattr(cli_mod, "generate_with_annotations", lambda cfg: (nl, passes))
-    report = verify_random(nl, 64, 3)
+    report = verify_random(validate(nl), 64, 3)
     assert not report.passed
     c = report.counterexample
     for mode in ("random", "off"):
@@ -64,21 +64,21 @@ def waittime(text):
 
 
 def test_wait_time_combinational():
-    nl = generate_multiplier(GeneratorConfig(8, 8, False))
-    text = emit_testbench(nl, random_pairs(8, 8, 5, 1))
-    assert waittime(text) == compute_latency(nl).gate_units + 1
+    report = validate(generate_multiplier(GeneratorConfig(8, 8, False)))
+    text = emit_testbench(report, random_pairs(8, 8, 5, 1))
+    assert waittime(text) == compute_latency(report).gate_units + 1
 
 
 def test_wait_time_pipelined_counts_cycles():
-    nl = generate_multiplier(GeneratorConfig(8, 8, True))
-    text = emit_testbench(nl, random_pairs(8, 8, 5, 1))
-    assert waittime(text) == compute_latency(nl).cycles + 1
+    report = validate(generate_multiplier(GeneratorConfig(8, 8, True)))
+    text = emit_testbench(report, random_pairs(8, 8, 5, 1))
+    assert waittime(text) == compute_latency(report).cycles + 1
 
 
 def test_testbench_text_structure():
     nl = generate_multiplier(GeneratorConfig(8, 8, False))
     pairs = random_pairs(8, 8, 10, seed=6400)
-    text = emit_testbench(nl, pairs)
+    text = emit_testbench(validate(nl), pairs)
     assert "entity mul_8x8_tb is" in text
     assert '"00110101"' in text
     assert '"00010111"' in text
@@ -90,15 +90,15 @@ def test_testbench_text_structure():
 def test_testbench_integer_reporting_only_when_narrow():
     narrow = generate_multiplier(GeneratorConfig(8, 8, False))
     wide = generate_multiplier(GeneratorConfig(20, 20, False))
-    t_narrow = emit_testbench(narrow, random_pairs(8, 8, 3, seed=1))
-    t_wide = emit_testbench(wide, random_pairs(20, 20, 3, seed=1))
+    t_narrow = emit_testbench(validate(narrow), random_pairs(8, 8, 3, seed=1))
+    t_wide = emit_testbench(validate(wide), random_pairs(20, 20, 3, seed=1))
     assert "vec2int" in t_narrow
     assert "vec2int" not in t_wide  # 40-bit product exceeds integer range
 
 
 def test_pipelined_testbench_has_clock():
     nl = generate_multiplier(GeneratorConfig(4, 4, True))
-    text = emit_testbench(nl, random_pairs(4, 4, 4, seed=1))
+    text = emit_testbench(validate(nl), random_pairs(4, 4, 4, seed=1))
     assert "clk" in text
     assert "10 ns" in text
 
@@ -111,15 +111,15 @@ def test_testbench_grid_digest():
     widths = [(n, k) for n in range(1, 9) for k in range(1, 9)] + [(15, 16), (16, 16)]
     for n, k in widths:
         for pipelined in (False, True):
-            nl = generate_multiplier(GeneratorConfig(n, k, pipelined))
-            h.update(emit_testbench(nl, random_pairs(n, k, 5, seed=1)).encode("utf-8"))
+            report = validate(generate_multiplier(GeneratorConfig(n, k, pipelined)))
+            h.update(emit_testbench(report, random_pairs(n, k, 5, seed=1)).encode("utf-8"))
     assert h.hexdigest() == "28d9d11a4972ef3ea1091d4b3dfdce6b0a9e1d687dbf6bb8d760a13a0b8dbf5b"
 
 
 def test_testbench_emission_deterministic():
-    nl = generate_multiplier(GeneratorConfig(5, 7, True))
-    a = emit_testbench(nl, random_pairs(5, 7, 12, seed=9))
-    b = emit_testbench(nl, random_pairs(5, 7, 12, seed=9))
+    report = validate(generate_multiplier(GeneratorConfig(5, 7, True)))
+    a = emit_testbench(report, random_pairs(5, 7, 12, seed=9))
+    b = emit_testbench(report, random_pairs(5, 7, 12, seed=9))
     assert a == b
 
 
@@ -128,10 +128,10 @@ def fa_index(nl, nth):
     return [i for i, p in enumerate(nl.primitives) if p.kind == FULL_ADDER][nth]
 
 
-def first_failure_per_vector(nl, pairs):
+def first_failure_per_vector(report, pairs):
     """The per-vector reference: index of the first vector the simulator gets wrong."""
     return next((idx for idx, (a, b) in enumerate(pairs)
-                 if simulate(nl, [(a, b)])[0] != a * b), None)
+                 if simulate(report, [(a, b)])[0] != a * b), None)
 
 
 @pytest.mark.parametrize("n,k,pipe", [(8, 8, True), (5, 11, True), (13, 13, False)])
@@ -139,23 +139,25 @@ def test_lane_parallel_self_check_agrees_with_per_vector_runs(n, k, pipe, swap_o
     """`--verify off` checks the testbench's pairs as lanes of one
     simulation, `verify_random` over the same seeded stream; it names the
     vector that one-pair runs find first."""
-    nl = generate_multiplier(GeneratorConfig(n, k, pipe))
+    good = validate(generate_multiplier(GeneratorConfig(n, k, pipe)))
     pairs = random_pairs(n, k, 40, seed=5)
-    assert first_failure_per_vector(nl, pairs) is None
-    assert verify_random(nl, 40, 5).passed
+    assert first_failure_per_vector(good, pairs) is None
+    assert verify_random(good, 40, 5).passed
     for nth in (0, 3, -1):
         bad = generate_multiplier(GeneratorConfig(n, k, pipe))
         swap_outputs(bad, fa_index(bad, nth))
-        idx = first_failure_per_vector(bad, pairs)
+        bad_report = validate(bad)
+        idx = first_failure_per_vector(bad_report, pairs)
         assert idx is not None
-        report = verify_random(bad, 40, 5)
+        report = verify_random(bad_report, 40, 5)
         assert report.tested == idx
-        assert report.counterexample["got"] == simulate(bad, [pairs[idx]])[0]
+        assert report.counterexample["got"] == simulate(bad_report, [pairs[idx]])[0]
 
 
 def test_pipelined_fault_names_first_failing_vector(swap_outputs):
     nl = generate_multiplier(GeneratorConfig(6, 6, True))
     swap_outputs(nl, fa_index(nl, 0))
-    idx = first_failure_per_vector(nl, random_pairs(6, 6, 64, seed=3))
+    report = validate(nl)
+    idx = first_failure_per_vector(report, random_pairs(6, 6, 64, seed=3))
     assert idx is not None
-    assert verify_random(nl, 64, 3).tested == idx
+    assert verify_random(report, 64, 3).tested == idx

@@ -5,7 +5,7 @@ import pytest
 
 from csmulgen.cli import main
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
-from csmulgen.netlist import AND2, Netlist
+from csmulgen.netlist import AND2, Netlist, validate
 from csmulgen.vhdl import (
     CHUNK_LINES, EmissionError, check_identifier, default_entity_name, emit_vhdl, iter_vhdl,
 )
@@ -20,7 +20,7 @@ def test_default_entity_names():
 
 def test_name_signals_ports_and_ordinals():
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
-    lines = emit_vhdl(nl).splitlines()
+    lines = emit_vhdl(validate(nl)).splitlines()
     assert "  s1 <= x(0) and y(1);" in lines  # input_a[0] and input_b[1]
     internal = [line.split()[1] for line in lines if line.startswith("  signal ")]
     assert internal == [f"s{i}" for i in range(len(internal))]
@@ -35,8 +35,8 @@ def test_identifier_rules():
 
 def test_emission_is_deterministic():
     cfg = GeneratorConfig(5, 3, True)
-    one = emit_vhdl(generate_multiplier(cfg))
-    two = emit_vhdl(generate_multiplier(cfg))
+    one = emit_vhdl(validate(generate_multiplier(cfg)))
+    two = emit_vhdl(validate(generate_multiplier(cfg)))
     assert one == two
 
 
@@ -45,16 +45,16 @@ def test_emit_rejects_invalid_netlist():
     (s,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
     nl.output_p = [s, nl.new_signal()]  # undriven output bit
     with pytest.raises(EmissionError):
-        emit_vhdl(nl)
+        emit_vhdl(validate(nl))
 
 
 def test_golden_2x2():
-    text = emit_vhdl(generate_multiplier(GeneratorConfig(2, 2, False)))
+    text = emit_vhdl(validate(generate_multiplier(GeneratorConfig(2, 2, False))))
     assert text == (GOLDENS / "mul_2x2.vhd").read_text()
 
 
 def test_golden_8x8_pipelined():
-    text = emit_vhdl(generate_multiplier(GeneratorConfig(8, 8, True)))
+    text = emit_vhdl(validate(generate_multiplier(GeneratorConfig(8, 8, True))))
     assert text == (GOLDENS / "mul_8x8_p.vhd").read_text()
 
 
@@ -76,48 +76,48 @@ def test_golden_8x8_pipelined():
     ((256, 256), False, "3569dc615d214e2d27302acc00284d627c7d09452fcc1c980de10bce8145b814"),
 ])
 def test_pinned_design_digest(widths, pipelined, digest):
-    text = emit_vhdl(generate_multiplier(GeneratorConfig(*widths, pipelined)))
+    text = emit_vhdl(validate(generate_multiplier(GeneratorConfig(*widths, pipelined))))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_combinational_entity_has_no_clock_port():
-    text = emit_vhdl(generate_multiplier(GeneratorConfig(3, 3, False)))
+    text = emit_vhdl(validate(generate_multiplier(GeneratorConfig(3, 3, False))))
     assert "clk" not in text
     assert "rising_edge" not in text
     assert "process" not in text
 
 
 def test_pipelined_entity_has_clock_and_processes():
-    text = emit_vhdl(generate_multiplier(GeneratorConfig(3, 3, True)))
+    text = emit_vhdl(validate(generate_multiplier(GeneratorConfig(3, 3, True))))
     assert "clk : in std_logic" in text
     assert "rising_edge(clk)" in text
 
 
 def test_custom_entity_name():
     nl = generate_multiplier(GeneratorConfig(4, 4, False))
-    text = emit_vhdl(nl, entity_name="my_mult")
+    text = emit_vhdl(validate(nl), entity_name="my_mult")
     assert "entity my_mult is" in text
     assert "end entity my_mult;" in text
 
 
 def test_empty_entity_name_is_not_the_default():
     from csmulgen.tbgen import emit_testbench
-    nl = generate_multiplier(GeneratorConfig(2, 2, False))
+    report = validate(generate_multiplier(GeneratorConfig(2, 2, False)))
     with pytest.raises(EmissionError, match="'' is not a legal"):
-        emit_vhdl(nl, entity_name="")
+        emit_vhdl(report, entity_name="")
     with pytest.raises(EmissionError, match="'' is not a legal"):
-        emit_testbench(nl, [(1, 2)], entity_name="")
+        emit_testbench(report, [(1, 2)], entity_name="")
 
 
 def test_wide_output_bits_all_driven():
     nl = generate_multiplier(GeneratorConfig(6, 2, False))
-    text = emit_vhdl(nl)
+    text = emit_vhdl(validate(nl))
     for j in range(8):
         assert f"p({j}) <=" in text
 
 
 def test_output_uses_lf_and_ends_with_newline():
-    text = emit_vhdl(generate_multiplier(GeneratorConfig(2, 2, False)))
+    text = emit_vhdl(validate(generate_multiplier(GeneratorConfig(2, 2, False))))
     assert "\r" not in text
     assert text.endswith("\n")
 
@@ -125,7 +125,7 @@ def test_output_uses_lf_and_ends_with_newline():
 @pytest.mark.parametrize("widths, pipelined", [((64, 64), False), ((32, 32), True)])
 def test_design_text_comes_in_chunks_of_whole_lines(widths, pipelined):
     nl = generate_multiplier(GeneratorConfig(*widths, pipelined))
-    chunks = list(iter_vhdl(nl))
+    chunks = list(iter_vhdl(validate(nl)))
     assert len(chunks) >= 2
     for chunk in chunks:
         assert chunk.endswith("\n")
@@ -137,12 +137,12 @@ def test_design_text_comes_in_chunks_of_whole_lines(widths, pipelined):
 def test_emit_checks_before_the_first_chunk():
     nl = generate_multiplier(GeneratorConfig(4, 4, False))
     with pytest.raises(EmissionError, match="not a legal VHDL basic identifier"):
-        iter_vhdl(nl, entity_name="signal")
+        iter_vhdl(validate(nl), entity_name="signal")
     bad = Netlist.create(1, 1)
     (s,) = bad.add_primitive(AND2, [bad.input_a[0], bad.input_b[0]])
     bad.output_p = [s, bad.new_signal()]  # undriven output bit
     with pytest.raises(EmissionError, match="no driver"):
-        iter_vhdl(bad)
+        iter_vhdl(validate(bad))
 
 
 def test_cli_writes_the_emitted_bytes(tmp_path):
@@ -151,6 +151,6 @@ def test_cli_writes_the_emitted_bytes(tmp_path):
     assert main(["--width-a", "32", "--width-b", "32", "--pipeline", "--tests", "4",
                  "--out-dir", str(tmp_path)]) == 0
     nl = generate_multiplier(GeneratorConfig(32, 32, True))
-    want = emit_vhdl(nl).encode("utf-8")
+    want = emit_vhdl(validate(nl)).encode("utf-8")
     assert want.count(b"\n") > CHUNK_LINES
     assert (tmp_path / "mul_32x32_p.vhd").read_bytes() == want
