@@ -17,7 +17,9 @@ import os
 from array import array
 from dataclasses import dataclass
 
-from .netlist import AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, Netlist, NetlistError
+from .netlist import (
+    _AND2, _CONST0, _DFF, _FULL_ADDER, _HALF_ADDER, STRIDE, UNUSED, Netlist, NetlistError,
+)
 
 DEFAULT_MAX_WIDTH = 1024
 MAX_WIDTH_ENV = "CSMULGEN_MAX_WIDTH"
@@ -50,7 +52,12 @@ def max_width_ceiling():
 
 
 class _Builder:
-    """Appends primitives to a netlist, each in a pipeline window.
+    """Writes a multiplier's primitives straight into the netlist's
+    `kinds` and `pins` stores, each in a pipeline window, and keeps
+    `signal_count` in step: the generator is the one writer of the
+    stores in the package.  No list or tuple is built per primitive:
+    the AND array goes in a row at a time, an adder pin by pin, and a
+    delay chain in one loop.
 
     Window 0 holds the partial-product ANDs and constants, window i+1 the
     adders of reduction iteration i, then each final-adder column the
@@ -70,22 +77,80 @@ class _Builder:
             # Every signal so far (ports and clock) is in window 0.
             self.slot = array("i", bytes(4 * nl.signal_count))
 
-    def add(self, kind, inputs, window):
-        if self.slot is None:
-            return self.nl.add_primitive(kind, inputs)
-        outs = self.nl.add_primitive(
-            kind, [self.delayed(sig, window - self.slot[sig]) for sig in inputs])
-        self.slot.extend([window] * len(outs))
-        return outs
+    def and_array(self):
+        """Append an AND of every pair of input bits in window 0, which
+        needs no delay, one row of width_b ANDs per bit of input_a.
+        Returns the first output id: the AND of bits a and b is
+        first + a * width_b + b."""
+        nl = self.nl
+        k, first = nl.width_b, nl.signal_count
+        count = nl.width_a * k
+        row = array("i", [UNUSED]) * (STRIDE * k)
+        row[1::STRIDE] = array("i", nl.input_b)
+        for a, sig in enumerate(nl.input_a):
+            row[0::STRIDE] = array("i", [sig]) * k
+            row[3::STRIDE] = array("i", range(first + a * k, first + (a + 1) * k))
+            nl.pins += row
+        nl.kinds += bytes([_AND2]) * count
+        nl.signal_count = first + count
+        if self.slot is not None:
+            self.slot.frombytes(bytes(4 * count))
+        return first
+
+    def add(self, code, window, i0, i1, i2=UNUSED):
+        """Append a half adder (i2 UNUSED) or a full adder of kind code
+        in `window`, each input delayed to it; returns the sum's id, and
+        the carry's is the next one."""
+        nl, slot = self.nl, self.slot
+        if slot is not None:
+            i0 = self.delayed(i0, window - slot[i0])
+            i1 = self.delayed(i1, window - slot[i1])
+            if i2 != UNUSED:
+                i2 = self.delayed(i2, window - slot[i2])
+            slot.append(window)
+            slot.append(window)
+        s = nl.signal_count
+        nl.kinds.append(code)
+        put = nl.pins.append
+        put(i0)
+        put(i1)
+        put(i2)
+        put(s)
+        put(s + 1)
+        nl.signal_count = s + 2
+        return s
+
+    def zero(self):
+        """Append a constant-zero driver in window 0; returns its id."""
+        nl = self.nl
+        s = nl.signal_count
+        nl.kinds.append(_CONST0)
+        nl.pins.extend((UNUSED, UNUSED, UNUSED, s, UNUSED))
+        nl.signal_count = s + 1
+        if self.slot is not None:
+            self.slot.append(0)
+        return s
 
     def delayed(self, sig, d):
         """`sig` delayed d cycles through d fresh DFFs."""
         if d < 0:
             raise NetlistError("negative pipeline delay; window assignment bug")
-        for _ in range(d):
-            (q,) = self.nl.add_primitive(DFF, [sig])
-            self.slot.append(self.slot[sig] + 1)
+        if not d:
+            return sig
+        nl, slot = self.nl, self.slot
+        first = nl.signal_count
+        window = slot[sig]
+        nl.kinds += bytes([_DFF]) * d
+        put = nl.pins.append
+        for q in range(first, first + d):
+            put(sig)
+            put(UNUSED)
+            put(UNUSED)
+            put(q)
+            put(UNUSED)
             sig = q
+        slot.extend(range(window + 1, window + d + 1))
+        nl.signal_count = first + d
         return sig
 
     def deskew(self, bits):
@@ -96,14 +161,19 @@ class _Builder:
 
 def build_partial_products(cfg: GeneratorConfig, builder: _Builder) -> list:
     """AND every pair of input bits; the product of bits a and b lands
-    in column a+b.  Returns the n + k columns as lists of signal ids."""
+    in column a+b.  Returns the n + k columns as lists of signal ids.
+
+    The ANDs go in as one array (`_Builder.and_array`), so each column
+    comes from arithmetic: column j holds first + a*k + (j - a) for
+    every a with j - a in 0 .. k - 1, in increasing a."""
     n, k = cfg.width_a, cfg.width_b
-    nl = builder.nl
-    columns = [[] for _ in range(n + k)]
-    for a in range(n):
-        for b in range(k):
-            (out,) = builder.add(AND2, [nl.input_a[a], nl.input_b[b]], 0)
-            columns[a + b].append(out)
+    first = builder.and_array()
+    step = k - 1 or 1  # a one-bit b puts at most one product in a column
+    columns = []
+    for j in range(n + k):
+        lo, hi = max(0, j - k + 1), min(n - 1, j)
+        start = first + j + lo * (k - 1)
+        columns.append(list(range(start, start + (hi - lo + 1) * step, step)))
     return columns
 
 
@@ -112,8 +182,9 @@ def reduce_step(columns: list, iteration: int, builder: _Builder) -> list:
 
     Scans columns from the least significant upward; every bit in a
     column takes part in this pass.  Full adders are placed while a
-    column holds more than two bits.  A column left with exactly two
-    bits receives a half adder unless one of the deferral rules applies:
+    column holds more than two bits, each taking the column's next
+    three bits by index.  A column left with exactly two bits receives
+    a half adder unless one of the deferral rules applies:
 
       Rule A: a carry from the previous column already landed in this
       column during this pass, so a single full adder next pass can
@@ -125,38 +196,39 @@ def reduce_step(columns: list, iteration: int, builder: _Builder) -> list:
 
     Returns the columns for the next pass: carries in first, then sums,
     then the bits left unreduced.  Adders placed here go in window i+1.
+    A full adder in the most significant column, whose carry would have
+    no column, raises NetlistError.
     """
-    i = iteration
+    window = iteration + 1
     ncols = len(columns)
     new_cols = [[] for _ in range(ncols)]
-
-    def emit_carry(col, sig):
-        if col >= ncols:
-            raise NetlistError("reduction carry past the most significant column")
-        new_cols[col].append(sig)
-
+    add = builder.add
     for j, col in enumerate(columns):
-        # Before this column's adders, new_cols[j] holds only carries.
-        rule_a = bool(new_cols[j])
-        while len(col) > 2:
-            s, c = builder.add(FULL_ADDER, col[:3], i + 1)
-            col = col[3:]
-            new_cols[j].append(s)
-            emit_carry(j + 1, c)
+        here = new_cols[j]
+        # Before this column's adders, `here` holds only carries.
+        rule_a = bool(here)
+        m = len(col)
+        full = m - m % 3  # the bits the full adders take
+        if full:
+            if j + 1 == ncols:
+                raise NetlistError("reduction carry past the most significant column")
+            up = new_cols[j + 1]
+            for x in range(0, full, 3):
+                s = add(_FULL_ADDER, window, col[x], col[x + 1], col[x + 2])
+                here.append(s)
+                up.append(s + 1)
 
-        if len(col) == 2:
+        if m - full == 2:
             rule_b = j > 0 and len(new_cols[j - 1]) == 2
             # A half adder in the most significant column has no home for
             # its carry and two bits are already final-adder material, so
             # the pair is always deferred there.
-            at_top = j + 1 == ncols
-            if not rule_a and not rule_b and not at_top:
-                s, c = builder.add(HALF_ADDER, col, i + 1)
-                col = []
-                new_cols[j].append(s)
-                emit_carry(j + 1, c)
-
-        new_cols[j].extend(col)
+            if not rule_a and not rule_b and j + 1 != ncols:
+                s = add(_HALF_ADDER, window, col[full], col[full + 1])
+                here.append(s)
+                new_cols[j + 1].append(s + 1)
+                continue
+        here.extend(col[full:])
 
     return new_cols
 
@@ -192,21 +264,16 @@ def build_final_adder(columns: list, builder: _Builder, window: int):
             raise NetlistError(f"column {j} holds {len(col)} bits; final adder takes <= 2")
         operands = col + ([carry] if carry is not None else [])
         if len(operands) == 0:
-            (zero,) = builder.add(CONST0, [], 0)
-            out_bits.append(zero)
+            out_bits.append(builder.zero())
             carry = None
         elif len(operands) == 1:
             out_bits.append(operands[0])
             carry = None
-        elif len(operands) == 2:
-            s, c = builder.add(HALF_ADDER, operands, window)
-            out_bits.append(s)
-            carry = c
-            window += 1
         else:
-            s, c = builder.add(FULL_ADDER, operands, window)
+            kind = _HALF_ADDER if len(operands) == 2 else _FULL_ADDER
+            s = builder.add(kind, window, *operands)
             out_bits.append(s)
-            carry = c
+            carry = s + 1
             window += 1
     if carry is not None:
         # The weighted sum of all dots is the full product, which fits in

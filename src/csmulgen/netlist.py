@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import count
 from typing import NamedTuple
 
 # Primitive kinds.
@@ -48,13 +49,6 @@ _ARITY_OF = [ARITY[kind] for kind in KINDS]  # kind code -> (inputs, outputs)
 # hold UNUSED.
 STRIDE = 5
 UNUSED = -1
-# kind -> (code, input arity, output arity, the unused input slots)
-_LAYOUT = {kind: (CODE[kind], n_in, n_out, (UNUSED,) * (3 - n_in))
-           for kind, (n_in, n_out) in ARITY.items()}
-
-# Gate-unit weight of each combinational primitive: a full adder is two
-# gate levels deep, everything else is one.
-DEPTH_WEIGHT = {AND2: 1, HALF_ADDER: 1, FULL_ADDER: 2}
 
 
 class NetlistError(Exception):
@@ -92,8 +86,13 @@ class Netlist:
     raises OutOfOrderError.
 
     Netlists are treated as immutable once a generator returns them;
-    the mutating helpers below are for construction only, and only
-    `add_primitive` appends to the stores.
+    the mutating helpers below are for construction only.  In the
+    package, the generator's builder (`mulgen._Builder`) is the one
+    writer of `kinds`, `pins` and `signal_count`; a netlist built by
+    hand, as the tests build theirs, uses the `add_primitive` helper of
+    `tests/conftest.py`, which refuses an unknown kind or a wrong input
+    count.  Nothing else checks a kind code until `validate`, which
+    reports one outside KINDS as `unknown-kind`.
     """
 
     width_a: int
@@ -126,29 +125,6 @@ class Netlist:
         if self.clock is None:
             self.clock = self.new_signal()
         return self.clock
-
-    def add_primitive(self, kind, inputs):
-        """Append a primitive, allocating its output signals as the next
-        consecutive ids; returns them.  The kind must be one of KINDS and
-        the input count must match its arity: the stores cannot hold any
-        other.  An input the pin store cannot hold (not an int, or out of
-        its range) raises NetlistError and leaves the netlist as it was."""
-        try:
-            code, n_in, n_out, gap = _LAYOUT[kind]
-        except KeyError:
-            raise NetlistError(f"unknown primitive kind {kind!r}") from None
-        if len(inputs) != n_in:
-            raise NetlistError(f"{kind} expects {n_in} inputs, got {len(inputs)}")
-        first = self.signal_count
-        outs = (first, first + 1) if n_out == 2 else (first, UNUSED)
-        try:
-            self.pins.extend((*inputs, *gap, *outs))
-        except (TypeError, OverflowError) as exc:
-            del self.pins[STRIDE * len(self.kinds):]  # the stores stay in step
-            raise NetlistError(f"{kind} inputs cannot be stored: {exc}") from None
-        self.kinds.append(code)
-        self.signal_count = first + n_out
-        return outs[:n_out]
 
     @property
     def primitives(self):
@@ -186,7 +162,7 @@ class ValidationReport:
     the NetlistError it raises instead.
     stage_depth: largest combinational depth, in gate units, at any DFF
     input or output bit; None when the netlist is out of order or holds
-    an unknown signal id.
+    an unknown signal id or kind code.
     """
 
     netlist: Netlist = field(repr=False, compare=False)
@@ -215,8 +191,16 @@ def validate(nl: Netlist) -> ValidationReport:
     registers or not, always has one of the second kind.  The later
     checks read only these lists, in a fixed sequence and each in
     primitive, pin or signal id order, so finding order is
-    deterministic.  The checks index by signal id, so the first port bit
-    or pin holding an id outside 0 .. signal_count - 1 is the one finding.
+    deterministic; the multiple-drivers check runs only when some
+    signal has two drivers, and the unread and terminated checks visit
+    only the unread and the terminated ids.  The checks index by signal
+    id, so the first port bit or pin holding an id outside
+    0 .. signal_count - 1 is the one finding.
+
+    Like `sim._settle`, the walk dispatches on the kind code with the
+    pins unrolled, and each primitive's used pins are range-checked at
+    once; a kind code outside KINDS stops the walk as the one finding,
+    `unknown-kind`, with the same message as the verdict.
 
     A signal's levels are its combinational depth in gate units (input
     bits, constants and DFF outputs sit at 0; AND gates and half adders
@@ -237,6 +221,18 @@ def validate(nl: Netlist) -> ValidationReport:
         rep.latency = NetlistError(msg)
         return rep
 
+    def unknown_pin(idx, k, pins):
+        """The report for primitive idx of kind code k, one of whose used
+        `pins` (its five slots) holds an id out of range."""
+        n_in, n_out = _ARITY_OF[k]
+        for kind, used in (("input", pins[:n_in]), ("output", pins[3:3 + n_out])):
+            for pin, s in enumerate(used):
+                if not 0 <= s < n:
+                    return unknown(f"primitive {idx} ({KINDS[k]}) {kind} {pin}", s)
+
+    def undriven(idx, *ins):
+        early.extend((idx, pin, s) for pin, s in enumerate(ins) if not drivers[s])
+
     clock = [nl.clock] if nl.clock is not None else []
     for name, bits in (("input_a", nl.input_a), ("input_b", nl.input_b),
                        ("clock", clock), ("output", nl.output_p)):
@@ -248,62 +244,89 @@ def validate(nl: Netlist) -> ValidationReport:
         port[sig] = 1
     drivers = list(port)  # a port bit is its own driver
     read = bytearray(n)
-    kinds, dff = nl.kinds, _DFF
-    dffs = kinds.count(dff)
+    kinds = nl.kinds
+    dffs = kinds.count(_DFF)
     depth = [0] * n
     reg_min = [0] * n
     reg_max = [0] * n if dffs else reg_min  # all zero without registers
     stage = 0  # deepest DFF input so far
     early = []  # (primitive index, pin, signal) read before any driver
-    weight = [DEPTH_WEIGHT.get(kind, 0) for kind in KINDS]
+    # One branch per kind, its pins unrolled; the branches differ only
+    # in arity and in the gate units they add (a full adder two, an AND
+    # or a half adder one; a DFF or a constant restarts at 0).
     it = iter(nl.pins)
-    for idx, (k, i0, i1, i2, o0, o1) in enumerate(zip(kinds, it, it, it, it, it)):
-        n_in, n_out = _ARITY_OF[k]
-        ins = (i0, i1, i2)[:n_in]
-        d = 0
-        for pin, s in enumerate(ins):
-            if not 0 <= s < n:
-                return unknown(f"primitive {idx} ({KINDS[k]}) input {pin}", s)
-            read[s] = 1
-            if not drivers[s]:
-                early.append((idx, pin, s))
-            if depth[s] > d:
-                d = depth[s]
-        w = weight[k]
-        d = d + w if w else 0
-        if not 0 <= o0 < n or n_out == 2 and not 0 <= o1 < n:
-            pin, out = (0, o0) if not 0 <= o0 < n else (1, o1)
-            return unknown(f"primitive {idx} ({KINDS[k]}) output {pin}", out)
-        depth[o0] = d
-        drivers[o0] += 1
-        if n_out == 2:
-            depth[o1] = d
+    for idx, k, i0, i1, i2, o0, o1 in zip(count(), kinds, it, it, it, it, it):
+        if k == _FULL_ADDER:
+            if not (0 <= i0 < n and 0 <= i1 < n and 0 <= i2 < n
+                    and 0 <= o0 < n and 0 <= o1 < n):
+                return unknown_pin(idx, k, (i0, i1, i2, o0, o1))
+            read[i0] = read[i1] = read[i2] = 1
+            if not (drivers[i0] and drivers[i1] and drivers[i2]):
+                undriven(idx, i0, i1, i2)
+            d = depth[i0]
+            if depth[i1] > d:
+                d = depth[i1]
+            if depth[i2] > d:
+                d = depth[i2]
+            depth[o0] = depth[o1] = d + 2
+            drivers[o0] += 1
             drivers[o1] += 1
-        if not dffs:
-            continue
-        lo, hi = (reg_min[i0], reg_max[i0]) if ins else (0, 0)
-        for s in ins:
-            if reg_min[s] < lo:
-                lo = reg_min[s]
-            if reg_max[s] > hi:
-                hi = reg_max[s]
-        if k == dff:
-            lo += 1
-            hi += 1
+            if dffs:
+                reg_min[o0] = reg_min[o1] = min(reg_min[i0], reg_min[i1], reg_min[i2])
+                reg_max[o0] = reg_max[o1] = max(reg_max[i0], reg_max[i1], reg_max[i2])
+        elif k == _AND2 or k == _HALF_ADDER:
+            two = k == _HALF_ADDER
+            if not (0 <= i0 < n and 0 <= i1 < n and 0 <= o0 < n
+                    and (not two or 0 <= o1 < n)):
+                return unknown_pin(idx, k, (i0, i1, i2, o0, o1))
+            read[i0] = read[i1] = 1
+            if not (drivers[i0] and drivers[i1]):
+                undriven(idx, i0, i1)
+            d = depth[i0]
+            if depth[i1] > d:
+                d = depth[i1]
+            depth[o0] = d + 1
+            drivers[o0] += 1
+            if two:
+                depth[o1] = d + 1
+                drivers[o1] += 1
+            if dffs:
+                lo, hi = min(reg_min[i0], reg_min[i1]), max(reg_max[i0], reg_max[i1])
+                reg_min[o0], reg_max[o0] = lo, hi
+                if two:
+                    reg_min[o1], reg_max[o1] = lo, hi
+        elif k == _DFF:
+            if not (0 <= i0 < n and 0 <= o0 < n):
+                return unknown_pin(idx, k, (i0, i1, i2, o0, o1))
+            read[i0] = 1
+            if not drivers[i0]:
+                undriven(idx, i0)
+            depth[o0] = 0
+            drivers[o0] += 1
+            # Taken once the output's depth is set: a DFF that reads its
+            # own output adds depth 0.
             if depth[i0] > stage:
                 stage = depth[i0]
-        reg_min[o0] = lo
-        reg_max[o0] = hi
-        if n_out == 2:
-            reg_min[o1] = lo
-            reg_max[o1] = hi
+            reg_min[o0] = reg_min[i0] + 1
+            reg_max[o0] = reg_max[i0] + 1
+        elif k == _CONST0:
+            if not 0 <= o0 < n:
+                return unknown_pin(idx, k, (i0, i1, i2, o0, o1))
+            depth[o0] = reg_min[o0] = reg_max[o0] = 0
+            drivers[o0] += 1
+        else:
+            msg = f"primitive {idx} has kind code {k}, not one of the {len(KINDS)} kinds"
+            err("unknown-kind", msg)
+            rep.latency = NetlistError(msg)
+            return rep
     for bit in nl.output_p:
         read[bit] = 1
 
-    for sig, count in enumerate(drivers):
-        if count > 1:
-            err("multiple-drivers", f"port bit s{sig} is driven by a primitive" if port[sig]
-                else f"signal s{sig} has {count} drivers")
+    if max(drivers, default=0) > 1:
+        for sig, total in enumerate(drivers):
+            if total > 1:
+                err("multiple-drivers", f"port bit s{sig} is driven by a primitive"
+                    if port[sig] else f"signal s{sig} has {total} drivers")
 
     for idx, pin, s in early:
         if not drivers[s]:
@@ -314,7 +337,14 @@ def validate(nl: Netlist) -> ValidationReport:
         if not drivers[bit]:
             err("undriven-output", f"output bit {j} (s{bit}) has no driver")
 
-    for sig in range(n):
+    # Only an unread or a terminated id can hold a finding here.
+    ids = range(n)
+    unread = []
+    sig = read.find(0)
+    while sig >= 0:
+        unread.append(sig)
+        sig = read.find(0, sig + 1)
+    for sig in sorted({*unread, *(s for s in nl.terminated if s in ids)}):
         if port[sig]:
             continue
         if sig in nl.terminated:
@@ -322,7 +352,7 @@ def validate(nl: Netlist) -> ValidationReport:
                 err("terminated-but-read",
                     f"signal s{sig} is declared terminated but has readers")
             continue
-        if not read[sig] and drivers[sig]:
+        if drivers[sig]:
             warn("unread-signal", f"internal signal s{sig} drives nothing")
 
     late = next(((idx, pin, s) for idx, pin, s in early if drivers[s]), None)
@@ -385,9 +415,9 @@ def compute_latency(report: ValidationReport) -> LatencyInfo:
     register depth, pipelined or not, and when a netlist marked
     combinational has registers on its output paths; NetlistError when
     the netlist has no output bits; and OutOfOrderError or NetlistError
-    with the `out-of-order` or `unknown-signal` message when the netlist
-    is out of order or holds an unknown id.  A signal no primitive drives
-    reads as a source.
+    with the `out-of-order`, `unknown-signal` or `unknown-kind` message
+    when the netlist is out of order or holds an unknown id or kind code.
+    A signal no primitive drives reads as a source.
     """
     latency = report.latency
     if isinstance(latency, NetlistError):

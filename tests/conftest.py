@@ -1,11 +1,14 @@
-"""Fixtures shared by the tests: fault injection, a scalar per-cycle
-reference simulator, a reference for per-signal levels, and the
-environment for running the package in a subprocess from a checkout.
+"""Fixtures shared by the tests: a checked writer for hand-built
+netlists, fault injection, a scalar per-cycle reference simulator, a
+reference for per-signal levels, and the environment for running the
+package in a subprocess from a checkout.
 
-The fault injectors write a netlist's `kinds` and `pins` stores
-directly, the one way to change a primitive after `add_primitive`.
-A primitive is named by its index and a pin by its slot in the stride:
-0-2 are inputs, 3-4 outputs.
+In the package only the generator writes a netlist's `kinds` and
+`pins` stores; `add_primitive` here appends a primitive to a netlist a
+test builds by hand.  The fault injectors write the stores directly,
+the one way to change a primitive once it is stored.  A primitive is
+named by its index and a pin by its slot in the stride: 0-2 are
+inputs, 3-4 outputs.
 """
 
 import os
@@ -13,10 +16,40 @@ from pathlib import Path
 
 import pytest
 
-from csmulgen.netlist import AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, STRIDE
+from csmulgen.netlist import (
+    AND2, ARITY, CODE, CONST0, DFF, FULL_ADDER, HALF_ADDER, STRIDE, UNUSED, NetlistError,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 OUT0 = 3  # slot of a primitive's first output
+
+
+def _add_primitive(nl, kind, inputs):
+    """Append a primitive to `nl`, allocating its output signals as the
+    next consecutive ids; returns them.  The kind must be one of KINDS
+    and the input count must match its arity: the stores cannot hold any
+    other.  An input the pin store cannot hold (not an int, or out of
+    its range) raises NetlistError and leaves the netlist as it was."""
+    if kind not in ARITY:
+        raise NetlistError(f"unknown primitive kind {kind!r}")
+    n_in, n_out = ARITY[kind]
+    if len(inputs) != n_in:
+        raise NetlistError(f"{kind} expects {n_in} inputs, got {len(inputs)}")
+    first = nl.signal_count
+    outs = (first, first + 1) if n_out == 2 else (first, UNUSED)
+    try:
+        nl.pins.extend((*inputs, *(UNUSED,) * (3 - n_in), *outs))
+    except (TypeError, OverflowError) as exc:
+        del nl.pins[STRIDE * len(nl.kinds):]  # the stores stay in step
+        raise NetlistError(f"{kind} inputs cannot be stored: {exc}") from None
+    nl.kinds.append(CODE[kind])
+    nl.signal_count = first + n_out
+    return outs[:n_out]
+
+
+@pytest.fixture
+def add_primitive():
+    return _add_primitive
 
 
 def _set_pin(nl, idx, slot, sig):
@@ -61,7 +94,7 @@ def _double_dff(nl, idx):
     """Put a second register in series right after the one at index
     `idx`, reading its output and feeding all its readers."""
     q_old = nl.pins[STRIDE * idx + OUT0]
-    (q,) = nl.add_primitive(DFF, [q_old])
+    (q,) = _add_primitive(nl, DFF, [q_old])
     last = len(nl.kinds) - 1
     _rewire(nl, q_old, q, skip=last)
     _reorder(nl, [*range(idx + 1), last, *range(idx + 1, last)])

@@ -58,6 +58,23 @@ def test_design_grid_digest():
     assert h.hexdigest() == "2ed4da8dfa78732ea6cb33120e8fcddc9b7c2c3c86a256a90cafafab0cb35516"
 
 
+def test_generator_store_digest():
+    # One sha256 over what the generator writes: both stores, the output
+    # bits, the terminated ids, the signal count, the clock and the pass
+    # count.  The design text cannot see the unused pin slots, which must
+    # hold UNUSED, nor `terminated`, and the builder writes both itself.
+    h = hashlib.sha256()
+    sizes = [(n, k, p) for n in range(1, 17) for k in range(1, 17) for p in (False, True)]
+    sizes += [(13, 5, True), (17, 33, True), (2, 40, True), (40, 2, True), (64, 64, True)]
+    for n, k, pipelined in sizes:
+        nl, passes = generate_with_annotations(GeneratorConfig(n, k, pipelined))
+        h.update(bytes(nl.kinds))
+        h.update(nl.pins.tobytes())
+        h.update(repr((nl.output_p, sorted(nl.terminated), nl.signal_count, nl.clock,
+                       passes)).encode())
+    assert h.hexdigest() == "c7affe43d3086246aa3b0174d0bd3fdc11d4e98ccca04c7691596105b87d1b42"
+
+
 def test_2x2_structure():
     nl, passes = generate_with_annotations(GeneratorConfig(2, 2, False))
     assert count(nl, AND2) == 4
@@ -129,7 +146,7 @@ def test_each_delay_adds_a_fresh_chain():
     nl.pipelined = True
     nl.add_clock()
     builder = _Builder(nl)
-    (sig,) = builder.add(AND2, [nl.input_a[0], nl.input_b[0]], 0)
+    sig = builder.add(CODE[HALF_ADDER], 0, nl.input_a[0], nl.input_b[0])
 
     def assert_new_chain(first, q):
         """Primitives `first` on are DFFs, each reading the one before,

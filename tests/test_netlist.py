@@ -15,18 +15,18 @@ def test_generated_2x2_validates_clean():
     assert validate(nl).findings == []
 
 
-def test_undriven_output_bit_reported():
+def test_undriven_output_bit_reported(add_primitive):
     nl = Netlist.create(2, 2)
-    (s,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
+    (s,) = add_primitive(nl, AND2, [nl.input_a[0], nl.input_b[0]])
     nl.output_p = [s, s, s, nl.new_signal()]  # bit 3 floats
     codes = [f.code for f in validate(nl).errors]
     assert "undriven-output" in codes
 
 
-def test_multiple_drivers_reported(set_pin):
+def test_multiple_drivers_reported(set_pin, add_primitive):
     nl = Netlist.create(1, 1)
-    (s0,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
-    prim2_out = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
+    (s0,) = add_primitive(nl, AND2, [nl.input_a[0], nl.input_b[0]])
+    prim2_out = add_primitive(nl, AND2, [nl.input_a[0], nl.input_b[0]])
     # point the second AND's output at the first one's signal
     set_pin(nl, 1, 3, s0)
     nl.output_p = [s0, prim2_out[0]]
@@ -34,66 +34,82 @@ def test_multiple_drivers_reported(set_pin):
     assert "multiple-drivers" in codes
 
 
-def test_arity_mismatch_reported():
-    """A kind's arity fixes its pin slots, so `add_primitive` is the one
-    place an input count can be wrong: it refuses one and stores nothing."""
+def test_arity_mismatch_reported(add_primitive):
+    """A kind's arity fixes its pin slots, so a hand-built netlist's
+    writer, the tests' `add_primitive`, is the one place an input count
+    can be wrong: it refuses one and stores nothing."""
     nl = Netlist.create(1, 1)
     a, b = nl.input_a[0], nl.input_b[0]
     with pytest.raises(NetlistError, match="and2 expects 2 inputs, got 3"):
-        nl.add_primitive(AND2, [a, b, a])
+        add_primitive(nl, AND2, [a, b, a])
     with pytest.raises(NetlistError, match="fa expects 3 inputs, got 2"):
-        nl.add_primitive(FULL_ADDER, [a, b])
+        add_primitive(nl, FULL_ADDER, [a, b])
     assert (len(nl.kinds), len(nl.pins), nl.signal_count) == (0, 0, 2)
 
 
-def test_unknown_kind_is_refused():
+def test_unknown_kind_is_refused(add_primitive):
     nl = Netlist.create(1, 1)
     with pytest.raises(NetlistError, match="^unknown primitive kind 'xor'$"):
-        nl.add_primitive("xor", [nl.input_a[0], nl.input_b[0]])
+        add_primitive(nl, "xor", [nl.input_a[0], nl.input_b[0]])
     assert (len(nl.kinds), len(nl.pins), nl.signal_count) == (0, 0, 2)
+
+
+def test_unknown_kind_code_is_one_finding():
+    """A kind code outside KINDS stops the walk: the primitive and its
+    code are the report's one finding, and its latency verdict."""
+    nl = generate_multiplier(GeneratorConfig(3, 3, False))
+    nl.kinds[0] = 9
+    report = validate(nl)
+    message = "primitive 0 has kind code 9, not one of the 5 kinds"
+    assert [(f.severity, f.code, f.message) for f in report.findings] == [
+        ("error", "unknown-kind", message)]
+    assert report.stage_depth is None
+    with pytest.raises(NetlistError) as raised:
+        compute_latency(report)
+    assert type(raised.value) is NetlistError and str(raised.value) == message
 
 
 @pytest.mark.parametrize("bad", [None, 2 ** 40], ids=["not-an-int", "out-of-range"])
-def test_unstorable_input_leaves_the_netlist_as_it_was(bad):
+def test_unstorable_input_leaves_the_netlist_as_it_was(bad, add_primitive):
     """An input the pin store cannot hold is refused before the kind is
     stored or an output allocated, so the next primitive is stored whole."""
     nl = Netlist.create(1, 1)
     a, b = nl.input_a[0], nl.input_b[0]
-    (s,) = nl.add_primitive(AND2, [a, b])
+    (s,) = add_primitive(nl, AND2, [a, b])
     with pytest.raises(NetlistError, match="^and2 inputs cannot be stored"):
-        nl.add_primitive(AND2, [a, bad])
+        add_primitive(nl, AND2, [a, bad])
     assert (list(nl.kinds), len(nl.pins), nl.signal_count) == ([0], 5, 3)
-    (t,) = nl.add_primitive(AND2, [s, b])
+    (t,) = add_primitive(nl, AND2, [s, b])
     assert nl.primitives[-1] == Primitive(AND2, (s, b), (t,)) and t == 3
     nl.output_p = [s, t]
     assert validate(nl).findings == []
 
 
-def test_unread_internal_is_warning_not_error():
+def test_unread_internal_is_warning_not_error(add_primitive):
     nl = Netlist.create(1, 1)
-    (s0,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
-    nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])  # dangles
-    (zero,) = nl.add_primitive(CONST0, [])
+    (s0,) = add_primitive(nl, AND2, [nl.input_a[0], nl.input_b[0]])
+    add_primitive(nl, AND2, [nl.input_a[0], nl.input_b[0]])  # dangles
+    (zero,) = add_primitive(nl, CONST0, [])
     nl.output_p = [s0, zero]
     rep = validate(nl)
     assert rep.is_valid()
     assert [(f.severity, f.code) for f in rep.findings] == [("warning", "unread-signal")]
 
 
-def test_terminated_signal_suppresses_warning():
+def test_terminated_signal_suppresses_warning(add_primitive):
     nl = Netlist.create(1, 1)
-    (s0,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
-    (s1,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
-    (zero,) = nl.add_primitive(CONST0, [])
+    (s0,) = add_primitive(nl, AND2, [nl.input_a[0], nl.input_b[0]])
+    (s1,) = add_primitive(nl, AND2, [nl.input_a[0], nl.input_b[0]])
+    (zero,) = add_primitive(nl, CONST0, [])
     nl.output_p = [s0, zero]
     nl.terminated.add(s1)
     assert validate(nl).findings == []
 
 
-def test_combinational_cycle_reported(set_pin):
+def test_combinational_cycle_reported(set_pin, add_primitive):
     nl = Netlist.create(1, 1)
-    (s0,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
-    (s1,) = nl.add_primitive(AND2, [s0, nl.input_b[0]])
+    (s0,) = add_primitive(nl, AND2, [nl.input_a[0], nl.input_b[0]])
+    (s1,) = add_primitive(nl, AND2, [s0, nl.input_b[0]])
     set_pin(nl, 0, 0, s1)  # s0 depends on s1 depends on s0
     nl.output_p = [s0, s1]
     report = validate(nl)
@@ -105,14 +121,14 @@ def test_combinational_cycle_reported(set_pin):
     assert str(raised.value) == report.errors[0].message
 
 
-def test_reads_before_any_driver_split_into_undriven_and_out_of_order(set_pin):
+def test_reads_before_any_driver_split_into_undriven_and_out_of_order(set_pin, add_primitive):
     """A read of a signal with no driver yet is `undriven-input` when
     nothing ever drives it, and `out-of-order` when a later primitive does."""
     nl = Netlist.create(1, 1)
     floating = nl.new_signal()
-    (s0,) = nl.add_primitive(AND2, [floating, floating])      # both pins undriven
-    (s1,) = nl.add_primitive(AND2, [floating, nl.input_a[0]])
-    (s2,) = nl.add_primitive(AND2, [s0, s1])
+    (s0,) = add_primitive(nl, AND2, [floating, floating])      # both pins undriven
+    (s1,) = add_primitive(nl, AND2, [floating, nl.input_a[0]])
+    (s2,) = add_primitive(nl, AND2, [s0, s1])
     set_pin(nl, 1, 1, s2)                                     # pin 1 driven later
     nl.output_p = [s2, s1]
     report = validate(nl)
@@ -172,11 +188,11 @@ def test_first_unknown_signal_is_the_one_finding(set_pin):
     assert messages() == ["primitive 5 (ha) output 0 (s99) is not one of the 12 signals"]
 
 
-def test_validation_order_is_deterministic():
+def test_validation_order_is_deterministic(add_primitive):
     def build():
         nl = Netlist.create(2, 2)
-        (s,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
-        nl.add_primitive(AND2, [nl.input_a[1], nl.input_b[1]])  # unread
+        (s,) = add_primitive(nl, AND2, [nl.input_a[0], nl.input_b[0]])
+        add_primitive(nl, AND2, [nl.input_a[1], nl.input_b[1]])  # unread
         nl.output_p = [s, s, s, nl.new_signal()]
         return validate(nl)
     assert build().findings == build().findings
@@ -199,11 +215,11 @@ def test_levelize_2x2_max_depth_three(signal_levels):
     assert compute_latency(report).gate_units == report.stage_depth == 3
 
 
-def test_full_adder_counts_two_gate_units(signal_levels):
+def test_full_adder_counts_two_gate_units(signal_levels, add_primitive):
     nl = Netlist.create(2, 1)
-    (a,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
-    (b,) = nl.add_primitive(AND2, [nl.input_a[1], nl.input_b[0]])
-    s, c = nl.add_primitive(FULL_ADDER, [a, b, nl.input_a[0]])
+    (a,) = add_primitive(nl, AND2, [nl.input_a[0], nl.input_b[0]])
+    (b,) = add_primitive(nl, AND2, [nl.input_a[1], nl.input_b[0]])
+    s, c = add_primitive(nl, FULL_ADDER, [a, b, nl.input_a[0]])
     nl.output_p = [s, c, a]
     by_id = signal_levels(nl)[0]
     assert by_id[s] == 3  # and (1) + fa (2)
@@ -267,13 +283,13 @@ def test_register_depth_zero_when_not_pipelined(signal_levels):
     assert compute_latency(validate(nl)).cycles is None
 
 
-def test_register_depth_unbalanced_path_error(signal_levels):
+def test_register_depth_unbalanced_path_error(signal_levels, add_primitive):
     nl = Netlist.create(1, 1)
     nl.pipelined = True
     nl.add_clock()
-    (s0,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
-    (q,) = nl.add_primitive(DFF, [nl.input_a[0]])
-    s, c = nl.add_primitive(HALF_ADDER, [s0, q])  # mixes 0- and 1-register paths
+    (s0,) = add_primitive(nl, AND2, [nl.input_a[0], nl.input_b[0]])
+    (q,) = add_primitive(nl, DFF, [nl.input_a[0]])
+    s, c = add_primitive(nl, HALF_ADDER, [s0, q])  # mixes 0- and 1-register paths
     nl.output_p = [s, c]
     _, reg_min, reg_max = signal_levels(nl)
     assert reg_min[s] != reg_max[s]
@@ -281,12 +297,12 @@ def test_register_depth_unbalanced_path_error(signal_levels):
         compute_latency(validate(nl))
 
 
-def test_netlist_without_output_bits_raises_netlist_error():
+def test_netlist_without_output_bits_raises_netlist_error(add_primitive):
     """With no output bit there is no latency to read; every caller of
     `compute_latency` gets a NetlistError naming the missing bits."""
     from csmulgen.sim import simulate
     nl = Netlist.create(1, 1)
-    nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
+    add_primitive(nl, AND2, [nl.input_a[0], nl.input_b[0]])
     report = validate(nl)
     for call in (compute_latency, lambda rep: simulate(rep, [(1, 1)])):
         with pytest.raises(NetlistError, match="^the netlist has none of its 2 output bits$"):
@@ -422,13 +438,13 @@ def test_every_duplicated_dff_fails_validation(double_dff):
         assert unbalanced_findings(nl), f"doubling DFF {pos} went unnoticed"
 
 
-def test_register_loop_is_out_of_order(set_pin):
+def test_register_loop_is_out_of_order(set_pin, add_primitive):
     nl = Netlist.create(1, 1)
     nl.pipelined = True
     nl.add_clock()
-    (s0,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
-    (q,) = nl.add_primitive(DFF, [s0])
-    s, c = nl.add_primitive(HALF_ADDER, [q, q])
+    (s0,) = add_primitive(nl, AND2, [nl.input_a[0], nl.input_b[0]])
+    (q,) = add_primitive(nl, DFF, [s0])
+    s, c = add_primitive(nl, HALF_ADDER, [q, q])
     set_pin(nl, 1, 0, s)  # q now feeds back on itself through s
     nl.output_p = [s, c]
     assert [(f.code, f.message) for f in validate(nl).errors] == [
@@ -473,29 +489,29 @@ def test_shuffled_pipelined_netlist_is_rejected(reorder):
             call(report)
 
 
-def _netlist_with_every_defect(set_pin):
+def _netlist_with_every_defect(set_pin, add_primitive):
     nl = Netlist.create(2, 2)
     a0, a1 = nl.input_a
     b0, b1 = nl.input_b
-    (s_and,) = nl.add_primitive(AND2, [a0, b0])
-    nl.add_primitive(AND2, [a1, b1])                       # unread
-    (s_loop,) = nl.add_primitive(AND2, [a0, b1])
+    (s_and,) = add_primitive(nl, AND2, [a0, b0])
+    add_primitive(nl, AND2, [a1, b1])                       # unread
+    (s_loop,) = add_primitive(nl, AND2, [a0, b1])
     set_pin(nl, 2, 1, s_loop)                              # reads itself: out of order
-    nl.add_primitive(AND2, [a1, b0])
+    add_primitive(nl, AND2, [a1, b0])
     set_pin(nl, 3, 3, b1)                                  # drives a port bit
-    (s_twice,) = nl.add_primitive(AND2, [a0, b0])
-    nl.add_primitive(AND2, [a1, b1])
+    (s_twice,) = add_primitive(nl, AND2, [a0, b0])
+    add_primitive(nl, AND2, [a1, b1])
     set_pin(nl, 5, 3, s_twice)                             # second driver
     floating = nl.new_signal()
-    (s_term,) = nl.add_primitive(AND2, [floating, b0])     # undriven input
+    (s_term,) = add_primitive(nl, AND2, [floating, b0])     # undriven input
     nl.terminated.add(s_term)                              # but read below
-    nl.add_primitive(DFF, [s_twice])                       # no clock, not pipelined
+    add_primitive(nl, DFF, [s_twice])                       # no clock, not pipelined
     nl.output_p = [s_and, s_term, nl.new_signal()]         # 3 bits, one floats
     return nl
 
 
-def test_every_defect_gives_exact_findings_in_order(set_pin):
-    report = validate(_netlist_with_every_defect(set_pin))
+def test_every_defect_gives_exact_findings_in_order(set_pin, add_primitive):
+    report = validate(_netlist_with_every_defect(set_pin, add_primitive))
     assert not report.is_valid() and report.stage_depth is None
     findings = [(f.severity, f.code, f.message) for f in report.findings]
     assert findings == [

@@ -44,7 +44,7 @@ def test_shared_analysis_gives_the_same_results(n, k, pipe, faulty, swap_outputs
     assert verify_random(report, 60, 7).passed != faulty
 
 
-def test_emit_refuses_a_report_with_errors():
+def test_emit_refuses_a_report_with_errors(add_primitive):
     nl, _ = generate_with_annotations(GeneratorConfig(2, 2, False))
     report = ValidationReport(nl, findings=[Finding("error", "test", "handed-in defect")])
     with pytest.raises(EmissionError, match="handed-in defect"):
@@ -53,7 +53,7 @@ def test_emit_refuses_a_report_with_errors():
         iter_vhdl(report)  # when called, before any chunk
 
     bad = Netlist.create(1, 1)
-    (s,) = bad.add_primitive(AND2, [bad.input_a[0], bad.input_b[0]])
+    (s,) = add_primitive(bad, AND2, [bad.input_a[0], bad.input_b[0]])
     bad.output_p = [s, bad.new_signal()]  # undriven output bit
     with pytest.raises(EmissionError, match="no driver"):
         emit_vhdl(validate(bad))

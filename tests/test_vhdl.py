@@ -40,9 +40,9 @@ def test_emission_is_deterministic():
     assert one == two
 
 
-def test_emit_rejects_invalid_netlist():
+def test_emit_rejects_invalid_netlist(add_primitive):
     nl = Netlist.create(1, 1)
-    (s,) = nl.add_primitive(AND2, [nl.input_a[0], nl.input_b[0]])
+    (s,) = add_primitive(nl, AND2, [nl.input_a[0], nl.input_b[0]])
     nl.output_p = [s, nl.new_signal()]  # undriven output bit
     with pytest.raises(EmissionError):
         emit_vhdl(validate(nl))
@@ -134,12 +134,12 @@ def test_design_text_comes_in_chunks_of_whole_lines(widths, pipelined):
     assert {chunk.count("\n") for chunk in chunks[:-1]} == {CHUNK_LINES}
 
 
-def test_emit_checks_before_the_first_chunk():
+def test_emit_checks_before_the_first_chunk(add_primitive):
     nl = generate_multiplier(GeneratorConfig(4, 4, False))
     with pytest.raises(EmissionError, match="not a legal VHDL basic identifier"):
         iter_vhdl(validate(nl), entity_name="signal")
     bad = Netlist.create(1, 1)
-    (s,) = bad.add_primitive(AND2, [bad.input_a[0], bad.input_b[0]])
+    (s,) = add_primitive(bad, AND2, [bad.input_a[0], bad.input_b[0]])
     bad.output_p = [s, bad.new_signal()]  # undriven output bit
     with pytest.raises(EmissionError, match="no driver"):
         iter_vhdl(validate(bad))
