@@ -5,7 +5,9 @@ import pytest
 
 from csmulgen.cli import main
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
-from csmulgen.netlist import AND2, Netlist, validate
+from csmulgen.netlist import (
+    AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, Netlist, validate,
+)
 from csmulgen.vhdl import (
     CHUNK_LINES, EmissionError, check_identifier, default_entity_name, emit_vhdl, iter_vhdl,
 )
@@ -78,6 +80,159 @@ def test_golden_8x8_pipelined():
 def test_pinned_design_digest(widths, pipelined, digest):
     text = emit_vhdl(validate(generate_multiplier(GeneratorConfig(*widths, pipelined))))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# Hand-built netlists that `validate` accepts, with naming corners no
+# generated design has: adders and registers that read port bits, an
+# output bit that reads a port bit, and a stored order that is not id
+# order, where the s<n> ordinals and the signal ids diverge.
+def _adders_read_ports(add_primitive, reorder):
+    """2x2: a half and a full adder read port bits, and an AND reads a
+    constant."""
+    nl = Netlist.create(2, 2)
+    (x0, x1), (y0, y1) = nl.input_a, nl.input_b
+    (zero,) = add_primitive(nl, CONST0, [])
+    s0, c0 = add_primitive(nl, HALF_ADDER, [x0, y0])
+    s1, c1 = add_primitive(nl, FULL_ADDER, [x1, y1, c0])
+    (top,) = add_primitive(nl, AND2, [x1, zero])
+    nl.output_p = [s0, s1, c1, top]
+    return nl
+
+
+def _dffs_read_ports(add_primitive, reorder):
+    """1x1 pipelined: registers read the port bits and a constant, and
+    the clock's id comes after the ports."""
+    nl = Netlist.create(1, 1)
+    nl.pipelined = True
+    nl.add_clock()
+    (qa,) = add_primitive(nl, DFF, nl.input_a)
+    (qb,) = add_primitive(nl, DFF, nl.input_b)
+    (prod,) = add_primitive(nl, AND2, [qa, qb])
+    (zero,) = add_primitive(nl, CONST0, [])
+    (qz,) = add_primitive(nl, DFF, [zero])
+    nl.output_p = [prod, qz]
+    return nl
+
+
+def _stored_out_of_id_order(add_primitive, reorder):
+    """2x2, stored in a dependency order that is not id order, so the
+    s<n> ordinals and the signal ids diverge; an output bit reads a
+    port bit."""
+    nl = Netlist.create(2, 2)
+    (x0, x1), (y0, y1) = nl.input_a, nl.input_b
+    (lo,) = add_primitive(nl, AND2, [x0, y0])
+    (hi,) = add_primitive(nl, AND2, [x1, y0])
+    (zero,) = add_primitive(nl, CONST0, [])
+    s, c = add_primitive(nl, HALF_ADDER, [hi, zero])
+    nl.output_p = [lo, s, c, y1]
+    reorder(nl, [2, 1, 3, 0])
+    return nl
+
+
+@pytest.mark.parametrize("build, text", [
+    (_adders_read_ports, """\
+library ieee;
+use ieee.std_logic_1164.all;
+
+entity mul_2x2 is
+  port (
+    x : in std_logic_vector(1 downto 0);
+    y : in std_logic_vector(1 downto 0);
+    p : out std_logic_vector(3 downto 0)
+  );
+end entity mul_2x2;
+
+architecture structural of mul_2x2 is
+  signal s0 : std_logic;
+  signal s1 : std_logic;
+  signal s2 : std_logic;
+  signal s3 : std_logic;
+  signal s4 : std_logic;
+begin
+  s0 <= x(0) xor y(0);
+  s1 <= x(0) and y(0);
+  s2 <= x(1) xor y(1) xor s1;
+  s3 <= (x(1) and y(1)) or (x(1) and s1) or (y(1) and s1);
+  s4 <= x(1) and '0';
+  p(0) <= s0;
+  p(1) <= s2;
+  p(2) <= s3;
+  p(3) <= s4;
+end architecture structural;
+"""),
+    (_dffs_read_ports, """\
+library ieee;
+use ieee.std_logic_1164.all;
+
+entity mul_1x1_p is
+  port (
+    x : in std_logic_vector(0 downto 0);
+    y : in std_logic_vector(0 downto 0);
+    clk : in std_logic;
+    p : out std_logic_vector(1 downto 0)
+  );
+end entity mul_1x1_p;
+
+architecture structural of mul_1x1_p is
+  signal s0 : std_logic;
+  signal s1 : std_logic;
+  signal s2 : std_logic;
+  signal s3 : std_logic;
+begin
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      s0 <= x(0);
+    end if;
+  end process;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      s1 <= y(0);
+    end if;
+  end process;
+  s2 <= s0 and s1;
+  process (clk)
+  begin
+    if rising_edge(clk) then
+      s3 <= '0';
+    end if;
+  end process;
+  p(0) <= s2;
+  p(1) <= s3;
+end architecture structural;
+"""),
+    (_stored_out_of_id_order, """\
+library ieee;
+use ieee.std_logic_1164.all;
+
+entity mul_2x2 is
+  port (
+    x : in std_logic_vector(1 downto 0);
+    y : in std_logic_vector(1 downto 0);
+    p : out std_logic_vector(3 downto 0)
+  );
+end entity mul_2x2;
+
+architecture structural of mul_2x2 is
+  signal s0 : std_logic;
+  signal s1 : std_logic;
+  signal s2 : std_logic;
+  signal s3 : std_logic;
+begin
+  s0 <= x(1) and y(0);
+  s1 <= s0 xor '0';
+  s2 <= s0 and '0';
+  s3 <= x(0) and y(0);
+  p(0) <= s3;
+  p(1) <= s1;
+  p(2) <= s2;
+  p(3) <= y(1);
+end architecture structural;
+"""),
+], ids=["adders-read-ports", "dffs-read-ports", "stored-out-of-id-order"])
+def test_hand_built_design_text(build, text, add_primitive, reorder):
+    assert emit_vhdl(validate(build(add_primitive, reorder))) == text
 
 
 def test_combinational_entity_has_no_clock_port():
