@@ -63,6 +63,11 @@ class UnbalancedPathError(NetlistError):
     """Paths to one output bit, or to different output bits, differ in register count."""
 
 
+def _unknown_kind(idx, k):
+    """The message for primitive idx, whose kind code k is outside KINDS."""
+    return f"primitive {idx} has kind code {k}, not one of the {len(KINDS)} kinds"
+
+
 class Primitive(NamedTuple):
     """One gate instance as `Netlist.primitives` decodes it; inputs and
     outputs are tuples of signal ids."""
@@ -91,8 +96,8 @@ class Netlist:
     writer of `kinds`, `pins` and `signal_count`; a netlist built by
     hand, as the tests build theirs, uses the `add_primitive` helper of
     `tests/conftest.py`, which refuses an unknown kind or a wrong input
-    count.  Nothing else checks a kind code until `validate`, which
-    reports one outside KINDS as `unknown-kind`.
+    count.  `validate` reports a kind code outside KINDS as
+    `unknown-kind`; `primitives` raises NetlistError with its message.
     """
 
     width_a: int
@@ -133,6 +138,8 @@ class Netlist:
         decoded = []
         it = iter(self.pins)
         for k, i0, i1, i2, o0, o1 in zip(self.kinds, it, it, it, it, it):
+            if k >= len(KINDS):
+                raise NetlistError(_unknown_kind(len(decoded), k))
             n_in, n_out = _ARITY_OF[k]
             decoded.append(Primitive(KINDS[k], (i0, i1, i2)[:n_in], (o0, o1)[:n_out]))
         return tuple(decoded)
@@ -315,7 +322,7 @@ def validate(nl: Netlist) -> ValidationReport:
             depth[o0] = reg_min[o0] = reg_max[o0] = 0
             drivers[o0] += 1
         else:
-            msg = f"primitive {idx} has kind code {k}, not one of the {len(KINDS)} kinds"
+            msg = _unknown_kind(idx, k)
             err("unknown-kind", msg)
             rep.latency = NetlistError(msg)
             return rep

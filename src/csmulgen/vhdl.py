@@ -3,10 +3,13 @@
 One design unit per netlist: an entity with x/y/p vector ports (plus
 clk when registered) and an architecture with one concurrent statement
 group per primitive.  Adders become inline boolean expressions, flip
-flops become one clocked process each, constant outputs are assigned
-'0' in place.  Output text is byte-deterministic.  `iter_vhdl` yields
-it in chunks of lines, so a writer never holds the whole text;
-`emit_vhdl` joins them.
+flops one clocked process each.  One walk writes the primitives in
+stored order and names each signal at its driver: port bits x(i)/y(i),
+the clock clk, each AND, adder or flip-flop output s<ordinal> in that
+order, a constant output the literal '0'.  `validate` refuses a read
+before its driver, so every name is set before a line reads it.
+Output text is byte-deterministic.  `iter_vhdl` yields it in chunks of
+lines, so a writer never holds the whole text; `emit_vhdl` joins them.
 """
 
 from __future__ import annotations
@@ -54,32 +57,6 @@ def check_identifier(name: str):
         raise EmissionError(f"{name!r} is not a legal VHDL basic identifier")
 
 
-def _signal_text(nl: Netlist):
-    """Each signal's VHDL text, indexed by signal id, and the number of
-    internal names.  Ports are x/y/p vector slices, the clock is clk,
-    internal signals are s<ordinal> in primitive insertion order.
-    Constant-driver outputs are the literal '0' at their use sites."""
-    text = [""] * nl.signal_count
-    for i, sig in enumerate(nl.input_a):
-        text[sig] = f"x({i})"
-    for i, sig in enumerate(nl.input_b):
-        text[sig] = f"y({i})"
-    if nl.clock is not None:
-        text[nl.clock] = "clk"
-    ordinal = 0
-    it = iter(nl.pins)
-    for k, _, _, _, o0, o1 in zip(nl.kinds, it, it, it, it, it):
-        if k == _CONST0:
-            text[o0] = "'0'"
-            continue
-        text[o0] = f"s{ordinal}"
-        ordinal += 1
-        if k == _HALF_ADDER or k == _FULL_ADDER:
-            text[o1] = f"s{ordinal}"
-            ordinal += 1
-    return text, ordinal
-
-
 def emit_vhdl(report: ValidationReport, *, entity_name: str | None = None) -> str:
     """The whole design text: the join of `iter_vhdl`'s chunks."""
     return "".join(iter_vhdl(report, entity_name=entity_name))
@@ -112,7 +89,11 @@ def _chunks(lines):
 def _lines(nl: Netlist, entity: str):
     """The design text, one line at a time, without line ends."""
     ind = INDENT
-    t, named = _signal_text(nl)
+    kinds = nl.kinds
+    t = [""] * nl.signal_count  # each signal's VHDL text, by signal id
+    for port, bits in (("x", nl.input_a), ("y", nl.input_b)):
+        for i, sig in enumerate(bits):
+            t[sig] = f"{port}({i})"
 
     yield "library ieee;"
     yield "use ieee.std_logic_1164.all;"
@@ -124,6 +105,7 @@ def _lines(nl: Netlist, entity: str):
         f"y : in std_logic_vector({nl.width_b - 1} downto 0)",
     ]
     if nl.clock is not None:
+        t[nl.clock] = "clk"
         ports.append("clk : in std_logic")
     ports.append(f"p : out std_logic_vector({nl.width_a + nl.width_b - 1} downto 0)")
     for i, port in enumerate(ports):
@@ -133,6 +115,8 @@ def _lines(nl: Netlist, entity: str):
     yield f"end entity {entity};"
     yield ""
     yield f"architecture structural of {entity} is"
+    named = (len(kinds) - kinds.count(_CONST0)
+             + kinds.count(_HALF_ADDER) + kinds.count(_FULL_ADDER))
     for i in range(named):
         yield f"{ind}signal s{i} : std_logic;"
     yield "begin"
@@ -140,22 +124,31 @@ def _lines(nl: Netlist, entity: str):
     ind2, ind3 = ind * 2, ind * 3
     process_open = f"{ind}process (clk)", f"{ind}begin", f"{ind2}if rising_edge(clk) then"
     process_close = f"{ind2}end if;", f"{ind}end process;"
+    n = 0
     it = iter(nl.pins)
-    for k, i0, i1, i2, o0, o1 in zip(nl.kinds, it, it, it, it, it):
+    for k, i0, i1, i2, o0, o1 in zip(kinds, it, it, it, it, it):
+        if k == _CONST0:
+            t[o0] = "'0'"
+            continue
+        t[o0] = s = f"s{n}"
+        n += 1
         if k == _AND2:
-            yield f"{ind}{t[o0]} <= {t[i0]} and {t[i1]};"
-        elif k == _HALF_ADDER:
-            a, b = t[i0], t[i1]
-            yield f"{ind}{t[o0]} <= {a} xor {b};"
-            yield f"{ind}{t[o1]} <= {a} and {b};"
-        elif k == _FULL_ADDER:
-            a, b, c = t[i0], t[i1], t[i2]
-            yield f"{ind}{t[o0]} <= {a} xor {b} xor {c};"
-            yield f"{ind}{t[o1]} <= ({a} and {b}) or ({a} and {c}) or ({b} and {c});"
+            yield f"{ind}{s} <= {t[i0]} and {t[i1]};"
         elif k == _DFF:
             yield from process_open
-            yield f"{ind3}{t[o0]} <= {t[i0]};"
+            yield f"{ind3}{s} <= {t[i0]};"
             yield from process_close
+        else:
+            t[o1] = c = f"s{n}"
+            n += 1
+            a, b = t[i0], t[i1]
+            if k == _HALF_ADDER:
+                yield f"{ind}{s} <= {a} xor {b};"
+                yield f"{ind}{c} <= {a} and {b};"
+            else:
+                c_in = t[i2]
+                yield f"{ind}{s} <= {a} xor {b} xor {c_in};"
+                yield f"{ind}{c} <= ({a} and {b}) or ({a} and {c_in}) or ({b} and {c_in});"
 
     for j, bit in enumerate(nl.output_p):
         yield f"{ind}p({j}) <= {t[bit]};"

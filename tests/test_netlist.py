@@ -69,6 +69,19 @@ def test_unknown_kind_code_is_one_finding():
     assert type(raised.value) is NetlistError and str(raised.value) == message
 
 
+@pytest.mark.parametrize("idx", [0, 4])
+def test_decoded_view_refuses_an_unknown_kind_code(idx):
+    """`nl.primitives` raises NetlistError on a kind code outside KINDS,
+    with the message of `validate`'s `unknown-kind` finding."""
+    nl = generate_multiplier(GeneratorConfig(3, 3, False))
+    nl.kinds[idx] = 9
+    (finding,) = validate(nl).findings
+    assert finding.message == f"primitive {idx} has kind code 9, not one of the 5 kinds"
+    with pytest.raises(NetlistError) as raised:
+        nl.primitives
+    assert type(raised.value) is NetlistError and str(raised.value) == finding.message
+
+
 @pytest.mark.parametrize("bad", [None, 2 ** 40], ids=["not-an-int", "out-of-range"])
 def test_unstorable_input_leaves_the_netlist_as_it_was(bad, add_primitive):
     """An input the pin store cannot hold is refused before the kind is
