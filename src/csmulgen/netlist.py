@@ -201,8 +201,8 @@ def validate(nl: Netlist) -> ValidationReport:
     deterministic; the multiple-drivers check runs only when some
     signal has two drivers, and the unread and terminated checks visit
     only the unread and the terminated ids.  The checks index by signal
-    id, so the first port bit or pin holding an id outside
-    0 .. signal_count - 1 is the one finding.
+    id, so the first port bit, terminated id or pin holding an id
+    outside 0 .. signal_count - 1 is the one finding.
 
     Like `sim._settle`, the walk dispatches on the kind code with the
     pins unrolled, and each primitive's used pins are range-checked at
@@ -246,6 +246,9 @@ def validate(nl: Netlist) -> ValidationReport:
         for j, s in enumerate(bits):
             if not 0 <= s < n:
                 return unknown(f"{name} bit {j}", s)
+    for s in sorted(nl.terminated):
+        if not 0 <= s < n:
+            return unknown("terminated id", s)
     port = bytearray(n)
     for sig in nl.input_a + nl.input_b + clock:
         port[sig] = 1
@@ -345,13 +348,12 @@ def validate(nl: Netlist) -> ValidationReport:
             err("undriven-output", f"output bit {j} (s{bit}) has no driver")
 
     # Only an unread or a terminated id can hold a finding here.
-    ids = range(n)
     unread = []
     sig = read.find(0)
     while sig >= 0:
         unread.append(sig)
         sig = read.find(0, sig + 1)
-    for sig in sorted({*unread, *(s for s in nl.terminated if s in ids)}):
+    for sig in sorted({*unread, *nl.terminated}):
         if port[sig]:
             continue
         if sig in nl.terminated:

@@ -6,9 +6,10 @@ verification take the netlist's `ValidationReport`.  A register is a
 wire: the report's latency verdict says that every output path holds
 the same number L of registers, so the product leaving in cycle t + L
 is pair t's.  One pass over the primitives, which a netlist keeps in
-dependency order, gives every pair's product; `simulate` returns them,
-and the verify functions compare them with a*b.  AND/XOR/majority on
-big integers make exhaustive sweeps cheap without any extra machinery.
+dependency order, and one transpose of the output lanes give every
+pair's product; `simulate` returns them, and verification compares
+them with `*`.  AND/XOR/majority on big integers make exhaustive
+sweeps cheap without any extra machinery.
 """
 
 from __future__ import annotations
@@ -50,27 +51,25 @@ def _settle(nl, values):
             values[o0] = 0
 
 
-def _stream(nl, a_masks, b_masks):
-    """Output-bit lane masks of the input lane masks: lane t of output
-    mask j is product bit j for the inputs in lane t.  `nl` must have
-    passed `compute_latency`, which checks its order and its balance."""
+def _stream(nl, a_masks, b_masks, lanes):
+    """Products of the input lane masks, one word per lane: word t, for
+    t below `lanes`, is the product for the inputs in lane t.  `nl` must
+    have passed `compute_latency`, which checks its order and its
+    balance."""
     values = [0] * nl.signal_count
     for sig, v in zip(nl.input_a + nl.input_b, a_masks + b_masks):
         values[sig] = v
     _settle(nl, values)
-    return [values[bit] for bit in nl.output_p]
+    return _lane_masks([values[bit] for bit in nl.output_p], lanes)
 
 
 def _lane_masks(words, width):
     """Bit-sliced view of per-lane words: mask i holds bit i of every
-    word, word t at bit t.  No words give all-zero masks."""
+    word, word t at bit t.  Each word must be below 2**width.  No words
+    give all-zero masks.  The transpose is its own inverse:
+    `_lane_masks(_lane_masks(words, width), len(words)) == words`."""
     text = "".join(map(f"{{:0{width}b}}".format, reversed(words)))
     return [int(text[width - 1 - i::width] or "0", 2) for i in range(width)]
-
-
-def _lane(masks, t):
-    """Word t of the bit-sliced `masks`: the inverse of `_lane_masks`."""
-    return sum(((m >> t) & 1) << j for j, m in enumerate(masks))
 
 
 def check_pairs(nl: Netlist, pairs):
@@ -81,26 +80,18 @@ def check_pairs(nl: Netlist, pairs):
                            f"{nl.width_a}x{nl.width_b} operand ports")
 
 
-def _products(report, pairs):
-    """Output-bit lane masks of the (a, b) pairs streamed through the
-    report's netlist: lane t holds the product pair t leaves with, L
-    cycles later."""
-    nl = report.netlist
-    check_pairs(nl, pairs)
-    compute_latency(report)
-    a_masks = _lane_masks([a for a, _ in pairs], nl.width_a)
-    b_masks = _lane_masks([b for _, b in pairs], nl.width_b)
-    return _stream(nl, a_masks, b_masks)
-
-
 def simulate(report: ValidationReport, pairs) -> list[int]:
     """Products of the (a, b) pairs streamed through the netlist of
     `report`, `validate(nl)`, pair t entering in clock cycle t and
     leaving L cycles later, L being the latency (0 when combinational).
     One product is `simulate(report, [(a, b)])[0]`.  Raises as
     `verify_pairs` does."""
-    got = _products(report, pairs)
-    return [_lane(got, t) for t in range(len(pairs))]
+    nl = report.netlist
+    check_pairs(nl, pairs)
+    compute_latency(report)
+    a_masks = _lane_masks([a for a, _ in pairs], nl.width_a)
+    b_masks = _lane_masks([b for _, b in pairs], nl.width_b)
+    return _stream(nl, a_masks, b_masks, len(pairs))
 
 
 @dataclass(slots=True)
@@ -118,26 +109,12 @@ class VerificationReport:
                 f"got {c['got']} ({self.mode}, after {self.tested} vectors)")
 
 
-def _check_lanes(nl, got, pairs, mode, tested_before=0):
-    """Compare the output-bit masks `got`, in which lane t holds pair t's
-    product, with a*b for every pair, whole masks at a time.
-
-    Returns a failing report for the first wrong pair, or None.
-    """
-    width = max(len(got), nl.width_a + nl.width_b)
-    got += [0] * (width - len(got))
-    want = _lane_masks([a * b for a, b in pairs], width)
-    wrong = 0
-    for g, w in zip(got, want):
-        wrong |= g ^ w
-    if not wrong:
-        return None
-    lane = (wrong & -wrong).bit_length() - 1
-    a, b = pairs[lane]
+def _failure(a, b, got, tested, mode):
+    """The report of pair (a, b), the first wrong one after `tested`
+    right ones, whose product came out as `got`."""
     return VerificationReport(
-        passed=False, tested=tested_before + lane, mode=mode,
-        counterexample={"a": a, "b": b, "expected": a * b,
-                        "got": _lane(got, lane)})
+        passed=False, tested=tested, mode=mode,
+        counterexample={"a": a, "b": b, "expected": a * b, "got": got})
 
 
 def verify_pairs(report: ValidationReport, pairs, mode: str) -> VerificationReport:
@@ -150,9 +127,10 @@ def verify_pairs(report: ValidationReport, pairs, mode: str) -> VerificationRepo
     OutOfOrderError on a netlist out of order.  A pair that is negative
     or wider than its port raises SimError.
     """
-    got = _products(report, pairs)
-    return (_check_lanes(report.netlist, got, pairs, mode)
-            or VerificationReport(passed=True, tested=len(pairs), mode=mode))
+    for t, ((a, b), p) in enumerate(zip(pairs, simulate(report, pairs))):
+        if p != a * b:
+            return _failure(a, b, p, t, mode)
+    return VerificationReport(passed=True, tested=len(pairs), mode=mode)
 
 
 def verify_exhaustive(report: ValidationReport) -> VerificationReport:
@@ -165,17 +143,14 @@ def verify_exhaustive(report: ValidationReport) -> VerificationReport:
     compute_latency(report)
     total = 1 << (n + k)
     chunk = min(total, 1 << 16)
-    tested = 0
+    mask = (1 << n) - 1
     for base in range(0, total, chunk):
         a_masks = [_pattern(i, chunk, base) for i in range(n)]
         b_masks = [_pattern(n + i, chunk, base) for i in range(k)]
-        got = _stream(nl, a_masks, b_masks)
-        pairs = [((base + t) & ((1 << n) - 1), (base + t) >> n) for t in range(chunk)]
-        bad = _check_lanes(nl, got, pairs, "exhaustive", tested)
-        if bad is not None:
-            return bad
-        tested += chunk
-    return VerificationReport(passed=True, tested=tested, mode="exhaustive")
+        for t, p in enumerate(_stream(nl, a_masks, b_masks, chunk), base):
+            if p != (t & mask) * (t >> n):
+                return _failure(t & mask, t >> n, p, t, "exhaustive")
+    return VerificationReport(passed=True, tested=total, mode="exhaustive")
 
 
 def _pattern(v, lanes, base):

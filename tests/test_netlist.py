@@ -187,6 +187,21 @@ def test_signal_id_outside_the_netlist_is_unknown_signal(where, sig, set_pin):
     assert type(raised.value) is NetlistError and str(raised.value) == message
 
 
+@pytest.mark.parametrize("sig", [-1, 10**6])
+def test_terminated_id_outside_the_netlist_is_unknown_signal(sig):
+    """A terminated id is checked like a port bit, before the walk: it
+    is the one finding, and the latency verdict raises its message."""
+    nl = generate_multiplier(GeneratorConfig(3, 3, False))
+    n = nl.signal_count
+    nl.terminated.add(sig)
+    report = validate(nl)
+    message = f"terminated id (s{sig}) is not one of the {n} signals"
+    assert [(f.code, f.message) for f in report.findings] == [("unknown-signal", message)]
+    with pytest.raises(NetlistError) as raised:
+        compute_latency(report)
+    assert type(raised.value) is NetlistError and str(raised.value) == message
+
+
 def test_first_unknown_signal_is_the_one_finding(set_pin):
     """Port bits are checked before pins, and pins in primitive order.
     The first id outside the netlist is the one finding."""

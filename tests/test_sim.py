@@ -50,6 +50,33 @@ def test_verify_exhaustive_pipelined_4x4():
     assert report.passed and report.tested == 256
 
 
+def test_verify_exhaustive_9x9_runs_every_chunk():
+    """18 input bits are four chunks of 2**16 lanes."""
+    report = verify_exhaustive(validate(generate_multiplier(GeneratorConfig(9, 9, False))))
+    assert report == VerificationReport(passed=True, tested=2 ** 18, mode="exhaustive")
+
+
+def test_verify_exhaustive_names_the_first_failure_past_the_first_chunk(set_pin):
+    """The AND of a0 and b8 reads b7 instead, so a product is off by
+    a0 * (b7 - b8) * 2**8.  Pair t is a = t & 511,
+    b = t >> 9, and the first pair with a0 set and b7 != b8 lies in the
+    second chunk."""
+    from csmulgen.netlist import AND2
+    nl = generate_multiplier(GeneratorConfig(9, 9, False))
+    a0, b7, b8 = nl.input_a[0], nl.input_b[7], nl.input_b[8]
+    idx = next(i for i, p in enumerate(nl.primitives)
+               if p.kind == AND2 and set(p.inputs) == {a0, b8})
+    set_pin(nl, idx, nl.primitives[idx].inputs.index(b8), b7)
+    t = next(t for t in range(2 ** 18) if t & 1 and (t >> 16 ^ t >> 17) & 1)
+    a, b = t & 511, t >> 9
+    got = a * b + (a & 1) * ((b >> 7 & 1) - (b >> 8 & 1)) * 2 ** 8
+    assert (t, a, b, a * b, got) == (65537, 1, 128, 128, 384)
+    report = verify_exhaustive(validate(nl))
+    assert report == VerificationReport(
+        passed=False, tested=t, mode="exhaustive",
+        counterexample={"a": a, "b": b, "expected": a * b, "got": got})
+
+
 def test_verify_random_is_seed_deterministic():
     nl = generate_multiplier(GeneratorConfig(12, 12, False))
     report = validate(nl)
@@ -164,6 +191,8 @@ def test_lane_masks_match_a_per_bit_loop(width):
     want = [sum(((w >> i) & 1) << t for t, w in enumerate(words)) for i in range(width)]
     assert _lane_masks(words, width) == want
     assert _lane_masks([], width) == [0] * width
+    for lanes in (words, [], words[:1]):
+        assert _lane_masks(_lane_masks(lanes, width), len(lanes)) == lanes
 
 
 def test_empty_pair_list_passes_after_analysis():
