@@ -2,13 +2,15 @@
 
 Three phases: an AND-gate partial-product network, an iterative
 carry-save reduction that compresses every output column down to at
-most two pending bits, and a ripple-carry final adder.  A pipelined
-build places registers as it adds the primitives: one register boundary
-per reduction iteration and one per final-adder column, with skew
-chains on inputs read across boundaries and deskew chains so every
-output bit sees the identical latency.  Every signal read across a
-register boundary has exactly one reader, so each chain belongs to that
-one reader and no chain is shared.
+most two pending bits, and a ripple-carry final adder.  The reduction
+is planned from column heights alone: `schedule(n, k)` owns the
+deferral rules, and `reduce_step` places the adders it names.  A
+pipelined build places registers as it adds the primitives: one
+register boundary per reduction iteration and one per final-adder
+column, with skew chains on inputs read across boundaries and deskew
+chains so every output bit sees the identical latency.  Every signal
+read across a register boundary has exactly one reader, so each chain
+belongs to that one reader and no chain is shared.
 """
 
 from __future__ import annotations
@@ -46,9 +48,12 @@ def max_width_ceiling():
     raw = os.environ.get(MAX_WIDTH_ENV)
     if not raw:
         return DEFAULT_MAX_WIDTH
-    if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
-        raise ValueError(f"{MAX_WIDTH_ENV} must be a positive integer, got {raw!r}")
-    return int(raw)
+    try:
+        if raw.isascii() and raw.isdigit() and int(raw) >= 1:
+            return int(raw)
+    except ValueError:  # more digits than Python's int conversion limit
+        pass
+    raise ValueError(f"{MAX_WIDTH_ENV} must be a positive integer, got {raw!r}")
 
 
 class _Builder:
@@ -177,75 +182,70 @@ def build_partial_products(cfg: GeneratorConfig, builder: _Builder) -> list:
     return columns
 
 
-def reduce_step(columns: list, iteration: int, builder: _Builder) -> list:
-    """One carry-save compression pass.
+def schedule(n: int, k: int) -> list:
+    """The reduction of an n x k product as counts: one plan per pass,
+    and a plan is one (full adders, half adder) pair per column.
 
-    Scans columns from the least significant upward; every bit in a
-    column takes part in this pass.  Full adders are placed while a
-    column holds more than two bits, each taking the column's next
-    three bits by index.  A column left with exactly two bits receives
-    a half adder unless one of the deferral rules applies:
+    Column j starts with min(j + 1, n, k, n + k - 1 - j) bits, and passes
+    run while a column holds more than two.  A column of height m takes
+    m // 3 full adders and, if two bits are left, a half adder unless:
 
-      Rule A: a carry from the previous column already landed in this
-      column during this pass, so a single full adder next pass can
-      absorb all three bits.
+      Rule A: a carry from column j - 1 landed in column j this pass, so
+      one full adder next pass absorbs all three bits;
+      Rule B: column j - 1 leaves this pass with two bits, so a carry
+      lands next pass and a full adder two passes out absorbs all three.
 
-      Rule B: the previous column leaves this pass with two bits, so the
-      following pass will push a carry into this column and a full adder
-      two passes out absorbs all three.
-
-    Returns the columns for the next pass: carries in first, then sums,
-    then the bits left unreduced.  Adders placed here go in window i+1.
-    A full adder in the most significant column, whose carry would have
-    no column, raises NetlistError.
+    The top column never takes a half adder, whose carry would have no
+    column; a full adder there raises NetlistError.
     """
-    window = iteration + 1
-    ncols = len(columns)
-    new_cols = [[] for _ in range(ncols)]
-    add = builder.add
-    for j, col in enumerate(columns):
-        here = new_cols[j]
-        # Before this column's adders, `here` holds only carries.
-        rule_a = bool(here)
-        m = len(col)
-        full = m - m % 3  # the bits the full adders take
-        if full:
-            if j + 1 == ncols:
+    width = n + k
+    heights = [min(j + 1, n, k, n + k - 1 - j) for j in range(width)]
+    passes = []
+    while max(heights) > 2:
+        plan, nxt, carry = [], [], 0
+        for j, m in enumerate(heights):
+            full, rest = divmod(m, 3)
+            if full and j + 1 == width:
                 raise NetlistError("reduction carry past the most significant column")
-            up = new_cols[j + 1]
-            for x in range(0, full, 3):
-                s = add(_FULL_ADDER, window, col[x], col[x + 1], col[x + 2])
-                here.append(s)
-                up.append(s + 1)
+            half = rest == 2 and not carry and not (j and nxt[j - 1] == 2) and j + 1 < width
+            plan.append((full, half))
+            nxt.append(carry + full + (1 if half else rest))
+            carry = full + half
+        passes.append(plan)
+        heights = nxt
+    return passes
 
-        if m - full == 2:
-            rule_b = j > 0 and len(new_cols[j - 1]) == 2
-            # A half adder in the most significant column has no home for
-            # its carry and two bits are already final-adder material, so
-            # the pair is always deferred there.
-            if not rule_a and not rule_b and j + 1 != ncols:
-                s = add(_HALF_ADDER, window, col[full], col[full + 1])
-                here.append(s)
-                new_cols[j + 1].append(s + 1)
-                continue
-        here.extend(col[full:])
 
+def reduce_step(columns: list, plan: list, iteration: int, builder: _Builder) -> list:
+    """One carry-save pass: places the adders `plan` names in window
+    i+1, each taking its column's next bits by index.  Returns the next
+    pass's columns: carries in first, then sums, then the bits left."""
+    window = iteration + 1
+    add = builder.add
+    new_cols = [[] for _ in columns]
+    # The schedule puts no adder in the top column, so its `up` stays empty.
+    for col, here, up, (full, half) in zip(columns, new_cols, new_cols[1:] + [[]], plan):
+        used = 3 * full
+        for x in range(0, used, 3):
+            s = add(_FULL_ADDER, window, col[x], col[x + 1], col[x + 2])
+            here.append(s)
+            up.append(s + 1)
+        if half:
+            s = add(_HALF_ADDER, window, col[used], col[used + 1])
+            here.append(s)
+            up.append(s + 1)
+            used += 2
+        here.extend(col[used:])
     return new_cols
 
 
 def run_reduction(columns: list, builder: _Builder):
-    """Apply reduction passes until every column holds at most two bits.
-
-    Returns the final columns and the number of passes executed.  Each
-    pass over an unreduced column list places at least one full adder,
-    and a full adder strictly decreases the total bit count, so this
-    terminates.
-    """
-    i = 0
-    while any(len(col) > 2 for col in columns):
-        columns = reduce_step(columns, i, builder)
-        i += 1
-    return columns, i
+    """Apply the passes of the widths' schedule.  Returns the final
+    columns, each at most two bits, and the number of passes."""
+    passes = schedule(builder.nl.width_a, builder.nl.width_b)
+    for i, plan in enumerate(passes):
+        columns = reduce_step(columns, plan, i, builder)
+    return columns, len(passes)
 
 
 def build_final_adder(columns: list, builder: _Builder, window: int):

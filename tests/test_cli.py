@@ -70,7 +70,8 @@ def test_capacity_ceiling_respected(tmp_path, monkeypatch, capsys):
     assert "ceiling" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("raw", ["abc", "2.5", "0", "-5"])
+@pytest.mark.parametrize("raw", ["abc", "2.5", "0", "-5",
+                                 pytest.param("0" * 5000 + "8", id="5001-digits")])
 def test_bad_capacity_env_is_a_usage_error(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.setenv("CSMULGEN_MAX_WIDTH", raw)
     assert run_cli("--width-a", "4", "--width-b", "4",

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from csmulgen.mulgen import (
     CapacityError, GeneratorConfig, _Builder, build_partial_products,
-    generate_multiplier, generate_with_annotations, run_reduction,
+    generate_multiplier, generate_with_annotations, reduce_step, run_reduction, schedule,
 )
 from csmulgen.netlist import (
     AND2, CODE, DFF, FULL_ADDER, HALF_ADDER, STRIDE, UNUSED, Netlist, NetlistError,
@@ -117,15 +117,36 @@ def test_pipelined_preserves_function():
         assert simulate(report, [(a, b)]) == [a * b]
 
 
-@pytest.mark.parametrize("n, k", [(1, 1), (1, 5), (5, 1), (3, 7), (8, 8)])
+def registers_as_wires(nl):
+    """The netlist with every DFF collapsed into a wire and the signals
+    renumbered in order of definition, port bits first: its primitives
+    as (code, i0, i1, i2, o0, o1), its output bits and its sorted
+    terminated ids."""
+    new = {UNUSED: UNUSED}
+    for s in nl.input_a + nl.input_b:
+        new[s] = len(new) - 1
+    fresh, prims = len(new) - 1, []
+    for i, code in enumerate(nl.kinds):
+        i0, i1, i2, o0, o1 = nl.pins[STRIDE * i:STRIDE * i + STRIDE]
+        if code == CODE[DFF]:
+            new[o0] = new[i0]
+            continue
+        for o in (o0, o1):
+            if o != UNUSED:
+                new[o], fresh = fresh, fresh + 1
+        prims.append((code, new[i0], new[i1], new[i2], new[o0], new[o1]))
+    return prims, [new[s] for s in nl.output_p], sorted(new[s] for s in nl.terminated)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 17) for k in range(1, 17)]
+                         + [(64, 64), (13, 5), (100, 3), (3, 100), (17, 33), (2, 150)])
 def test_gate_counts_match_between_modes(n, k):
+    # Pipelining only adds registers: read as wires, the pipelined design
+    # is the combinational one primitive for primitive, pins included.
     comb, passes_c = generate_with_annotations(GeneratorConfig(n, k, False))
     pipe, passes_p = generate_with_annotations(GeneratorConfig(n, k, True))
-    for kind in (AND2, FULL_ADDER, HALF_ADDER):
-        assert count(comb, kind) == count(pipe, kind)
-    # Pipelining only adds registers: the same primitives in the same order.
-    assert ([p.kind for p in pipe.primitives if p.kind != DFF]
-            == [p.kind for p in comb.primitives])
+    assert CODE[DFF] in pipe.kinds and CODE[DFF] not in comb.kinds
+    assert registers_as_wires(pipe) == registers_as_wires(comb)
     assert passes_c == passes_p
 
 
@@ -220,6 +241,63 @@ def test_annotations_consistent_with_netlist():
     ha = count(nl, HALF_ADDER)
     assert count(probe.nl, FULL_ADDER) + count(probe.nl, HALF_ADDER) <= fa + ha
     assert sum(map(len, matrix)) <= 2 * (nl.width_a + nl.width_b)
+
+
+def test_schedule_matches_the_generator():
+    # The plan's pass, full adder and half adder counts against what the
+    # reduction writes, in a probe that stops before the final adder.
+    # Each full adder removes one bit and a half adder none.  The pinned
+    # pass counts were read from the generator before it followed a
+    # schedule.
+    sizes = [(n, k) for n in range(1, 33) for k in range(1, 33)]
+    for n, k in sizes + [(256, 256), (2, 600), (8, 1024)]:
+        passes = schedule(n, k)
+        probe = _Builder(Netlist.create(n, k))
+        matrix, stages = run_reduction(
+            build_partial_products(GeneratorConfig(n, k, False), probe), probe)
+        full = sum(f for plan in passes for f, _ in plan)
+        half = sum(h for plan in passes for _, h in plan)
+        assert (len(passes), full, half) == (
+            stages, probe.nl.kinds.count(CODE[FULL_ADDER]),
+            probe.nl.kinds.count(CODE[HALF_ADDER])), (n, k)
+        assert full == n * k - sum(map(len, matrix)) and max(map(len, matrix)) <= 2
+    assert [len(schedule(n, n)) for n in (9, 13, 32, 256, 1024)] == [8, 7, 12, 18, 21]
+
+
+def heights_per_pass(n, k):
+    """Column heights before each pass of `schedule(n, k)` and after
+    the last, as the writer leaves them."""
+    builder = _Builder(Netlist.create(n, k))
+    columns = build_partial_products(GeneratorConfig(n, k, False), builder)
+    heights = [[len(col) for col in columns]]
+    for i, plan in enumerate(schedule(n, k)):
+        columns = reduce_step(columns, plan, i, builder)
+        heights.append([len(col) for col in columns])
+    return heights
+
+
+def test_schedule_3x3_by_hand():
+    # Pass 0: column 1 takes a half adder and column 2 a full adder,
+    # whose carry lands in column 3, so rule A defers column 3's pair.
+    # Pass 1: column 2 takes a half adder and column 3 a full adder.
+    __, half, full = (0, False), (0, True), (1, False)
+    assert schedule(3, 3) == [[__, half, full, __, __, __],
+                              [__, __, half, full, __, __]]
+    assert heights_per_pass(3, 3) == [[1, 2, 3, 2, 1, 0], [1, 1, 2, 3, 1, 0],
+                                      [1, 1, 1, 2, 2, 0]]
+
+
+def test_schedule_3x4_by_hand():
+    # Pass 2: no carry lands in column 5, whose neighbour holds one bit,
+    # but column 3's full adder carries into column 4, which leaves with
+    # two bits, so rule B alone defers column 5's pair.
+    __, half, full = (0, False), (0, True), (1, False)
+    assert schedule(3, 4) == [[__, half, full, full, __, __, __],
+                              [__, __, half, __, full, __, __],
+                              [__, __, __, full, __, __, __]]
+    assert heights_per_pass(3, 4) == [
+        [1, 2, 3, 3, 2, 1, 0], [1, 1, 2, 2, 3, 1, 0], [1, 1, 1, 3, 1, 2, 0],
+        [1, 1, 1, 1, 2, 2, 0]]
 
 
 def test_capacity_ceiling(monkeypatch):
