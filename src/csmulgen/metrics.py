@@ -8,7 +8,7 @@ generation_time_ms field varies).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .netlist import (
     AND2, DFF, FULL_ADDER, HALF_ADDER, KINDS, LatencyInfo, ValidationReport,
@@ -18,8 +18,7 @@ from .netlist import (
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True, slots=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     width_a: int
     width_b: int
     pipelined: bool
@@ -61,5 +60,6 @@ def compute_metrics(report: ValidationReport, reduction_stages: int,
 
 
 def render_json(report: MetricsReport) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, **asdict(report)}
+    doc = {"schema_version": SCHEMA_VERSION, **dict(zip(report._fields, report))}
+    doc["latency"] = dict(zip(report.latency._fields, report.latency))
     return json.dumps(doc, indent=2) + "\n"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .netlist import (
     _AND2, _CONST0, _DFF, _FULL_ADDER, _HALF_ADDER, STRIDE, UNUSED, Netlist, NetlistError,
@@ -31,15 +31,22 @@ class CapacityError(NetlistError):
     """Requested widths exceed the configured ceiling."""
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorConfig:
+class _Config(NamedTuple):
     width_a: int
     width_b: int
     pipelined: bool = False
 
-    def __post_init__(self):
-        if self.width_a < 1 or self.width_b < 1:
+
+class GeneratorConfig(_Config):
+    """Operand widths and mode of one multiplier; a width below 1 raises
+    ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, width_a, width_b, pipelined=False):
+        if width_a < 1 or width_b < 1:
             raise ValueError("operand widths must be >= 1")
+        return super().__new__(cls, width_a, width_b, pipelined)
 
 
 def max_width_ceiling():
@@ -53,7 +60,8 @@ def max_width_ceiling():
             return int(raw)
     except ValueError:  # more digits than Python's int conversion limit
         pass
-    raise ValueError(f"{MAX_WIDTH_ENV} must be a positive integer, got {raw!r}")
+    shown = repr(raw) if len(raw) <= 40 else f"{raw[:40]!r}... ({len(raw)} characters)"
+    raise ValueError(f"{MAX_WIDTH_ENV} must be a positive integer, got {shown}")
 
 
 class _Builder:

@@ -15,7 +15,6 @@ Every other module either builds one of these netlists or consumes one.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from itertools import count
 from typing import NamedTuple
 
@@ -77,7 +76,6 @@ class Primitive(NamedTuple):
     outputs: tuple
 
 
-@dataclass(slots=True)
 class Netlist:
     """A circuit: ports, signals, primitives, optional clock.
 
@@ -100,19 +98,23 @@ class Netlist:
     `unknown-kind`; `primitives` raises NetlistError with its message.
     """
 
-    width_a: int
-    width_b: int
-    input_a: list = field(default_factory=list)
-    input_b: list = field(default_factory=list)
-    output_p: list = field(default_factory=list)
-    clock: int | None = None
-    kinds: bytearray = field(default_factory=bytearray)
-    pins: array = field(default_factory=lambda: array("i"))
-    pipelined: bool = False
-    signal_count: int = 0
-    # Signal ids declared intentionally unconnected (the IR analogue of
-    # mapping an unused output to `open`); excluded from unread checks.
-    terminated: set = field(default_factory=set)
+    __slots__ = ("width_a", "width_b", "input_a", "input_b", "output_p", "clock",
+                 "kinds", "pins", "pipelined", "signal_count", "terminated")
+
+    def __init__(self, width_a, width_b):
+        self.width_a = width_a
+        self.width_b = width_b
+        self.input_a = []
+        self.input_b = []
+        self.output_p = []
+        self.clock = None
+        self.kinds = bytearray()
+        self.pins = array("i")
+        self.pipelined = False
+        self.signal_count = 0
+        # Signal ids declared intentionally unconnected (the IR analogue of
+        # mapping an unused output to `open`); excluded from unread checks.
+        self.terminated = set()
 
     @classmethod
     def create(cls, width_a, width_b):
@@ -145,21 +147,18 @@ class Netlist:
         return tuple(decoded)
 
 
-@dataclass(frozen=True, slots=True)
-class Finding:
+class Finding(NamedTuple):
     severity: str  # "error" | "warning"
     code: str
     message: str
 
 
-@dataclass(frozen=True, slots=True)
-class LatencyInfo:
+class LatencyInfo(NamedTuple):
     pipelined: bool
     cycles: int | None = None
     gate_units: int | None = None
 
 
-@dataclass(slots=True)
 class ValidationReport:
     """Findings of `validate`, and what the later stages read of its walk.
 
@@ -172,10 +171,13 @@ class ValidationReport:
     an unknown signal id or kind code.
     """
 
-    netlist: Netlist = field(repr=False, compare=False)
-    findings: list = field(default_factory=list)
-    latency: LatencyInfo | NetlistError | None = None
-    stage_depth: int | None = None
+    __slots__ = ("netlist", "findings", "latency", "stage_depth")
+
+    def __init__(self, netlist, findings=None):
+        self.netlist = netlist
+        self.findings = [] if findings is None else findings
+        self.latency = None
+        self.stage_depth = None
 
     @property
     def errors(self):

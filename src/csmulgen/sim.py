@@ -14,8 +14,8 @@ sweeps cheap without any extra machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import random
+from typing import NamedTuple
 
 from .netlist import (
     _AND2, _CONST0, _DFF, _FULL_ADDER, _HALF_ADDER,
@@ -94,8 +94,7 @@ def simulate(report: ValidationReport, pairs) -> list[int]:
     return _stream(nl, a_masks, b_masks, len(pairs))
 
 
-@dataclass(slots=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     passed: bool
     tested: int
     mode: str

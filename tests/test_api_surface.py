@@ -4,8 +4,9 @@ Every public module-level function or class in `src/csmulgen` must be
 used somewhere in the package outside its own definition, or by a
 demo.  Re-exports in `__init__.py` do not count as uses.  Every public
 method or property of a class there must likewise be read as an
-attribute outside its own body.  Dataclass fields are not checked:
-`asdict` reads them by reflection.  Every name a module there other
+attribute outside its own body.  Fields of the report and value
+classes are not checked: `render_json` reads a metrics report's fields
+through `_fields`, not by name.  Every name a module there other
 than `__init__.py` imports must be read in that module.
 """
 

@@ -78,6 +78,7 @@ def test_bad_capacity_env_is_a_usage_error(tmp_path, monkeypatch, capsys, raw):
                    "--out-dir", str(tmp_path)) == 1
     err = capsys.readouterr().err
     assert "CSMULGEN_MAX_WIDTH" in err and "positive integer" in err
+    assert len(err) < 200  # quotes a long value's head and its length
     assert not list(tmp_path.iterdir())
 
 
@@ -172,6 +173,18 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     bm = json.loads((b_dir / "mul_6x6_p_metrics.json").read_text())
     am.pop("generation_time_ms"), bm.pop("generation_time_ms")
     assert am == bm
+
+
+def test_cli_import_leaves_out_dataclasses(src_env):
+    """A CLI job's start-up is mostly the package's import, so importing
+    `csmulgen.cli` leaves out `dataclasses` and what it pulls in."""
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, csmulgen.cli; "
+         f"print(sorted(set({heavy!r}) & set(sys.modules)))"],
+        capture_output=True, text=True, env=src_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entry_point(tmp_path, src_env):

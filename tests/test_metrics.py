@@ -1,5 +1,6 @@
-import dataclasses
 import json
+
+import pytest
 
 from csmulgen.metrics import compute_metrics, render_json
 from csmulgen.mulgen import GeneratorConfig, generate_with_annotations
@@ -71,7 +72,17 @@ def test_render_json_holds_every_field():
     _, m = metrics_for(5, 9, False, generation_time_ms=3.25)
     data = json.loads(render_json(m))
     assert data.pop("schema_version") == 1
-    assert data == dataclasses.asdict(m)
+    assert list(data) == list(m._fields)
+    lat = m.latency
+    assert data.pop("latency") == {"pipelined": lat.pipelined, "cycles": lat.cycles,
+                                   "gate_units": lat.gate_units}
+    assert data == {name: getattr(m, name) for name in m._fields if name != "latency"}
+
+
+def test_metrics_report_is_immutable():
+    _, m = metrics_for(3, 3, False)
+    with pytest.raises(AttributeError):
+        m.dffs = 1
 
 
 def test_generation_time_optional():

@@ -29,6 +29,13 @@ def test_config_rejects_nonpositive_widths():
         GeneratorConfig(4, -1, False)
 
 
+def test_config_is_immutable():
+    cfg = GeneratorConfig(4, 4)
+    assert not cfg.pipelined
+    with pytest.raises(AttributeError):
+        cfg.width_a = 8
+
+
 def test_partial_products_shape():
     nl = Netlist.create(4, 3)
     matrix = build_partial_products(GeneratorConfig(4, 3, False), _Builder(nl))

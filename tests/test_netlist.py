@@ -4,7 +4,7 @@ import pytest
 
 from csmulgen.netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, KINDS,
-    LatencyInfo, Netlist, NetlistError, OutOfOrderError, Primitive, UnbalancedPathError,
+    Finding, LatencyInfo, Netlist, NetlistError, OutOfOrderError, Primitive, UnbalancedPathError,
     compute_latency, validate,
 )
 from csmulgen.mulgen import GeneratorConfig, generate_multiplier
@@ -13,6 +13,20 @@ from csmulgen.mulgen import GeneratorConfig, generate_multiplier
 def test_generated_2x2_validates_clean():
     nl = generate_multiplier(GeneratorConfig(2, 2, False))
     assert validate(nl).findings == []
+
+
+def test_findings_and_latency_are_immutable_values():
+    finding = Finding("error", "code", "message")
+    latency = LatencyInfo(pipelined=False, gate_units=3)
+    assert finding == Finding("error", "code", "message")
+    assert finding != Finding("warning", "code", "message")
+    assert latency == LatencyInfo(False, None, 3)
+    assert latency != LatencyInfo(pipelined=False, gate_units=4)
+    assert LatencyInfo(pipelined=True, cycles=2) != LatencyInfo(pipelined=True, cycles=3)
+    with pytest.raises(AttributeError):
+        finding.code = "other"
+    with pytest.raises(AttributeError):
+        latency.cycles = 1
 
 
 def test_undriven_output_bit_reported(add_primitive):

@@ -9,6 +9,18 @@ from csmulgen.sim import (
 )
 
 
+def test_verification_reports_compare_by_value():
+    fail = {"a": 3, "b": 2, "expected": 6, "got": 7}
+    report = VerificationReport(passed=False, tested=4, mode="random", counterexample=fail)
+    assert report == VerificationReport(False, 4, "random", dict(fail))
+    assert report != VerificationReport(False, 5, "random", fail)
+    assert report != VerificationReport(False, 4, "exhaustive", fail)
+    assert report != VerificationReport(False, 4, "random", {**fail, "got": 8})
+    assert VerificationReport(True, 4, "random") == VerificationReport(
+        passed=True, tested=4, mode="random", counterexample=None)
+    assert VerificationReport(True, 4, "random") != VerificationReport(False, 4, "random")
+
+
 def test_initial_state_settles_2x2_all_pairs():
     """One vector from reset is the one-lane case of `simulate`."""
     report = validate(generate_multiplier(GeneratorConfig(2, 2, False)))
