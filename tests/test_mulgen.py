@@ -82,6 +82,22 @@ def test_generator_store_digest():
     assert h.hexdigest() == "c7affe43d3086246aa3b0174d0bd3fdc11d4e98ccca04c7691596105b87d1b42"
 
 
+def test_wide_combinational_store_digest():
+    # The same sha256 as test_generator_store_digest over combinational
+    # sizes past its 16x16 grid: thin and tall operands in both orders,
+    # columns that take many full adders a pass, and 256x256.
+    h = hashlib.sha256()
+    sizes = [(17, 33), (33, 17), (1, 64), (64, 1), (64, 64), (100, 3), (3, 100),
+             (255, 256), (256, 256)]
+    for n, k in sizes:
+        nl, passes = generate_with_annotations(GeneratorConfig(n, k, False))
+        h.update(bytes(nl.kinds))
+        h.update(nl.pins.tobytes())
+        h.update(repr((nl.output_p, sorted(nl.terminated), nl.signal_count, nl.clock,
+                       passes)).encode())
+    assert h.hexdigest() == "d83fca65aa8cecb8d466da91a8ecc69c441ee530ba6beade8415232cd8aba5c4"
+
+
 def test_2x2_structure():
     nl, passes = generate_with_annotations(GeneratorConfig(2, 2, False))
     assert count(nl, AND2) == 4
