@@ -4,7 +4,8 @@ Three phases: an AND-gate partial-product network, an iterative
 carry-save reduction that compresses every output column down to at
 most two pending bits, and a ripple-carry final adder.  The reduction
 is planned from column heights alone: `schedule(n, k)` owns the
-deferral rules, and `reduce_step` places the adders it names.  A
+deferral rules, and `reduce_step` places the adders it names, a whole
+pass at a time by slices when the build is combinational.  A
 pipelined build places registers as it adds the primitives: one
 register boundary per reduction iteration and one per final-adder
 column, with skew chains on inputs read across boundaries and deskew
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from itertools import repeat
 from typing import NamedTuple
 
 from .netlist import (
@@ -69,8 +71,9 @@ class _Builder:
     `kinds` and `pins` stores, each in a pipeline window, and keeps
     `signal_count` in step: the generator is the one writer of the
     stores in the package.  No list or tuple is built per primitive:
-    the AND array goes in a row at a time, an adder pin by pin, and a
-    delay chain in one loop.
+    the AND array goes in a row at a time, a combinational reduction pass
+    as one run of adders, a pipelined adder pin by pin, and a delay chain
+    in one loop.
 
     Window 0 holds the partial-product ANDs and constants, window i+1 the
     adders of reduction iteration i, then each final-adder column the
@@ -132,6 +135,25 @@ class _Builder:
         put(s + 1)
         nl.signal_count = s + 2
         return s
+
+    def adders(self, kinds, i0, i1, i2):
+        """Append a run of adders to a combinational netlist, adder t of
+        kind kinds[t] reading i0[t], i1[t] and i2[t] (UNUSED for a half
+        adder).  Returns the sums' ids in order; each carry's id is its
+        sum's plus one."""
+        nl = self.nl
+        first, count = nl.signal_count, len(kinds)
+        end = first + 2 * count
+        row = array("i", bytes(4 * STRIDE * count))
+        row[0::STRIDE] = array("i", i0)
+        row[1::STRIDE] = array("i", i1)
+        row[2::STRIDE] = array("i", i2)
+        row[3::STRIDE] = array("i", range(first, end, 2))
+        row[4::STRIDE] = array("i", range(first + 1, end, 2))
+        nl.pins += row
+        nl.kinds += kinds
+        nl.signal_count = end
+        return range(first, end, 2)
 
     def zero(self):
         """Append a constant-zero driver in window 0; returns its id."""
@@ -226,24 +248,39 @@ def schedule(n: int, k: int) -> list:
 
 def reduce_step(columns: list, plan: list, iteration: int, builder: _Builder) -> list:
     """One carry-save pass: places the adders `plan` names in window
-    i+1, each taking its column's next bits by index.  Returns the next
-    pass's columns: carries in first, then sums, then the bits left."""
-    window = iteration + 1
-    add = builder.add
-    new_cols = [[] for _ in columns]
-    # The schedule puts no adder in the top column, so its `up` stays empty.
-    for col, here, up, (full, half) in zip(columns, new_cols, new_cols[1:] + [[]], plan):
+    i+1, each taking its column's next bits by index: a column's full
+    adders first, then its half adder.  Returns the next pass's columns:
+    carries in first, then sums, then the bits left.
+
+    A combinational build writes the pass as one run of adders, whose
+    inputs are slices of the columns.  A pipelined build places one adder
+    at a time, because each adder's skew DFFs come just before it in
+    stored order."""
+    i0, i1, i2, kinds = [], [], [], bytearray()
+    fa = bytes([_FULL_ADDER])
+    for col, (full, half) in zip(columns, plan):
         used = 3 * full
-        for x in range(0, used, 3):
-            s = add(_FULL_ADDER, window, col[x], col[x + 1], col[x + 2])
-            here.append(s)
-            up.append(s + 1)
+        i0 += col[0:used:3]
+        i1 += col[1:used:3]
+        i2 += col[2:used:3]
+        kinds += fa * full
         if half:
-            s = add(_HALF_ADDER, window, col[used], col[used + 1])
-            here.append(s)
-            up.append(s + 1)
-            used += 2
-        here.extend(col[used:])
+            i0.append(col[used])
+            i1.append(col[used + 1])
+            i2.append(UNUSED)
+            kinds.append(_HALF_ADDER)
+    if builder.slot is None:
+        sums = builder.adders(kinds, i0, i1, i2)
+        carries = range(sums.start + 1, sums.stop + 1, 2)
+    else:
+        sums = list(map(builder.add, kinds, repeat(iteration + 1), i0, i1, i2))
+        carries = [s + 1 for s in sums]
+    new_cols, t, up = [], 0, ()
+    # The schedule puts no adder in the top column, so no carry is left over.
+    for col, (full, half) in zip(columns, plan):
+        n = full + half
+        new_cols.append([*up, *sums[t:t + n], *col[3 * full + 2 * half:]])
+        up, t = carries[t:t + n], t + n
     return new_cols
 
 

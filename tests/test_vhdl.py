@@ -1,5 +1,6 @@
 import hashlib
 import pathlib
+from itertools import islice
 
 import pytest
 
@@ -9,7 +10,8 @@ from csmulgen.netlist import (
     AND2, CONST0, DFF, FULL_ADDER, HALF_ADDER, Netlist, validate,
 )
 from csmulgen.vhdl import (
-    CHUNK_LINES, EmissionError, check_identifier, default_entity_name, emit_vhdl, iter_vhdl,
+    CHUNK_LINES, EmissionError, _declarations, _names, _tails, check_identifier,
+    default_entity_name, emit_vhdl, iter_vhdl,
 )
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
@@ -309,3 +311,68 @@ def test_cli_writes_the_emitted_bytes(tmp_path):
     want = emit_vhdl(validate(nl)).encode("utf-8")
     assert want.count(b"\n") > CHUNK_LINES
     assert (tmp_path / "mul_32x32_p.vhd").read_bytes() == want
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, 1), (0, 999), (0, 1000), (0, 1001), (999, 1001), (1000, 2000), (990, 3010),
+    (9_990, 10_010), (99_990, 100_010), (5, 12_345),
+])
+def test_declaration_blocks_equal_plain_rendering(lo, hi):
+    want = "\n".join(f"  signal s{i} : std_logic;" for i in range(lo, hi))
+    assert _declarations(lo, hi, _tails()) == want
+
+
+def test_names_equal_plain_rendering():
+    names = list(islice(_names(_tails()), 100_010))
+    assert names == [f"s{i}" for i in range(100_010)]
+
+
+HEAD_1X1 = [
+    "library ieee;",
+    "use ieee.std_logic_1164.all;",
+    "",
+    "entity mul_1x1 is",
+    "  port (",
+    "    x : in std_logic_vector(0 downto 0);",
+    "    y : in std_logic_vector(0 downto 0);",
+    "    p : out std_logic_vector(1 downto 0)",
+    "  );",
+    "end entity mul_1x1;",
+    "",
+    "architecture structural of mul_1x1 is",
+]
+
+
+# Named-signal counts at the edges of the block rendering: none, under
+# one block, around a block edge, around the end of the first chunk's
+# room for declarations, a last chunk that is exactly full, and
+# declarations that fill two chunks exactly.
+@pytest.mark.parametrize("named", [
+    0, 1, 999, 1000, 1001, CHUNK_LINES - len(HEAD_1X1) - 1, CHUNK_LINES - len(HEAD_1X1),
+    CHUNK_LINES - len(HEAD_1X1) + 1, CHUNK_LINES - 8, 2 * CHUNK_LINES - len(HEAD_1X1),
+])
+def test_declarations_cut_at_chunk_ends(named, add_primitive):
+    """A 1x1 netlist of a constant and a chain of `named` ANDs: the
+    design text equals its plain rendering, and every chunk but the
+    last holds exactly CHUNK_LINES lines."""
+    nl = Netlist.create(1, 1)
+    (sig,) = add_primitive(nl, CONST0, [])
+    for _ in range(named):
+        (sig,) = add_primitive(nl, AND2, [sig, nl.input_b[0]])
+    nl.output_p = [sig, nl.input_a[0]]
+    names = [f"s{i}" for i in range(named)]
+    reads = ["'0'", *names]
+    want = [
+        *HEAD_1X1,
+        *(f"  signal {s} : std_logic;" for s in names),
+        "begin",
+        *(f"  {s} <= {r} and y(0);" for s, r in zip(names, reads)),
+        f"  p(0) <= {reads[-1]};",
+        "  p(1) <= x(0);",
+        "end architecture structural;",
+    ]
+    chunks = list(iter_vhdl(validate(nl)))
+    assert "".join(chunks) == "".join(line + "\n" for line in want)
+    assert len(chunks) == -(-len(want) // CHUNK_LINES)
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert [chunk.count("\n") for chunk in chunks[:-1]] == [CHUNK_LINES] * (len(chunks) - 1)
